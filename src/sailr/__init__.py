@@ -19,9 +19,8 @@ from .identify import (GAMMA, IdentCandidate, IdentConfig, IdentResult, Observat
                        project_k0, project_kplus_grid, resolve_k0, solve_p0)
 from .integrate import (Grid, Trajectory, half_samples, integrate_backward,
                         integrate_forward, sample, trapezoid)
-from .linearize import (AdjointTrajectory, FrozenCoeffs, TangentTrajectory,
-                        adjoint_p0, adjoint_p_eps, duality_residual_p,
-                        duality_residual_p0, frozen_coeffs, tangent_p, tangent_p0)
+from .linearize import (AdjointTrajectory, TangentTrajectory, adjoint_p0, adjoint_p_eps,
+                        duality_residual_p, duality_residual_p0, tangent_p, tangent_p0)
 from .model import (CoefficientTable, ModelParams, State, TOL_NEG, eval_coefficient,
                     param_errors, rhs, simulate, total_population, validate_params)
 from .scenario import (Scenario, SynthSpec, export_results, load_scenario,

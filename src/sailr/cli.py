@@ -13,7 +13,6 @@ to the console only.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -27,9 +26,9 @@ from . import stability as stab
 from .errors import SailrError, StallError, ValidationError
 from .integrate import Grid, trapezoid
 from .model import simulate, total_population
-from .scenario import (Scenario, scenario_from_dict, synth_observations,
-                       write_adjoint_csv, write_series_csv, write_summary_json,
-                       write_trajectory_csv)
+from .scenario import (Scenario, read_scenario_doc, scenario_from_dict,
+                       synth_observations, write_adjoint_csv, write_series_csv,
+                       write_summary_json, write_trajectory_csv)
 
 
 def _parse_args(argv):
@@ -48,41 +47,6 @@ def _parse_args(argv):
                         help="worker processes for multi-start runs")
         sp.add_argument("--quiet", action="store_true", help="suppress the console summary")
     return parser.parse_args(argv)
-
-
-def _apply_override(doc: dict, item: str):
-    if "=" not in item:
-        raise ValidationError([f"override '{item}' is not KEY=VALUE"])
-    key, raw = item.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = doc
-    parts = key.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ValidationError([f"override path '{key}' crosses a non-object field"])
-    node[parts[-1]] = value
-
-
-def _load(args) -> Scenario:
-    try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError([f"scenario file not found: {args.scenario}"])
-    except json.JSONDecodeError as err:
-        raise ValidationError([f"parse error at line {err.lineno}, column {err.colno}: {err.msg}"])
-    if not isinstance(doc, dict):
-        raise ValidationError(["scenario document must be a JSON object"])
-    doc["task"] = args.task
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    for item in args.overrides:
-        _apply_override(doc, item)
-    return scenario_from_dict(doc)
 
 
 def _summary_skeleton(task: str, seed: int) -> dict:
@@ -150,7 +114,7 @@ def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     cfg = ctl.ControlConfig(**{k: s.solver[k] for k in keys if k in s.solver})
     init = None
     if "init" in s.solver:
-        init = ctl.ControlPair(float(s.solver["init"]["lA"]), float(s.solver["init"]["lI"]))
+        init = ctl.ControlPair(s.solver["init"]["lA"], s.solver["init"]["lI"])
     if s.solver.get("multistart"):
         res, _, spread = ctl.solve_p_multistart(s.penalty, s.params, s.x0, s.grid,
                                                 config=cfg, jobs=jobs)
@@ -176,12 +140,10 @@ def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
 
 def _run_stability(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     opts = s.stability
-    report = stab.simulate_extinction(s.params, s.x0,
-                                      horizon=float(opts.get("horizon", 100.0)),
-                                      tol=float(opts.get("tol", 1e-8)),
-                                      h=float(opts.get("h", 1e-2)))
-    first = Grid(0.0, float(opts.get("horizon", 100.0)),
-                 max(1, round(float(opts.get("horizon", 100.0)) / float(opts.get("h", 1e-2)))))
+    horizon, h = opts.get("horizon", 100.0), opts.get("h", 1e-2)
+    report = stab.simulate_extinction(s.params, s.x0, horizon=horizon,
+                                      tol=opts.get("tol", 1e-8), h=h)
+    first = Grid(0.0, horizon, max(1, round(horizon / h)))
     write_trajectory_csv(simulate(s.params, s.x0, first), outdir / "trajectory.csv")
     summary["R0"] = report.R0
     summary["S_bar"] = report.S_bar
@@ -215,7 +177,9 @@ def run(args) -> int:
     t_start = time.perf_counter()
     stage = "load"
     try:
-        s = _load(args)
+        # load_scenario in two calls: perfbench traces cli.scenario_from_dict
+        s = scenario_from_dict(read_scenario_doc(args.scenario, args.task, args.seed,
+                                                 args.overrides))
         outdir = Path(args.out or os.environ.get("SAILR_OUT") or ".")
         outdir.mkdir(parents=True, exist_ok=True)
         stage = s.task

@@ -67,7 +67,9 @@ class PenaltyConfig:
         if self.alpha0 < 0 or self.alpha2 < 0:
             errs.append("alpha0 and alpha2 must be >= 0")
         sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched or any(e <= 0 for e in sched):
+        if not sched:
+            errs.append("eps_schedule must not be empty")
+        elif any(not e > 0 for e in sched):
             errs.append("eps_schedule entries must be positive")
         elif any(b >= a for a, b in zip(sched, sched[1:])):
             errs.append("eps_schedule must be strictly decreasing")

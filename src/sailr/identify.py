@@ -3,8 +3,8 @@
 Observed are the isolated and recovered fractions at t = 0 and t = T.  The
 unobserved transmission rate beta_I (a grid function), and the undetected
 counts A0, I0 (hence S0 = N0 - A0 - I0), are recovered by minimizing the
-terminal mismatch plus small quadratic regularizers, with the gradient
-supplied by one backward dual sweep per iterate.
+terminal mismatch plus small quadratic regularizers, with the exact
+gradient of the discrete cost supplied by reverse sweeps of the RK4 map.
 
 The optimizer is projected gradient with a Barzilai-Borwein trial step and
 monotone Armijo backtracking, projecting beta_I onto {beta >= 0} pointwise
@@ -137,33 +137,20 @@ def cost_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
     return mis + reg_b + reg_0
 
 
-def _gradient(c, obs, alpha0, alpha1, params, grid, traj=None):
-    """Gradient triple plus the forward/adjoint sweeps and cost that produced it."""
-    n0 = n0_of(params, obs)
-    if traj is None:
-        traj = _forward(c, obs, params, grid)
-    pr = params.replace(beta_I=c.beta_I)
-    adj = adjoint_p0(traj, pr, obs)
-    bg = np.asarray(c.beta_I(grid.points()), dtype=float)
-    gbeta = alpha1 * bg - (adj.p - adj.q) * traj.S * traj.I
-    p0, q0, d0 = float(adj.p[0]), float(adj.q[0]), float(adj.d[0])
-    gA0 = q0 - p0 + alpha0 * (2.0 * c.A0 + c.I0 - n0)
-    gI0 = d0 - p0 + alpha0 * (2.0 * c.I0 + c.A0 - n0)
-    mis, reg_b, reg_0 = _cost_terms(c, obs, alpha0, alpha1, params, grid, traj)
-    return gbeta, gA0, gI0, traj, adj, mis + reg_b + reg_0
-
-
 def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
                 params: ModelParams, grid: Grid):
-    """Adjoint gradient of cost_p0: (grid function for beta_I, dA0, dI0).
+    """Exact gradient of the discrete cost_p0: (grid function for beta_I, dA0, dI0).
 
-    One forward and one backward sweep; the beta_I component is the
-    L2-gradient sampled at grid points.
+    One forward sweep and two reverse sweeps of the discrete RK4 map (one
+    per observed component).  The beta_I component is the representer on
+    grid-knotted directions under the trapezoid-weighted inner product.
     """
     _check_grid(grid, obs)
-    _check_feasible(c, n0_of(params, obs))
-    gbeta, gA0, gI0, _, _, _ = _gradient(c, obs, alpha0, alpha1, params, grid)
-    return gbeta, gA0, gI0
+    n0 = n0_of(params, obs)
+    _check_feasible(c, n0)
+    traj = _forward(c, obs, params, grid)
+    wq = _trapezoid_weights(grid)
+    return _exact_gradient(c, obs, alpha0, alpha1, params, traj, wq, n0)[:3]
 
 
 def project_kplus_grid(g) -> np.ndarray:
@@ -251,8 +238,16 @@ def _beta_table(grid: Grid, values: np.ndarray) -> CoefficientTable:
 _GAMMA_INV = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
 
 
-def _exact_rows(params_c: ModelParams, traj: Trajectory, wq):
-    """Exact Jacobian rows of the terminal (L, R) w.r.t. the discrete unknowns.
+def _trapezoid_weights(grid: Grid) -> np.ndarray:
+    wq = np.full(grid.M + 1, grid.h)
+    wq[0] = wq[-1] = 0.5 * grid.h
+    return wq
+
+
+def _exact_gradient(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
+                    params: ModelParams, traj: Trajectory, wq, n0: float):
+    """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, plus the
+    Jacobian rows and blocks of the terminal (L, R) it is assembled from.
 
     One reverse sweep of the discrete RK4 map per observed component;
     rows come back as their weighted-inner-product representers (so
@@ -262,10 +257,15 @@ def _exact_rows(params_c: ModelParams, traj: Trajectory, wq):
     rows = []
     blocks = []
     for cot in ((0.0, 0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0, 1.0)):
-        x0bar, bbar = _rk4_model_vjp(params_c, traj, cot)
+        x0bar, bbar = _rk4_model_vjp(params.replace(beta_I=c.beta_I), traj, cot)
         rows.append(stage_to_knot_gradient(bbar) / wq)
         blocks.append(np.array([x0bar[1] - x0bar[0], x0bar[2] - x0bar[0]]))
-    return rows, blocks
+    r1 = float(traj.L[-1] - obs.LT)
+    r2 = float(traj.R[-1] - obs.RT)
+    gb = alpha1 * np.asarray(c.beta_I(traj.grid.points())) + r1 * rows[0] + r2 * rows[1]
+    gA = r1 * blocks[0][0] + r2 * blocks[1][0] + alpha0 * (2 * c.A0 + c.I0 - n0)
+    gI = r1 * blocks[0][1] + r2 * blocks[1][1] + alpha0 * (2 * c.I0 + c.A0 - n0)
+    return gb, gA, gI, rows, blocks
 
 
 def _gn_direction(gbeta, gblock, rows, blocks, alpha0, alpha1, wq, free, free_block):
@@ -328,8 +328,7 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
         raise ValidationError("N0 = N - (L0 + R0) must be > 0")
 
     tg = grid.points()
-    wq = np.full(tg.size, grid.h)
-    wq[0] = wq[-1] = 0.5 * grid.h
+    wq = _trapezoid_weights(grid)
 
     def inner(u1, a1, i1, u2, a2, i2):
         return float(np.dot(wq * u1, u2) + a1 * a2 + i1 * i2)
@@ -345,14 +344,9 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
         # Exact discrete gradient (reverse-mode rows of the terminal data)
         # plus the continuous-adjoint sweep used by the certificate.
         nonlocal nsolves
-        pr_c = params.replace(beta_I=cand.beta_I)
-        rows, blocks = _exact_rows(pr_c, traj, wq)
-        r1 = float(traj.L[-1] - obs.LT)
-        r2 = float(traj.R[-1] - obs.RT)
-        gb = alpha1 * np.asarray(cand.beta_I(tg)) + r1 * rows[0] + r2 * rows[1]
-        gA = r1 * blocks[0][0] + r2 * blocks[1][0] + alpha0 * (2 * cand.A0 + cand.I0 - n0)
-        gI = r1 * blocks[0][1] + r2 * blocks[1][1] + alpha0 * (2 * cand.I0 + cand.A0 - n0)
-        adj = adjoint_p0(traj, pr_c, obs)
+        gb, gA, gI, rows, blocks = _exact_gradient(cand, obs, alpha0, alpha1, params,
+                                                   traj, wq, n0)
+        adj = adjoint_p0(traj, params.replace(beta_I=cand.beta_I), obs)
         nsolves += 3
         residual = optimality_residual_p0(cand, traj, adj, alpha0, alpha1, n0)
         return gb, gA, gI, rows, blocks, adj, residual

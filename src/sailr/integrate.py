@@ -3,6 +3,10 @@
 Forward state, tangent and adjoint sweeps all run on one grid so that the
 discrete integration-by-parts identities hold to quadrature order without
 interpolation noise.  No adaptivity by design.
+
+Linear sweeps (y' = J(t) y + s(t), J and s fixed by a stored trajectory)
+are recurrences y_{k+1} = P_k y_k + c_k: `rk4_step_maps` builds the exact
+RK4 step maps, `linear_sweep` composes them by a doubling scan.
 """
 
 from __future__ import annotations
@@ -14,6 +18,9 @@ import numpy as np
 from .errors import BlowupError, GridMismatchError, TimeDomainError, ValidationError
 
 _BIG = 1e100  # magnitude treated as blow-up (also catches NaN via comparison)
+
+#: steps per block of `linear_sweep`: bounds the step maps held at once
+SWEEP_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -42,20 +49,18 @@ class Grid:
         return np.linspace(self.t0, self.T, 2 * self.M + 1)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
+@dataclass(frozen=True, eq=False)
 class _GridSeries:
-    """Shared behaviour for grid-aligned sample sequences."""
+    """Shared behaviour for grid-aligned sample sequences (read-only states)."""
 
     grid: Grid
     states: np.ndarray
 
-    def _check(self):
-        if self.states.shape[0] != self.grid.M + 1:
+    def __post_init__(self):
+        states = np.ascontiguousarray(self.states, dtype=float)
+        states.setflags(write=False)
+        object.__setattr__(self, "states", states)
+        if states.shape[0] != self.grid.M + 1:
             raise ValidationError("states length must be grid.M + 1")
 
     def sample(self, t: float) -> np.ndarray:
@@ -82,16 +87,8 @@ class _GridSeries:
         return self.states[:, j]
 
 
-@dataclass(frozen=True, eq=False)
 class Trajectory(_GridSeries):
     """States sampled on a grid; columns are (S, A, I, L, R) for the model."""
-
-    grid: Grid
-    states: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _readonly(self.states))
-        self._check()
 
     S = property(lambda self: self._col(0))
     A = property(lambda self: self._col(1))
@@ -114,12 +111,6 @@ def trapezoid(y, h: float) -> float:
     return float(h * (y.sum() - 0.5 * (y[0] + y[-1])))
 
 
-def _check_finite(x: np.ndarray, step: int):
-    tot = float(np.sum(x))
-    if not (-_BIG < tot < _BIG):
-        raise BlowupError(step)
-
-
 def integrate_forward(f, x0, grid: Grid) -> Trajectory:
     """Classical RK4 for x' = f(t, x) from x0 at grid.t0; M+1 samples.
 
@@ -138,7 +129,8 @@ def integrate_forward(f, x0, grid: Grid) -> Trajectory:
         k3 = f(t + h2, x + h2 * k2)
         k4 = f(t + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_finite(x, k + 1)
+        if not abs(np.sum(x)) < _BIG:
+            raise BlowupError(k + 1)
         out[k + 1] = x
     return Trajectory(grid, out)
 
@@ -146,25 +138,13 @@ def integrate_forward(f, x0, grid: Grid) -> Trajectory:
 def integrate_backward(f, xT, grid: Grid) -> Trajectory:
     """RK4 for x' = f(t, x) integrated from x(T) = xT down to t0.
 
-    Equivalent to forward RK4 in reversed time s = T - t.  The result is
-    indexed on the same increasing grid as forward trajectories, and the
-    last sample equals xT exactly.
+    Forward RK4 in reversed time s = T - t.  The result is indexed on the
+    same increasing grid as forward trajectories, and the last sample
+    equals xT exactly.
     """
-    x = np.asarray(xT, dtype=float).copy()
-    out = np.empty((grid.M + 1, x.size))
-    out[grid.M] = x
-    h = grid.h
-    h2 = 0.5 * h
-    for m in range(grid.M, 0, -1):
-        t = grid.t0 + m * h
-        k1 = -f(t, x)
-        k2 = -f(t - h2, x + h2 * k1)
-        k3 = -f(t - h2, x + h2 * k2)
-        k4 = -f(t - h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        _check_finite(x, grid.M - m + 1)
-        out[m - 1] = x
-    return Trajectory(grid, out)
+    rev = integrate_forward(lambda s, x: -f(grid.T - s, x), xT,
+                            Grid(0.0, grid.T - grid.t0, grid.M))
+    return Trajectory(grid, rev.states[::-1])
 
 
 def sample(tr, t: float) -> np.ndarray:
@@ -173,9 +153,69 @@ def sample(tr, t: float) -> np.ndarray:
 
 
 def half_samples(values: np.ndarray) -> np.ndarray:
-    """Expand grid samples (M+1,) to stage samples (2M+1,) by midpoint averaging."""
+    """Expand grid samples (M+1, ...) to stage samples (2M+1, ...) by midpoint averaging."""
     values = np.asarray(values, dtype=float)
-    out = np.empty(2 * values.size - 1)
+    out = np.empty((2 * len(values) - 1,) + values.shape[1:])
     out[0::2] = values
     out[1::2] = 0.5 * (values[:-1] + values[1:])
+    return out
+
+
+def rk4_step_maps(G, h: float) -> np.ndarray:
+    """Increments P - I of the exact RK4 step maps of y' = G(t) y, for a block of steps.
+
+    G[r], shape (B, N, N), is the system matrix at RK4 stage r = 0..3 of
+    each of B steps; P = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = G1,
+    K2 = G2 (I + h/2 K1), K3 = G3 (I + h/2 K2), K4 = G4 (I + h K3).  An
+    affine system y' = J y + s is the linear one [y; 1]' = [[J, s], [0, 0]]
+    [y; 1].  P - I is returned so the small increment is not rounded
+    against 1.
+    """
+    eye = np.eye(G[0].shape[-1])
+    K = G[0]
+    acc = K.copy()
+    for Gr, a, w in zip(G[1:], (0.5, 0.5, 1.0), (2.0, 2.0, 1.0)):
+        K = Gr @ (eye + (a * h) * K)
+        acc += w * K
+    acc *= h / 6.0
+    return acc
+
+
+def _increment_scan(D: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """States y_0 = y0, ..., y_B (shape (B + 1, N)) of y_{k+1} = y_k + D_k y_k.
+
+    Doubling: compose neighbouring pairs of steps, solve that half-length
+    problem for the states after odd steps, then step once from those to the
+    rest.  O(B) work in O(log B) array operations.
+    """
+    ys = np.empty((len(D) + 1, len(y0)))
+    ys[0] = y0
+    if len(D):
+        first, second = D[0:-1:2], D[1::2]
+        # (I + D2)(I + D1) = I + (D2 D1 + D1 + D2)
+        ys[2::2] = _increment_scan(second @ first + first + second, y0)[1:]
+        prev = ys[0:-1:2]
+        ys[1::2] = prev + (D[0::2] @ prev[:, :, None])[:, :, 0]
+    return ys
+
+
+def linear_sweep(step_maps, y0, M: int) -> np.ndarray:
+    """States y_0..y_M, shape (M + 1, N), of y_{k+1} = P_k y_k from y0.
+
+    step_maps(lo, hi) gives the increments P_k - I of steps lo..hi-1, shape
+    (hi - lo, N, N), SWEEP_BLOCK steps at a time; `_increment_scan` composes
+    each block from the last state of the one before.  Raises BlowupError at
+    the first step whose state is non-finite or beyond 1e100 in sum.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    out = np.empty((M + 1, y0.size))
+    out[0] = y0
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
+        for lo in range(0, M, SWEEP_BLOCK):
+            hi = min(lo + SWEEP_BLOCK, M)
+            ys = _increment_scan(step_maps(lo, hi), out[lo])[1:]
+            bad = np.flatnonzero(~(np.abs(ys.sum(axis=1)) < _BIG))
+            if bad.size:
+                raise BlowupError(lo + int(bad[0]) + 1)
+            out[lo + 1:hi + 1] = ys
     return out

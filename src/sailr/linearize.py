@@ -6,29 +6,27 @@ half steps), and the dual systems are integrated in reversed time from
 prescribed final data.  The integration-by-parts identities relating
 tangent and adjoint solutions are exposed as residuals so gradient code
 can be verified independently.
+
+All these sweeps, and the model's discrete reverse-mode sweep
+(`model._rk4_model_vjp`), run on one step-map kernel: with the trajectory
+fixed, an RK4 step is an affine map y -> P_k y + c_k.  `model.jacobian`
+gives the stage Jacobians (here at the midpoint-averaged states, transposed
+and in reversed time for the adjoint), `integrate.rk4_step_maps` builds
+the maps for a block of steps, and `integrate.linear_sweep` composes them
+by a doubling scan, one fixed block at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BlowupError
-from .integrate import Grid, Trajectory, _GridSeries, _readonly, half_samples, same_grid, trapezoid
-from .model import CoefficientTable, ModelParams
+from .integrate import (Grid, Trajectory, _GridSeries, half_samples, linear_sweep,
+                        rk4_step_maps, same_grid, trapezoid)
+from .model import CoefficientTable, ModelParams, jacobian
 
 
-@dataclass(frozen=True, eq=False)
 class TangentTrajectory(_GridSeries):
     """State variations (s, a, i, l, r) on the trajectory grid."""
-
-    grid: Grid
-    states: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _readonly(self.states))
-        self._check()
 
     s = property(lambda self: self._col(0))
     a = property(lambda self: self._col(1))
@@ -37,16 +35,8 @@ class TangentTrajectory(_GridSeries):
     r = property(lambda self: self._col(4))
 
 
-@dataclass(frozen=True, eq=False)
 class AdjointTrajectory(_GridSeries):
     """Dual variables (p, q, d, e, f) on the trajectory grid, integrated backward."""
-
-    grid: Grid
-    states: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _readonly(self.states))
-        self._check()
 
     p = property(lambda self: self._col(0))
     q = property(lambda self: self._col(1))
@@ -55,169 +45,27 @@ class AdjointTrajectory(_GridSeries):
     f = property(lambda self: self._col(4))
 
 
-@dataclass(frozen=True, eq=False)
-class FrozenCoeffs:
-    """Linearization coefficients sampled at grid points.
+def _sweep(xh: np.ndarray, grid: Grid, params: ModelParams, src: np.ndarray, y0,
+           dual: bool = False) -> np.ndarray:
+    """RK4 sweep of y' = J y + s on the grid, one row per grid point.
 
-    k0 = beta_A*A + beta_I*I, k2 = mu_I + l_I, k3 = beta_A*S - k1.
+    J is the model Jacobian at the midpoint-averaged states xh (2M+1, 5) and
+    s the (2M+1, 5) stage-time sources src.  With dual=True this is the
+    adjoint: y' = J^T y + s in reversed time from y(T) = y0.
     """
+    data = (xh, grid.half_points(), src)
+    xh, th, src = (a[::-1] for a in data) if dual else data
 
-    k0: np.ndarray
-    k2: np.ndarray
-    k3: np.ndarray
+    def step_maps(lo, hi):
+        j = slice(2 * lo, 2 * hi + 1)
+        J = jacobian(xh[j], params, th[j])
+        G = np.zeros((len(J), 6, 6))  # [[J, s], [0, 0]] acting on [y; 1]
+        G[:, :5, :5] = J.transpose(0, 2, 1) if dual else J
+        G[:, :5, 5] = src[j]
+        return rk4_step_maps((G[0:-1:2], G[1::2], G[1::2], G[2::2]), grid.h)
 
-
-def frozen_coeffs(traj: Trajectory, params: ModelParams) -> FrozenCoeffs:
-    t = traj.grid.points()
-    bI = params.beta_I(t)
-    bA = params.beta_A(t)
-    k0 = bA * traj.A + bI * traj.I
-    k3 = bA * traj.S - params.k1
-    k2 = np.full(t.size, params.k2)
-    return FrozenCoeffs(k0=k0, k2=k2, k3=k3)
-
-
-def _half_coeffs(traj: Trajectory, params: ModelParams):
-    """Stage-time coefficient arrays shared by tangent and adjoint sweeps."""
-    th = traj.grid.half_points()
-    bI = params.beta_I(th)
-    bA = params.beta_A(th)
-    xih = params.xi(th)
-    Sh = half_samples(traj.S)
-    Ah = half_samples(traj.A)
-    Ih = half_samples(traj.I)
-    k0h = bA * Ah + bI * Ih
-    return k0h, bI * Sh, bA * Sh, xih, Sh, Ah, Ih
-
-
-def _rk4_tangent(sigma, muA, muI, muL, lA, lI, k1c, k2c,
-                 k0h, bISh, bASh, xih, ss, sa, si, sl, y0, M, h):
-    out = np.empty((M + 1, 5))
-    s, a, i, l, r = (float(v) for v in y0)
-    out[0] = s, a, i, l, r
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for k in range(M):
-        j = 2 * k
-        k0 = k0h[j]; bi = bISh[j]; ba = bASh[j]; xv = xih[j]
-        ds1 = -k0 * s - bi * i - ba * a + xv * r + ss[j]
-        da1 = k0 * s + bi * i + (ba - k1c) * a + sa[j]
-        di1 = sigma * a - k2c * i + si[j]
-        dl1 = lA * a + lI * i - muL * l + sl[j]
-        dr1 = muA * a + muI * i + muL * l - xv * r
-        s2 = s + h2 * ds1; a2 = a + h2 * da1; i2 = i + h2 * di1
-        l2 = l + h2 * dl1; r2 = r + h2 * dr1
-
-        k0 = k0h[j + 1]; bi = bISh[j + 1]; ba = bASh[j + 1]; xv = xih[j + 1]
-        ssm = ss[j + 1]; sam = sa[j + 1]; sim = si[j + 1]; slm = sl[j + 1]
-        ds2 = -k0 * s2 - bi * i2 - ba * a2 + xv * r2 + ssm
-        da2 = k0 * s2 + bi * i2 + (ba - k1c) * a2 + sam
-        di2 = sigma * a2 - k2c * i2 + sim
-        dl2 = lA * a2 + lI * i2 - muL * l2 + slm
-        dr2 = muA * a2 + muI * i2 + muL * l2 - xv * r2
-        s3 = s + h2 * ds2; a3 = a + h2 * da2; i3 = i + h2 * di2
-        l3 = l + h2 * dl2; r3 = r + h2 * dr2
-
-        ds3 = -k0 * s3 - bi * i3 - ba * a3 + xv * r3 + ssm
-        da3 = k0 * s3 + bi * i3 + (ba - k1c) * a3 + sam
-        di3 = sigma * a3 - k2c * i3 + sim
-        dl3 = lA * a3 + lI * i3 - muL * l3 + slm
-        dr3 = muA * a3 + muI * i3 + muL * l3 - xv * r3
-        s4 = s + h * ds3; a4 = a + h * da3; i4 = i + h * di3
-        l4 = l + h * dl3; r4 = r + h * dr3
-
-        k0 = k0h[j + 2]; bi = bISh[j + 2]; ba = bASh[j + 2]; xv = xih[j + 2]
-        ds4 = -k0 * s4 - bi * i4 - ba * a4 + xv * r4 + ss[j + 2]
-        da4 = k0 * s4 + bi * i4 + (ba - k1c) * a4 + sa[j + 2]
-        di4 = sigma * a4 - k2c * i4 + si[j + 2]
-        dl4 = lA * a4 + lI * i4 - muL * l4 + sl[j + 2]
-        dr4 = muA * a4 + muI * i4 + muL * l4 - xv * r4
-
-        s += h6 * (ds1 + 2.0 * (ds2 + ds3) + ds4)
-        a += h6 * (da1 + 2.0 * (da2 + da3) + da4)
-        i += h6 * (di1 + 2.0 * (di2 + di3) + di4)
-        l += h6 * (dl1 + 2.0 * (dl2 + dl3) + dl4)
-        r += h6 * (dr1 + 2.0 * (dr2 + dr3) + dr4)
-        tot = s + a + i + l + r
-        if not (-1e100 < tot < 1e100):
-            raise BlowupError(k + 1)
-        out[k + 1, 0] = s; out[k + 1, 1] = a; out[k + 1, 2] = i
-        out[k + 1, 3] = l; out[k + 1, 4] = r
-    return out
-
-
-def _rk4_adjoint(sigma, muA, muI, muL, lA, lI, k1c, k2c,
-                 k0h, bISh, bASh, xih, sq, sd, se, yT, M, h):
-    # Reversed-time RK4; derivative expressions below are the negated duals.
-    out = np.empty((M + 1, 5))
-    p, q, d, e, f = (float(v) for v in yT)
-    out[M] = p, q, d, e, f
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for m in range(M, 0, -1):
-        j = 2 * m
-        k0 = k0h[j]; ba = bASh[j]; bi = bISh[j]; xv = xih[j]
-        dp1 = k0 * (q - p)
-        dq1 = (ba - k1c) * q - ba * p + sigma * d + lA * e + muA * f - sq[j]
-        dd1 = bi * (q - p) - k2c * d + lI * e + muI * f - sd[j]
-        de1 = muL * (f - e) - se[j]
-        df1 = xv * (p - f)
-        p2 = p + h2 * dp1; q2 = q + h2 * dq1; d2 = d + h2 * dd1
-        e2 = e + h2 * de1; f2 = f + h2 * df1
-
-        k0 = k0h[j - 1]; ba = bASh[j - 1]; bi = bISh[j - 1]; xv = xih[j - 1]
-        sqm = sq[j - 1]; sdm = sd[j - 1]; sem = se[j - 1]
-        dp2 = k0 * (q2 - p2)
-        dq2 = (ba - k1c) * q2 - ba * p2 + sigma * d2 + lA * e2 + muA * f2 - sqm
-        dd2 = bi * (q2 - p2) - k2c * d2 + lI * e2 + muI * f2 - sdm
-        de2 = muL * (f2 - e2) - sem
-        df2 = xv * (p2 - f2)
-        p3 = p + h2 * dp2; q3 = q + h2 * dq2; d3 = d + h2 * dd2
-        e3 = e + h2 * de2; f3 = f + h2 * df2
-
-        dp3 = k0 * (q3 - p3)
-        dq3 = (ba - k1c) * q3 - ba * p3 + sigma * d3 + lA * e3 + muA * f3 - sqm
-        dd3 = bi * (q3 - p3) - k2c * d3 + lI * e3 + muI * f3 - sdm
-        de3 = muL * (f3 - e3) - sem
-        df3 = xv * (p3 - f3)
-        p4 = p + h * dp3; q4 = q + h * dq3; d4 = d + h * dd3
-        e4 = e + h * de3; f4 = f + h * df3
-
-        k0 = k0h[j - 2]; ba = bASh[j - 2]; bi = bISh[j - 2]; xv = xih[j - 2]
-        dp4 = k0 * (q4 - p4)
-        dq4 = (ba - k1c) * q4 - ba * p4 + sigma * d4 + lA * e4 + muA * f4 - sq[j - 2]
-        dd4 = bi * (q4 - p4) - k2c * d4 + lI * e4 + muI * f4 - sd[j - 2]
-        de4 = muL * (f4 - e4) - se[j - 2]
-        df4 = xv * (p4 - f4)
-
-        p += h6 * (dp1 + 2.0 * (dp2 + dp3) + dp4)
-        q += h6 * (dq1 + 2.0 * (dq2 + dq3) + dq4)
-        d += h6 * (dd1 + 2.0 * (dd2 + dd3) + dd4)
-        e += h6 * (de1 + 2.0 * (de2 + de3) + de4)
-        f += h6 * (df1 + 2.0 * (df2 + df3) + df4)
-        tot = p + q + d + e + f
-        if not (-1e100 < tot < 1e100):
-            raise BlowupError(M - m + 1)
-        out[m - 1, 0] = p; out[m - 1, 1] = q; out[m - 1, 2] = d
-        out[m - 1, 3] = e; out[m - 1, 4] = f
-    return out
-
-
-_Z = None  # sentinel for "no source"
-
-
-def _lists(grid: Grid, *arrays):
-    n = 2 * grid.M + 1
-    zeros = None
-    out = []
-    for a in arrays:
-        if a is _Z:
-            if zeros is None:
-                zeros = [0.0] * n
-            out.append(zeros)
-        else:
-            out.append(np.asarray(a, dtype=float).tolist())
-    return out
+    out = linear_sweep(step_maps, np.append(y0, 1.0), grid.M)[:, :5]
+    return out[::-1] if dual else out
 
 
 def tangent_p(traj: Trajectory, params: ModelParams,
@@ -228,17 +76,12 @@ def tangent_p(traj: Trajectory, params: ModelParams,
     carried by params (which must be the pair that produced traj).
     Initial variation is zero.
     """
-    g = traj.grid
-    k0h, bISh, bASh, xih, Sh, Ah, Ih = _half_coeffs(traj, params)
-    sa = -omega_a * Ah
-    si = -omega_i * Ih
-    sl = omega_a * Ah + omega_i * Ih
-    k0l, bIl, bAl, xil, ssl, sal, sil, sll = _lists(g, k0h, bISh, bASh, xih, _Z, sa, si, sl)
-    states = _rk4_tangent(params.sigma, params.mu_A, params.mu_I, params.mu_L,
-                          params.l_A, params.l_I, params.k1, params.k2,
-                          k0l, bIl, bAl, xil, ssl, sal, sil, sll,
-                          (0.0, 0.0, 0.0, 0.0, 0.0), g.M, g.h)
-    return TangentTrajectory(g, states)
+    xh = half_samples(traj.states)
+    src = np.zeros(xh.shape)
+    src[:, 1] = -omega_a * xh[:, 1]
+    src[:, 2] = -omega_i * xh[:, 2]
+    src[:, 3] = -(src[:, 1] + src[:, 2])  # detected mass moves to L
+    return TangentTrajectory(traj.grid, _sweep(xh, traj.grid, params, src, np.zeros(5)))
 
 
 def _direction_half(u, grid: Grid) -> np.ndarray:
@@ -259,14 +102,12 @@ def tangent_p0(traj: Trajectory, params: ModelParams,
     as (-w-v, w, v, 0, 0).
     """
     g = traj.grid
-    k0h, bISh, bASh, xih, Sh, Ah, Ih = _half_coeffs(traj, params)
-    uh = _direction_half(u, g) * Sh * Ih
-    k0l, bIl, bAl, xil, ssl, sal, sil, sll = _lists(g, k0h, bISh, bASh, xih, -uh, uh, _Z, _Z)
-    states = _rk4_tangent(params.sigma, params.mu_A, params.mu_I, params.mu_L,
-                          params.l_A, params.l_I, params.k1, params.k2,
-                          k0l, bIl, bAl, xil, ssl, sal, sil, sll,
-                          (-w - v, w, v, 0.0, 0.0), g.M, g.h)
-    return TangentTrajectory(g, states)
+    xh = half_samples(traj.states)
+    uh = _direction_half(u, g) * xh[:, 0] * xh[:, 2]
+    src = np.zeros(xh.shape)
+    src[:, 0] = -uh
+    src[:, 1] = uh
+    return TangentTrajectory(g, _sweep(xh, g, params, src, (-w - v, w, v, 0.0, 0.0)))
 
 
 def adjoint_p_eps(traj: Trajectory, params: ModelParams, l_a: float, l_i: float,
@@ -280,30 +121,14 @@ def adjoint_p_eps(traj: Trajectory, params: ModelParams, l_a: float, l_i: float,
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    g = traj.grid
+    # the sweep runs in reversed time, where the sources change sign
+    xh = half_samples(traj.states)
+    src = np.zeros(xh.shape)
+    src[:, 1] = alpha0 * xh[:, 1]
+    src[:, 2] = alpha0 * xh[:, 2]
+    src[:, 3] = (alpha2 / eps) * np.maximum(xh[:, 3] - lhat, 0.0)
     pr = params.with_controls(l_a, l_i)
-    k0h, bISh, bASh, xih, Sh, Ah, Ih = _half_coeffs(traj, pr)
-    Lh = half_samples(traj.L)
-    sq = -alpha0 * Ah
-    sd = -alpha0 * Ih
-    se = -(alpha2 / eps) * np.maximum(Lh - lhat, 0.0)
-    k0l, bIl, bAl, xil, sql, sdl, sel = _lists(g, k0h, bISh, bASh, xih, sq, sd, se)
-    states = _rk4_adjoint(pr.sigma, pr.mu_A, pr.mu_I, pr.mu_L, l_a, l_i, pr.k1, pr.k2,
-                          k0l, bIl, bAl, xil, sql, sdl, sel,
-                          (0.0, 0.0, 0.0, 0.0, 0.0), g.M, g.h)
-    return AdjointTrajectory(g, states)
-
-
-def adjoint_homogeneous(traj: Trajectory, params: ModelParams, final) -> AdjointTrajectory:
-    """Backward sweep of the source-free dual system from arbitrary final data."""
-    g = traj.grid
-    k0h, bISh, bASh, xih, Sh, Ah, Ih = _half_coeffs(traj, params)
-    k0l, bIl, bAl, xil, sql, sdl, sel = _lists(g, k0h, bISh, bASh, xih, _Z, _Z, _Z)
-    states = _rk4_adjoint(params.sigma, params.mu_A, params.mu_I, params.mu_L,
-                          params.l_A, params.l_I, params.k1, params.k2,
-                          k0l, bIl, bAl, xil, sql, sdl, sel,
-                          tuple(float(v) for v in final), g.M, g.h)
-    return AdjointTrajectory(g, states)
+    return AdjointTrajectory(traj.grid, _sweep(xh, traj.grid, pr, src, np.zeros(5), dual=True))
 
 
 def adjoint_p0(traj: Trajectory, params: ModelParams, obs) -> AdjointTrajectory:
@@ -313,7 +138,9 @@ def adjoint_p0(traj: Trajectory, params: ModelParams, obs) -> AdjointTrajectory:
     mismatches e(T) = L(T) - L_T and f(T) = R(T) - R_T.
     """
     yT = (0.0, 0.0, 0.0, float(traj.L[-1] - obs.LT), float(traj.R[-1] - obs.RT))
-    return adjoint_homogeneous(traj, params, yT)
+    xh = half_samples(traj.states)
+    src = np.zeros(xh.shape)
+    return AdjointTrajectory(traj.grid, _sweep(xh, traj.grid, params, src, yT, dual=True))
 
 
 def duality_residual_p(traj: Trajectory, adjoint: AdjointTrajectory,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowupError, TimeDomainError, ValidationError
-from .integrate import Grid, Trajectory
+from .integrate import Grid, Trajectory, linear_sweep, rk4_step_maps
 
 #: numerical slack for nonnegativity checks on integrated trajectories
 TOL_NEG = 1e-10
@@ -195,29 +195,42 @@ def validate_params(p: ModelParams, t_max: float | None = None) -> ModelParams:
     return p
 
 
-def rhs(x, p: ModelParams, t: float) -> np.ndarray:
+def rhs(x, p: ModelParams, t) -> np.ndarray:
     """Time derivative of (S, A, I, L, R) at state x and time t.
 
-    The five components sum to zero up to floating-point rounding.
+    Batched: x may hold states along its last axis, (..., 5), with t the
+    matching times.  The five components sum to zero up to floating-point
+    rounding.
     """
-    S, A, I, L, R = (float(v) for v in (x.as_array() if isinstance(x, State) else x))
-    bI = p.beta_I(t)
-    bA = p.beta_A(t)
-    xi = p.xi(t)
+    x = x.as_array() if isinstance(x, State) else np.asarray(x, dtype=float)
+    S, A, I, L, R = np.moveaxis(x, -1, 0)
+    bI, bA, xi = p.beta_I(t), p.beta_A(t), p.xi(t)
     infections = bI * S * I + bA * S * A
-    return np.array([
+    return np.stack([
         -infections + xi * R,
         infections - p.k1 * A,
         p.sigma * A - p.k2 * I,
         p.l_A * A + p.l_I * I - p.mu_L * L,
         p.mu_A * A + p.mu_I * I + p.mu_L * L - xi * R,
-    ])
+    ], axis=-1)
 
 
-def _stage_coefficients(p: ModelParams, grid: Grid):
-    """beta_I, beta_A, xi evaluated at all 2M+1 RK4 stage times, as lists."""
-    th = grid.half_points()
-    return p.beta_I(th).tolist(), p.beta_A(th).tolist(), p.xi(th).tolist()
+def jacobian(x, p: ModelParams, t) -> np.ndarray:
+    """Jacobian of rhs with respect to (S, A, I, L, R), batched like rhs: (..., 5, 5)."""
+    x = np.asarray(x, dtype=float)
+    S, A, I = x[..., 0], x[..., 1], x[..., 2]
+    bI, bA, xi = p.beta_I(t), p.beta_A(t), p.xi(t)
+    J = np.zeros(x.shape + (5,))
+    J[..., 1, 1] = -p.k1
+    J[..., 2:, 1:4] = ((p.sigma, -p.k2, 0.0), (p.l_A, p.l_I, -p.mu_L),
+                       (p.mu_A, p.mu_I, p.mu_L))
+    # infections move mass from S to A; their gradient in (S, A, I)
+    for col, g in enumerate((bA * A + bI * I, bA * S, bI * S)):
+        J[..., 0, col] = -g
+        J[..., 1, col] += g
+    J[..., 0, 4] = xi
+    J[..., 4, 4] = -xi
+    return J
 
 
 def _rk4_model(sigma, muA, muI, muL, lA, lI, bI, bA, xi, x0, M, h):
@@ -275,7 +288,8 @@ def simulate(p: ModelParams, x0, grid: Grid) -> Trajectory:
     integrate_forward with rhs, specialized for speed)."""
     validate_params(p, t_max=grid.T)
     x0 = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
-    bI, bA, xi = _stage_coefficients(p, grid)
+    th = grid.half_points()
+    bI, bA, xi = (c(th).tolist() for c in (p.beta_I, p.beta_A, p.xi))
     states = _rk4_model(p.sigma, p.mu_A, p.mu_I, p.mu_L, p.l_A, p.l_I,
                         bI, bA, xi, x0, grid.M, grid.h)
     return Trajectory(grid, states)
@@ -285,92 +299,37 @@ def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
     # Exact reverse-mode sweep of the discrete RK4 map: for the scalar
     # phi = cotangent . x_M, returns (d phi/d x0, d phi/d beta_I at the
     # 2M+1 stage samples).  Stage states are recomputed from the stored
-    # grid states, so the result is exact for the discrete flow.
+    # grid states, so the result is exact for the discrete flow: v_k =
+    # P_k^T v_{k+1} with P_k built from the stage Jacobians, whose three
+    # extra columns give d x_{k+1}/d beta_I at the samples 2k, 2k+1, 2k+2.
     g = traj.grid
     M, h = g.M, g.h
-    bIl, bAl, xil = _stage_coefficients(p, g)
-    sigma, muA, muI, muL = p.sigma, p.mu_A, p.mu_I, p.mu_L
-    lA, lI = p.l_A, p.l_I
-    k1c, k2c = p.k1, p.k2
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    out = traj.states.tolist()
+    th = g.half_points()
+    sens = np.empty((M, 5, 3))
+
+    def step_maps(lo, hi):
+        # reverse-sweep steps lo..hi-1 are the forward steps M-hi..M-lo-1
+        x = traj.states[M - hi:M - lo]
+        t = th[2 * (M - hi):2 * (M - lo) + 1]
+        G = np.zeros((4, hi - lo, 8, 8))
+        d = 0.0
+        for r, (tr, a, col) in enumerate(zip((t[0:-1:2], t[1::2], t[1::2], t[2::2]),
+                                             (0.0, 0.5, 0.5, 1.0), (5, 6, 6, 7))):
+            xr = x + (a * h) * d
+            d = rhs(xr, p, tr)
+            G[r, :, :5, :5] = jacobian(xr, p, tr)
+            G[r, :, 1, col] = xr[:, 0] * xr[:, 2]  # d rhs/d beta_I = S I (-1, 1, 0, 0, 0)
+            G[r, :, 0, col] = -G[r, :, 1, col]
+        D = rk4_step_maps(G, h)
+        sens[M - hi:M - lo] = D[:, :5, 5:]
+        return D[::-1, :5, :5].transpose(0, 2, 1)
+
+    v = linear_sweep(step_maps, cotangent, M)[::-1]  # v[k] = d phi / d x_k
+    per = np.einsum("kic,ki->kc", sens, v[1:])
     bbar = np.zeros(2 * M + 1)
-    vS, vA, vI, vL, vR = (float(c) for c in cotangent)
-
-    for k in range(M - 1, -1, -1):
-        j = 2 * k
-        b0 = bIl[j]; c0 = bAl[j]; e0 = xil[j]
-        b1 = bIl[j + 1]; c1 = bAl[j + 1]; e1 = xil[j + 1]
-        b2 = bIl[j + 2]; c2 = bAl[j + 2]; e2 = xil[j + 2]
-        S, A, I, L, R = out[k]
-
-        # recompute the forward stages
-        inf = b0 * S * I + c0 * S * A
-        dS1 = -inf + e0 * R; dA1 = inf - k1c * A; dI1 = sigma * A - k2c * I
-        dL1 = lA * A + lI * I - muL * L; dR1 = muA * A + muI * I + muL * L - e0 * R
-        S2 = S + h2 * dS1; A2 = A + h2 * dA1; I2 = I + h2 * dI1
-        L2 = L + h2 * dL1; R2 = R + h2 * dR1
-        inf = b1 * S2 * I2 + c1 * S2 * A2
-        dS2 = -inf + e1 * R2; dA2 = inf - k1c * A2; dI2 = sigma * A2 - k2c * I2
-        dL2 = lA * A2 + lI * I2 - muL * L2; dR2 = muA * A2 + muI * I2 + muL * L2 - e1 * R2
-        S3 = S + h2 * dS2; A3 = A + h2 * dA2; I3 = I + h2 * dI2
-        L3 = L + h2 * dL2; R3 = R + h2 * dR2
-        inf = b1 * S3 * I3 + c1 * S3 * A3
-        dS3 = -inf + e1 * R3; dA3 = inf - k1c * A3; dI3 = sigma * A3 - k2c * I3
-        dL3 = lA * A3 + lI * I3 - muL * L3
-        S4 = S + h * dS3; A4 = A + h * dA3; I4 = I + h * dI3
-        L4 = L + h * dL3; R4 = R + h * (muA * A3 + muI * I3 + muL * L3 - e1 * R3)
-
-        # reverse: x_{k+1} = x_k + h6*(d1 + 2 d2 + 2 d3 + d4)
-        w1S = h6 * vS; w1A = h6 * vA; w1I = h6 * vI; w1L = h6 * vL; w1R = h6 * vR
-        w2S = 2 * w1S; w2A = 2 * w1A; w2I = 2 * w1I; w2L = 2 * w1L; w2R = 2 * w1R
-
-        # stage 4 at (x4, b2): cotangent w1 -> x4bar, bbar[j+2]
-        bbar[j + 2] += S4 * I4 * (w1A - w1S)
-        k0 = b2 * I4 + c2 * A4
-        x4S = k0 * (w1A - w1S)
-        x4A = -c2 * S4 * w1S + (c2 * S4 - k1c) * w1A + sigma * w1I + lA * w1L + muA * w1R
-        x4I = b2 * S4 * (w1A - w1S) - k2c * w1I + lI * w1L + muI * w1R
-        x4L = muL * (w1R - w1L)
-        x4R = e2 * (w1S - w1R)
-        # x4 = x + h*d3  ->  d3bar += h*x4bar (onto w2 of stage 3)
-        d3S = w2S + h * x4S; d3A = w2A + h * x4A; d3I = w2I + h * x4I
-        d3L = w2L + h * x4L; d3R = w2R + h * x4R
-
-        # stage 3 at (x3, b1)
-        bbar[j + 1] += S3 * I3 * (d3A - d3S)
-        k0 = b1 * I3 + c1 * A3
-        x3S = k0 * (d3A - d3S)
-        x3A = -c1 * S3 * d3S + (c1 * S3 - k1c) * d3A + sigma * d3I + lA * d3L + muA * d3R
-        x3I = b1 * S3 * (d3A - d3S) - k2c * d3I + lI * d3L + muI * d3R
-        x3L = muL * (d3R - d3L)
-        x3R = e1 * (d3S - d3R)
-        d2S = w2S + h2 * x3S; d2A = w2A + h2 * x3A; d2I = w2I + h2 * x3I
-        d2L = w2L + h2 * x3L; d2R = w2R + h2 * x3R
-
-        # stage 2 at (x2, b1)
-        bbar[j + 1] += S2 * I2 * (d2A - d2S)
-        k0 = b1 * I2 + c1 * A2
-        x2S = k0 * (d2A - d2S)
-        x2A = -c1 * S2 * d2S + (c1 * S2 - k1c) * d2A + sigma * d2I + lA * d2L + muA * d2R
-        x2I = b1 * S2 * (d2A - d2S) - k2c * d2I + lI * d2L + muI * d2R
-        x2L = muL * (d2R - d2L)
-        x2R = e1 * (d2S - d2R)
-        d1S = w1S + h2 * x2S; d1A = w1A + h2 * x2A; d1I = w1I + h2 * x2I
-        d1L = w1L + h2 * x2L; d1R = w1R + h2 * x2R
-
-        # stage 1 at (x, b0); accumulate into the carried cotangent
-        bbar[j] += S * I * (d1A - d1S)
-        k0 = b0 * I + c0 * A
-        vS = vS + k0 * (d1A - d1S) + x4S + x3S + x2S
-        vA = (vA - c0 * S * d1S + (c0 * S - k1c) * d1A + sigma * d1I + lA * d1L
-              + muA * d1R + x4A + x3A + x2A)
-        vI = vI + b0 * S * (d1A - d1S) - k2c * d1I + lI * d1L + muI * d1R + x4I + x3I + x2I
-        vL = vL + muL * (d1R - d1L) + x4L + x3L + x2L
-        vR = vR + e0 * (d1S - d1R) + x4R + x3R + x2R
-
-    return np.array([vS, vA, vI, vL, vR]), bbar
+    for c in range(3):  # samples 2k + c
+        bbar[c:2 * M + c:2] += per[:, c]
+    return v[0].copy(), bbar
 
 
 def stage_to_knot_gradient(bbar: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,12 @@ _REQUIRED = {
 
 DEFAULT_GRID_M = 10_000
 DEFAULT_WEIGHTS = (1e-6, 1e-6)
+
+#: numeric keys of the free-form solver and stability blocks (True: integer)
+_SOLVER_NUMBERS = {"tol": False, "max_iters": True, "beta_init": False, "theta": False,
+                   "tol_fp": False, "max_sweeps": True, "tol_constraint": False,
+                   "tol_residual": False, "polish_max": True, "max_pg_iters": True}
+_STABILITY_NUMBERS = {"horizon": False, "tol": False, "h": False}
 
 
 @dataclass(frozen=True)
@@ -81,25 +88,59 @@ class Scenario:
     seed: int = 0
 
 
-def _table_from(spec, locus: str, errs: list) -> CoefficientTable | None:
-    try:
-        if isinstance(spec, dict):
-            return CoefficientTable(np.asarray(spec["knots"], dtype=float),
-                                    np.asarray(spec["values"], dtype=float))
-        return CoefficientTable.constant(float(spec))
-    except (ValidationError, KeyError, TypeError, ValueError) as err:
-        msgs = err.errors if isinstance(err, ValidationError) else [str(err)]
-        errs.extend(f"{locus}: {m}" for m in msgs)
-        return None
+_NO_DEFAULT = object()
 
 
-def _get(block: dict, key: str, locus: str, errs: list, default=None, required=True):
+def _num(value, locus: str, errs: list, integer: bool = False):
+    """value as a finite float (an int when integer).
+
+    Anything else (text, bools, null, lists, NaN, infinities, or a fraction
+    where an integer is due) adds an error naming the field and gives None.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if integer and isinstance(value, numbers.Integral):
+            return int(value)
+        if abs(value) <= np.finfo(float).max and (not integer or float(value).is_integer()):
+            return int(value) if integer else float(value)
+    errs.append(f"{locus} must be {'an integer' if integer else 'a finite number'}")
+    return None
+
+
+def _field(block: dict, key: str, locus: str, errs: list, default=_NO_DEFAULT,
+           integer: bool = False):
+    """block[key] read by _num; default when absent, or an error if required."""
     if key in block:
-        return block[key]
-    if required and default is None:
-        errs.append(f"{locus}.{key} required")
+        return _num(block[key], locus, errs, integer)
+    if default is _NO_DEFAULT:
+        errs.append(f"{locus} required")
         return None
     return default
+
+
+def _nums(value, locus: str, errs: list):
+    """A list of finite numbers, or None with one error naming the field."""
+    bad: list[str] = []
+    vals = [_num(v, locus, bad) for v in value] if isinstance(value, list) else None
+    if vals is None or bad:
+        errs.append(f"{locus} must be a list of finite numbers")
+        return None
+    return vals
+
+
+def _table_from(block: dict, key: str, locus: str, errs: list) -> CoefficientTable | None:
+    spec = block.get(key)
+    if isinstance(spec, dict):
+        knots = _nums(spec.get("knots"), f"{locus}.knots", errs)
+        values = _nums(spec.get("values"), f"{locus}.values", errs)
+    else:
+        knots, values = [0.0], [_field(block, key, locus, errs)]
+    if knots is None or values is None or None in values:
+        return None
+    try:
+        return CoefficientTable(np.asarray(knots, dtype=float), np.asarray(values, dtype=float))
+    except ValidationError as err:
+        errs.extend(f"{locus}: {m}" for m in err.errors)
+        return None
 
 
 def _params_from(doc: dict, task: str, errs: list) -> ModelParams | None:
@@ -107,26 +148,14 @@ def _params_from(doc: dict, task: str, errs: list) -> ModelParams | None:
     if block is None:
         errs.append(f"params required for task={task}")
         return None
-    fields = {}
-    ok = True
-    for name in ("sigma", "mu_A", "mu_I", "mu_L", "l_A", "l_I"):
-        v = _get(block, name, "params", errs)
-        if v is None:
-            ok = False
-        else:
-            fields[name] = float(v)
+    fields = {name: _field(block, name, f"params.{name}", errs)
+              for name in ("sigma", "mu_A", "mu_I", "mu_L", "l_A", "l_I")}
     for name in ("beta_I", "beta_A", "xi"):
-        spec = _get(block, name, "params", errs)
-        table = None if spec is None else _table_from(spec, f"params.{name}", errs)
-        if table is None:
-            ok = False
-        else:
-            fields[name] = table
-    n = float(block.get("N", 1.0))
-    if n != 1.0:
+        fields[name] = _table_from(block, name, f"params.{name}", errs)
+    n = _field(block, "N", "params.N", errs, 1.0)
+    if n not in (1.0, None):
         errs.append("params.N must be 1 (normalized model)")
-        ok = False
-    if not ok:
+    if n != 1.0 or None in fields.values():
         return None
     p = ModelParams(N=1.0, **fields)
     errs.extend(f"params: {m}" for m in param_errors(p))
@@ -137,12 +166,9 @@ def _x0_from(doc: dict, params, errs: list) -> State | None:
     block = doc.get("x0")
     if block is None:
         return None
-    vals = {}
-    for name in ("S", "A", "I", "L", "R"):
-        v = _get(block, name, "x0", errs)
-        if v is None:
-            return None
-        vals[name] = float(v)
+    vals = {name: _field(block, name, f"x0.{name}", errs) for name in ("S", "A", "I", "L", "R")}
+    if None in vals.values():
+        return None
     x0 = State(**vals)
     if min(vals.values()) < 0:
         errs.append("x0 components must be >= 0")
@@ -155,11 +181,13 @@ def _grid_from(doc: dict, errs: list) -> Grid | None:
     block = doc.get("grid")
     if block is None:
         return None
+    t0 = _field(block, "t0", "grid.t0", errs, 0.0)
+    T = _field(block, "T", "grid.T", errs)
+    M = _field(block, "M", "grid.M", errs, DEFAULT_GRID_M, integer=True)
+    if None in (t0, T, M):
+        return None
     try:
-        return Grid(float(block.get("t0", 0.0)), float(block["T"]),
-                    int(block.get("M", DEFAULT_GRID_M)))
-    except KeyError:
-        errs.append("grid.T required")
+        return Grid(t0, T, M)
     except ValidationError as err:
         errs.extend(f"grid: {m}" for m in err.errors)
     return None
@@ -174,7 +202,9 @@ def _observations_from(doc: dict, task: str, errs: list) -> Observations | None:
         if name not in block:
             errs.append(f"observations.{name} required for task={task}")
             return None
-        vals[name] = float(block[name])
+        vals[name] = _num(block[name], f"observations.{name}", errs)
+    if None in vals.values():
+        return None
     try:
         return Observations(**vals)
     except ValidationError as err:
@@ -182,47 +212,43 @@ def _observations_from(doc: dict, task: str, errs: list) -> Observations | None:
         return None
 
 
+def _pair(block: dict, key: str, locus: str, errs: list) -> dict:
+    """The {lA, lI} object block[key], both read by _num."""
+    pair = block[key] if isinstance(block[key], dict) else {}
+    return {k: _field(pair, k, f"{locus}.{k}", errs) for k in ("lA", "lI")}
+
+
 def _penalty_from(doc: dict, errs: list) -> PenaltyConfig | None:
     block = doc.get("penalty")
     if block is None:
         return None
+    kw = {k: _field(block, k, f"penalty.{k}", errs) for k in ("alpha0", "alpha1", "alpha2", "Lhat")}
+    if "eps_schedule" in block:
+        kw["eps_schedule"] = _nums(block["eps_schedule"], "penalty.eps_schedule", errs)
+    anchor = _pair(block, "anchor", "penalty.anchor", errs) if "anchor" in block else {}
+    if None in kw.values() or None in anchor.values():
+        return None
     try:
-        anchor = block.get("anchor")
-        kw = {}
-        if anchor is not None:
-            kw["anchor"] = ControlPair(float(anchor["lA"]), float(anchor["lI"]))
-        if "eps_schedule" in block:
-            kw["eps_schedule"] = tuple(float(e) for e in block["eps_schedule"])
-        return PenaltyConfig(alpha0=float(block["alpha0"]), alpha1=float(block["alpha1"]),
-                             alpha2=float(block["alpha2"]), Lhat=float(block["Lhat"]), **kw)
-    except KeyError as err:
-        errs.append(f"penalty.{err.args[0]} required")
-    except (ValidationError, TypeError, ValueError) as err:
-        msgs = err.errors if isinstance(err, ValidationError) else [str(err)]
-        errs.extend(f"penalty: {m}" for m in msgs)
+        if anchor:
+            kw["anchor"] = ControlPair(**anchor)
+        return PenaltyConfig(**kw)
+    except ValidationError as err:
+        errs.extend(f"penalty: {m}" for m in err.errors)
     return None
 
 
-def _synth_from(doc: dict, params, grid, errs: list) -> SynthSpec | None:
+def _synth_from(doc: dict, params, grid, seed, errs: list) -> SynthSpec | None:
     block = doc.get("synth")
     if block is None or params is None or grid is None:
         return None
-    table = None
-    if "beta_I_true" in block:
-        table = _table_from(block["beta_I_true"], "synth.beta_I_true", errs)
-    else:
-        errs.append("synth.beta_I_true required")
-    vals = {}
-    for name in ("A0_true", "I0_true", "L0", "R0"):
-        v = _get(block, name, "synth", errs)
-        if v is not None:
-            vals[name] = float(v)
-    if table is None or len(vals) < 4:
+    table = _table_from(block, "beta_I_true", "synth.beta_I_true", errs)
+    vals = {name: _field(block, name, f"synth.{name}", errs)
+            for name in ("A0_true", "I0_true", "L0", "R0")}
+    vals["noise"] = _field(block, "noise", "synth.noise", errs, 0.0)
+    if table is None or seed is None or None in vals.values():
         return None
     try:
-        return SynthSpec(params=params, grid=grid, beta_I_true=table,
-                         noise=float(block.get("noise", 0.0)),
-                         seed=int(doc.get("seed", 0)), **vals)
+        return SynthSpec(params=params, grid=grid, beta_I_true=table, seed=seed, **vals)
     except ValidationError as err:
         errs.extend(err.errors)
         return None
@@ -236,6 +262,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         errs.append(f"task must be one of {TASKS}")
         raise ValidationError(errs)
 
+    seed = _field(doc, "seed", "seed", errs, 0, integer=True)
     params = _params_from(doc, task, errs)
     x0 = _x0_from(doc, params, errs)
     grid = _grid_from(doc, errs)
@@ -261,12 +288,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
             errs.append("Lhat must exceed L0")
 
     w = doc.get("weights", {})
-    weights = (float(w.get("alpha0", DEFAULT_WEIGHTS[0])),
-               float(w.get("alpha1", DEFAULT_WEIGHTS[1])))
-    if min(weights) < 0:
+    weights = tuple(_field(w, k, f"weights.{k}", errs, d)
+                    for k, d in zip(("alpha0", "alpha1"), DEFAULT_WEIGHTS))
+    if None not in weights and min(weights) < 0:
         errs.append("weights must be >= 0")
 
-    synth = _synth_from(doc, params, grid, errs)
+    synth = _synth_from(doc, params, grid, seed, errs)
+    solver = _numbers_block(doc, "solver", _SOLVER_NUMBERS, errs)
+    if "init" in solver:
+        solver["init"] = _pair(solver, "init", "solver.init", errs)
+    stability = _numbers_block(doc, "stability", _STABILITY_NUMBERS, errs)
 
     if params is not None and grid is not None:
         errs.extend(f"params: {m}" for m in param_errors(params, t_max=grid.T)
@@ -276,13 +307,40 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ValidationError(errs)
     return Scenario(name=str(doc.get("name", "")), description=str(doc.get("description", "")),
                     task=task, params=params, x0=x0, grid=grid, observations=observations,
-                    weights=weights, penalty=penalty, solver=dict(doc.get("solver", {})),
-                    synth=synth, stability=dict(doc.get("stability", {})),
-                    seed=int(doc.get("seed", 0)))
+                    weights=weights, penalty=penalty, solver=solver,
+                    synth=synth, stability=stability, seed=seed)
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file; errors carry their locus."""
+def _numbers_block(doc: dict, name: str, spec: dict, errs: list) -> dict:
+    """A copy of a free-form block with its known numeric keys read by _num."""
+    block = dict(doc.get(name, {}))
+    for key, integer in spec.items():
+        if key in block:
+            block[key] = _num(block[key], f"{name}.{key}", errs, integer)
+    return block
+
+
+def _apply_override(doc: dict, item: str):
+    if "=" not in item:
+        raise ValidationError([f"override '{item}' is not KEY=VALUE"])
+    key, raw = item.split("=", 1)
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw
+    node = doc
+    parts = key.split(".")
+    for part in parts[:-1]:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ValidationError([f"override path '{key}' crosses a non-object field"])
+    node[parts[-1]] = value
+
+
+def read_scenario_doc(path, task: str | None = None, seed: int | None = None,
+                      overrides=()) -> dict:
+    """Parse a scenario file into its document, then set task and seed when
+    given and apply KEY=VALUE overrides (dotted path, JSON value) in order."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -292,7 +350,18 @@ def load_scenario(path) -> Scenario:
         raise ValidationError([f"parse error at line {err.lineno}, column {err.colno}: {err.msg}"])
     if not isinstance(doc, dict):
         raise ValidationError(["scenario document must be a JSON object"])
-    return scenario_from_dict(doc)
+    if task is not None:
+        doc["task"] = task
+    if seed is not None:
+        doc["seed"] = seed
+    for item in overrides:
+        _apply_override(doc, item)
+    return doc
+
+
+def load_scenario(path) -> Scenario:
+    """Parse and validate a scenario file; errors carry their locus."""
+    return scenario_from_dict(read_scenario_doc(path))
 
 
 def _table_to_doc(table: CoefficientTable):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrate import Grid, Trajectory
-from .model import ModelParams, State, TOL_NEG, simulate, validate_params
+from .model import ModelParams, State, TOL_NEG, jacobian, simulate, validate_params
 
 #: horizon doubling stops once the total simulated time would exceed this
 HORIZON_CAP = 2.0 ** 20
@@ -58,14 +58,10 @@ def s_threshold(params: ModelParams) -> float:
 
 def infected_jacobian(s_inf: float, params: ModelParams) -> np.ndarray:
     """Jacobian of the (A, I, L) subsystem linearized at susceptible level s_inf."""
-    bA = _constant_value(params, "beta_A")
-    bI = _constant_value(params, "beta_I")
-    k3 = bA * s_inf - params.k1
-    return np.array([
-        [k3, bI * s_inf, 0.0],
-        [params.sigma, -params.k2, 0.0],
-        [params.l_A, params.l_I, -params.mu_L],
-    ])
+    for name in ("beta_A", "beta_I"):
+        _constant_value(params, name)  # a time-varying rate has no single linearization
+    # xi only enters the S and R rows, so any sample of it will do
+    return jacobian((s_inf, 0.0, 0.0, 0.0, 0.0), params.replace(xi=0.0), 0.0)[1:4, 1:4]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line entry point: tasks, overrides, exit codes, outputs."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,7 +153,25 @@ class TestStability:
         assert summary["R0"] is not None
 
 
+CONTROL_BINDING = str(Path(__file__).parent.parent / "scenarios" / "control_binding.json")
+
+
 class TestOverridesAndDeterminism:
+    @pytest.mark.parametrize("override, field", [
+        ('params.sigma="abc"', "params.sigma"),
+        ('seed="a"', "seed"),
+        ("params.sigma=NaN", "params.sigma"),
+        ("params.xi=Infinity", "params.xi"),
+        ("penalty.eps_schedule=[]", "eps_schedule"),
+    ])
+    def test_malformed_number_is_load_error(self, tmp_path, capsys, override, field):
+        code = main(["control", "--scenario", CONTROL_BINDING, "--out", str(tmp_path),
+                     "--set", override, "--quiet"])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("sailr load: error:")]
+        assert any(field in line for line in errors), errors
+
     def test_set_override_applied(self, tmp_path):
         path = write_doc(tmp_path, simulate_doc())
         out = tmp_path / "out"

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from sailr import (CoefficientTable, Grid, Observations, adjoint_p0, adjoint_p_eps,
-                   duality_residual_p, duality_residual_p0, frozen_coeffs, simulate,
-                   tangent_p, tangent_p0)
+from sailr import (BlowupError, CoefficientTable, Grid, Observations, Trajectory,
+                   adjoint_p0, adjoint_p_eps, duality_residual_p, duality_residual_p0,
+                   simulate, tangent_p, tangent_p0)
 from conftest import random_params, random_state
 
 
@@ -197,11 +197,23 @@ class TestDualityP0:
             assert rs[1] <= rs[0] / 2.0
 
 
-class TestFrozenCoeffs:
-    def test_invariant(self, rng):
-        p, x0, g, traj = make_setup(rng, M=200, varying=True)
-        fc = frozen_coeffs(traj, p)
-        t = g.points()
-        assert np.allclose(fc.k0, p.beta_A(t) * traj.A + p.beta_I(t) * traj.I, atol=1e-15)
-        assert np.allclose(fc.k3, p.beta_A(t) * traj.S - p.k1, atol=1e-15)
-        assert np.allclose(fc.k2, p.k2)
+class TestBlowup:
+    def _traj(self, rng, huge):
+        # a fabricated trajectory whose S, A, I reach 1e200 on the grid indices
+        # `huge`: the stage coefficients there overflow the step maps
+        p, x0, g, traj = make_setup(rng, M=100)
+        states = np.array(traj.states)
+        states[huge, :3] = 1e200
+        return p, Trajectory(g, states)
+
+    def test_tangent_reports_step(self, rng):
+        p, traj = self._traj(rng, slice(60, None))
+        with pytest.raises(BlowupError) as exc:
+            tangent_p(traj, p, 0.3, 0.2)
+        assert exc.value.step == 60  # step 59 -> 60 is the first to touch index 60
+
+    def test_adjoint_reports_step_in_reversed_time(self, rng):
+        p, traj = self._traj(rng, slice(None, 41))
+        with pytest.raises(BlowupError) as exc:
+            adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.05, 1.0, 1.0, lhat=0.02)
+        assert exc.value.step == 60  # counted from T: step 60 ends at index 40

@@ -161,3 +161,29 @@ class TestSimulate:
         x0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         tr = simulate(p, x0, Grid(0.0, 5.0, 50))
         assert np.array_equal(tr.states, np.tile(x0, (51, 1)))
+
+
+class TestReverseSweep:
+    def test_matches_central_differences(self):
+        # phi = cot . x_M; its exact discrete gradient in (x0, grid-knotted beta_I)
+        from sailr.model import _rk4_model_vjp, stage_to_knot_gradient
+        rng = np.random.default_rng(4242)
+        g = Grid(0.0, 2.0, 400)
+        tg = g.points()
+        p = random_params(rng, t_max=2.0, varying=True)
+        p = p.replace(beta_I=CoefficientTable(tg, rng.uniform(0.1, 0.6, tg.size)))
+        x0 = random_state(rng)
+        traj = simulate(p, x0, g)
+        w = rng.uniform(-1.0, 1.0, 5)
+        u = rng.uniform(-1.0, 1.0, tg.size)
+        lam = 1e-6
+        for cot in (np.eye(5)[3], np.eye(5)[4]):
+            x0bar, bbar = _rk4_model_vjp(p, traj, cot)
+            an = float(x0bar @ w + stage_to_knot_gradient(bbar) @ u)
+
+            def phi(s):
+                ps = p.replace(beta_I=CoefficientTable(tg, p.beta_I.values + s * u))
+                return float(cot @ simulate(ps, x0 + s * w, g).final)
+
+            fd = (phi(lam) - phi(-lam)) / (2.0 * lam)
+            assert abs(an - fd) <= 1e-6 * abs(fd)
