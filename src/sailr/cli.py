@@ -112,15 +112,13 @@ def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     keys = ("theta", "tol_fp", "max_sweeps", "tol_constraint", "tol_residual",
             "polish_max", "max_pg_iters")
     cfg = ctl.ControlConfig(**{k: s.solver[k] for k in keys if k in s.solver})
-    init = None
-    if "init" in s.solver:
-        init = ctl.ControlPair(s.solver["init"]["lA"], s.solver["init"]["lI"])
     if s.solver.get("multistart"):
         res, _, spread = ctl.solve_p_multistart(s.penalty, s.params, s.x0, s.grid,
                                                 config=cfg, jobs=jobs)
         res.notes.append(f"multistart spread {spread:.3e}")
     else:
-        res = ctl.solve_p(s.penalty, s.params, s.x0, s.grid, init=init, config=cfg)
+        res = ctl.solve_p(s.penalty, s.params, s.x0, s.grid, init=s.solver.get("init"),
+                          config=cfg)
     write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
     write_adjoint_csv(res.adjoint, outdir / "adjoint.csv")
     write_series_csv(outdir / "multiplier.csv", "nu", s.grid, res.multiplier_diag)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .errors import ValidationError
 from .identify import Observations, n0_of
 from .integrate import Grid, Trajectory
 from .linearize import AdjointTrajectory
-from .model import CoefficientTable, ModelParams, State, param_errors, simulate
+from .model import (CoefficientTable, ModelParams, State, param_errors, simulate,
+                    total_population)
 
 TASKS = ("simulate", "identify", "control", "stability", "synth")
 
@@ -88,9 +89,6 @@ class Scenario:
     seed: int = 0
 
 
-_NO_DEFAULT = object()
-
-
 def _num(value, locus: str, errs: list, integer: bool = False):
     """value as a finite float (an int when integer).
 
@@ -106,17 +104,6 @@ def _num(value, locus: str, errs: list, integer: bool = False):
     return None
 
 
-def _field(block: dict, key: str, locus: str, errs: list, default=_NO_DEFAULT,
-           integer: bool = False):
-    """block[key] read by _num; default when absent, or an error if required."""
-    if key in block:
-        return _num(block[key], locus, errs, integer)
-    if default is _NO_DEFAULT:
-        errs.append(f"{locus} required")
-        return None
-    return default
-
-
 def _nums(value, locus: str, errs: list):
     """A list of finite numbers, or None with one error naming the field."""
     bad: list[str] = []
@@ -127,13 +114,21 @@ def _nums(value, locus: str, errs: list):
     return vals
 
 
-def _table_from(block: dict, key: str, locus: str, errs: list) -> CoefficientTable | None:
-    spec = block.get(key)
+def _object(value, locus: str, errs: list) -> dict | None:
+    """value when it is a JSON object, else None with an error naming the block."""
+    if isinstance(value, dict):
+        return value
+    errs.append(f"{locus} must be an object")
+    return None
+
+
+def _table(spec, locus: str, errs: list) -> CoefficientTable | None:
+    """A scalar (constant coefficient) or a {knots, values} table."""
     if isinstance(spec, dict):
         knots = _nums(spec.get("knots"), f"{locus}.knots", errs)
         values = _nums(spec.get("values"), f"{locus}.values", errs)
     else:
-        knots, values = [0.0], [_field(block, key, locus, errs)]
+        knots, values = [0.0], [_num(spec, locus, errs)]
     if knots is None or values is None or None in values:
         return None
     try:
@@ -143,115 +138,69 @@ def _table_from(block: dict, key: str, locus: str, errs: list) -> CoefficientTab
         return None
 
 
-def _params_from(doc: dict, task: str, errs: list) -> ModelParams | None:
-    block = doc.get("params")
-    if block is None:
-        errs.append(f"params required for task={task}")
-        return None
-    fields = {name: _field(block, name, f"params.{name}", errs)
-              for name in ("sigma", "mu_A", "mu_I", "mu_L", "l_A", "l_I")}
-    for name in ("beta_I", "beta_A", "xi"):
-        fields[name] = _table_from(block, name, f"params.{name}", errs)
-    n = _field(block, "N", "params.N", errs, 1.0)
-    if n not in (1.0, None):
-        errs.append("params.N must be 1 (normalized model)")
-    if n != 1.0 or None in fields.values():
-        return None
-    p = ModelParams(N=1.0, **fields)
-    errs.extend(f"params: {m}" for m in param_errors(p))
-    return p
+def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given):
+    """An instance of the dataclass cls read from the JSON object block.
 
-
-def _x0_from(doc: dict, params, errs: list) -> State | None:
-    block = doc.get("x0")
+    Fields named in given are passed through; every other field is the
+    block key of the same name, read by its declared type: float and int
+    by _num, tuple as a list of finite numbers, CoefficientTable by _table
+    and ControlPair as a nested object.  An absent key takes defaults[name]
+    or the dataclass default, and is reported as required if it has none.
+    Every problem goes to errs (those raised by cls itself under locus) and
+    then the result is None.
+    """
+    block = _object(block, locus, errs)
     if block is None:
         return None
-    vals = {name: _field(block, name, f"x0.{name}", errs) for name in ("S", "A", "I", "L", "R")}
-    if None in vals.values():
-        return None
-    x0 = State(**vals)
-    if min(vals.values()) < 0:
-        errs.append("x0 components must be >= 0")
-    if params is not None and abs(sum(vals.values()) - params.N) > 1e-9:
-        errs.append("x0 components must sum to N")
-    return x0
-
-
-def _grid_from(doc: dict, errs: list) -> Grid | None:
-    block = doc.get("grid")
-    if block is None:
-        return None
-    t0 = _field(block, "t0", "grid.t0", errs, 0.0)
-    T = _field(block, "T", "grid.T", errs)
-    M = _field(block, "M", "grid.M", errs, DEFAULT_GRID_M, integer=True)
-    if None in (t0, T, M):
+    block = {**(defaults or {}), **block}
+    kw = dict(given)
+    for f in fields(cls):
+        name = f"{locus}.{f.name}"
+        if f.name in given:
+            continue
+        if f.name not in block:
+            if f.default is MISSING and f.default_factory is MISSING:
+                errs.append(f"{name} required for task={task}")
+                kw[f.name] = None
+            continue
+        value, kind = block[f.name], f.type  # annotation text: evaluation is postponed
+        if kind == "CoefficientTable":
+            kw[f.name] = _table(value, name, errs)
+        elif kind == "ControlPair":
+            kw[f.name] = _read(ControlPair, value, name, errs, task)
+        elif kind == "tuple":
+            kw[f.name] = _nums(value, name, errs)
+        else:
+            kw[f.name] = _num(value, name, errs, integer=kind == "int")
+    if any(v is None for v in kw.values()):
         return None
     try:
-        return Grid(t0, T, M)
+        return cls(**kw)
     except ValidationError as err:
-        errs.extend(f"grid: {m}" for m in err.errors)
-    return None
-
-
-def _observations_from(doc: dict, task: str, errs: list) -> Observations | None:
-    block = doc.get("observations")
-    if block is None:
-        return None
-    vals = {}
-    for name in ("L0", "R0", "LT", "RT", "T"):
-        if name not in block:
-            errs.append(f"observations.{name} required for task={task}")
-            return None
-        vals[name] = _num(block[name], f"observations.{name}", errs)
-    if None in vals.values():
-        return None
-    try:
-        return Observations(**vals)
-    except ValidationError as err:
-        errs.extend(err.errors)
+        errs.extend(f"{locus}: {m}" for m in err.errors)
         return None
 
 
-def _pair(block: dict, key: str, locus: str, errs: list) -> dict:
-    """The {lA, lI} object block[key], both read by _num."""
-    pair = block[key] if isinstance(block[key], dict) else {}
-    return {k: _field(pair, k, f"{locus}.{k}", errs) for k in ("lA", "lI")}
+def _dump(obj, skip=()):
+    """The JSON document of a block: the inverse of _read."""
+    if isinstance(obj, CoefficientTable):
+        if obj.is_constant:
+            return float(obj.values[0])
+        return {"knots": obj.knots.tolist(), "values": obj.values.tolist()}
+    if is_dataclass(obj):
+        return {f.name: _dump(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
+    if isinstance(obj, dict):
+        return {k: _dump(v) for k, v in obj.items()}
+    return list(obj) if isinstance(obj, tuple) else obj
 
 
-def _penalty_from(doc: dict, errs: list) -> PenaltyConfig | None:
-    block = doc.get("penalty")
-    if block is None:
-        return None
-    kw = {k: _field(block, k, f"penalty.{k}", errs) for k in ("alpha0", "alpha1", "alpha2", "Lhat")}
-    if "eps_schedule" in block:
-        kw["eps_schedule"] = _nums(block["eps_schedule"], "penalty.eps_schedule", errs)
-    anchor = _pair(block, "anchor", "penalty.anchor", errs) if "anchor" in block else {}
-    if None in kw.values() or None in anchor.values():
-        return None
-    try:
-        if anchor:
-            kw["anchor"] = ControlPair(**anchor)
-        return PenaltyConfig(**kw)
-    except ValidationError as err:
-        errs.extend(f"penalty: {m}" for m in err.errors)
-    return None
-
-
-def _synth_from(doc: dict, params, grid, seed, errs: list) -> SynthSpec | None:
-    block = doc.get("synth")
-    if block is None or params is None or grid is None:
-        return None
-    table = _table_from(block, "beta_I_true", "synth.beta_I_true", errs)
-    vals = {name: _field(block, name, f"synth.{name}", errs)
-            for name in ("A0_true", "I0_true", "L0", "R0")}
-    vals["noise"] = _field(block, "noise", "synth.noise", errs, 0.0)
-    if table is None or seed is None or None in vals.values():
-        return None
-    try:
-        return SynthSpec(params=params, grid=grid, beta_I_true=table, seed=seed, **vals)
-    except ValidationError as err:
-        errs.extend(err.errors)
-        return None
+def _numbers_block(doc: dict, name: str, spec: dict, errs: list) -> dict:
+    """A copy of a free-form block with its known numeric keys read by _num."""
+    block = dict(_object(doc.get(name, {}), name, errs) or {})
+    for key, integer in spec.items():
+        if key in block:
+            block[key] = _num(block[key], f"{name}.{key}", errs, integer)
+    return block
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -262,18 +211,30 @@ def scenario_from_dict(doc: dict) -> Scenario:
         errs.append(f"task must be one of {TASKS}")
         raise ValidationError(errs)
 
-    seed = _field(doc, "seed", "seed", errs, 0, integer=True)
-    params = _params_from(doc, task, errs)
-    x0 = _x0_from(doc, params, errs)
-    grid = _grid_from(doc, errs)
-    observations = _observations_from(doc, task, errs)
-    penalty = _penalty_from(doc, errs)
+    def block(cls, name, **kw):
+        return None if doc.get(name) is None else _read(cls, doc[name], name, errs, task, **kw)
 
-    for block in _REQUIRED[task]:
-        present = {"x0": x0, "grid": grid, "observations": doc.get("observations"),
-                   "penalty": doc.get("penalty"), "synth": doc.get("synth")}[block]
-        if present is None:
-            errs.append(f"{block} required for task={task}")
+    for name in ("params",) + _REQUIRED[task]:
+        if doc.get(name) is None:
+            errs.append(f"{name} required for task={task}")
+    seed = _num(doc.get("seed", 0), "seed", errs, integer=True)
+    params = block(ModelParams, "params")
+    x0 = block(State, "x0")
+    grid = block(Grid, "grid", defaults={"t0": 0.0, "M": DEFAULT_GRID_M})
+    observations = block(Observations, "observations")
+    penalty = block(PenaltyConfig, "penalty")
+
+    if params is not None and params.N != 1.0:
+        errs.append("params.N must be 1 (normalized model)")
+        params = None
+    elif params is not None:
+        errs.extend(f"params: {m}" for m in param_errors(params))
+
+    if x0 is not None:
+        if min(x0.as_array()) < 0:
+            errs.append("x0 components must be >= 0")
+        if params is not None and abs(total_population(x0) - params.N) > 1e-9:
+            errs.append("x0 components must sum to N")
 
     if task == "identify" and observations is not None:
         if grid is None:
@@ -287,16 +248,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if not penalty.Lhat > x0.L:
             errs.append("Lhat must exceed L0")
 
-    w = doc.get("weights", {})
-    weights = tuple(_field(w, k, f"weights.{k}", errs, d)
+    w = _object(doc.get("weights", {}), "weights", errs) or {}
+    weights = tuple(_num(w.get(k, d), f"weights.{k}", errs)
                     for k, d in zip(("alpha0", "alpha1"), DEFAULT_WEIGHTS))
     if None not in weights and min(weights) < 0:
         errs.append("weights must be >= 0")
 
-    synth = _synth_from(doc, params, grid, seed, errs)
+    synth = block(SynthSpec, "synth", params=params, grid=grid, seed=seed)
     solver = _numbers_block(doc, "solver", _SOLVER_NUMBERS, errs)
     if "init" in solver:
-        solver["init"] = _pair(solver, "init", "solver.init", errs)
+        solver["init"] = _read(ControlPair, solver["init"], "solver.init", errs, task)
     stability = _numbers_block(doc, "stability", _STABILITY_NUMBERS, errs)
 
     if params is not None and grid is not None:
@@ -309,15 +270,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     task=task, params=params, x0=x0, grid=grid, observations=observations,
                     weights=weights, penalty=penalty, solver=solver,
                     synth=synth, stability=stability, seed=seed)
-
-
-def _numbers_block(doc: dict, name: str, spec: dict, errs: list) -> dict:
-    """A copy of a free-form block with its known numeric keys read by _num."""
-    block = dict(doc.get(name, {}))
-    for key, integer in spec.items():
-        if key in block:
-            block[key] = _num(block[key], f"{name}.{key}", errs, integer)
-    return block
 
 
 def _apply_override(doc: dict, item: str):
@@ -364,42 +316,15 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(read_scenario_doc(path))
 
 
-def _table_to_doc(table: CoefficientTable):
-    if table.is_constant:
-        return float(table.values[0])
-    return {"knots": table.knots.tolist(), "values": table.values.tolist()}
-
-
 def scenario_to_dict(s: Scenario) -> dict:
     """Inverse of scenario_from_dict on semantic content."""
     doc = {"name": s.name, "description": s.description, "task": s.task, "seed": s.seed,
-           "params": {"sigma": s.params.sigma, "mu_A": s.params.mu_A, "mu_I": s.params.mu_I,
-                      "mu_L": s.params.mu_L, "l_A": s.params.l_A, "l_I": s.params.l_I,
-                      "beta_I": _table_to_doc(s.params.beta_I),
-                      "beta_A": _table_to_doc(s.params.beta_A),
-                      "xi": _table_to_doc(s.params.xi), "N": s.params.N}}
-    if s.x0 is not None:
-        doc["x0"] = {"S": s.x0.S, "A": s.x0.A, "I": s.x0.I, "L": s.x0.L, "R": s.x0.R}
-    if s.grid is not None:
-        doc["grid"] = {"t0": s.grid.t0, "T": s.grid.T, "M": s.grid.M}
-    if s.observations is not None:
-        o = s.observations
-        doc["observations"] = {"L0": o.L0, "R0": o.R0, "LT": o.LT, "RT": o.RT, "T": o.T}
-    doc["weights"] = {"alpha0": s.weights[0], "alpha1": s.weights[1]}
-    if s.penalty is not None:
-        p = s.penalty
-        doc["penalty"] = {"alpha0": p.alpha0, "alpha1": p.alpha1, "alpha2": p.alpha2,
-                          "Lhat": p.Lhat, "eps_schedule": list(p.eps_schedule),
-                          "anchor": {"lA": p.anchor.lA, "lI": p.anchor.lI}}
-    if s.synth is not None:
-        doc["synth"] = {"beta_I_true": _table_to_doc(s.synth.beta_I_true),
-                        "A0_true": s.synth.A0_true, "I0_true": s.synth.I0_true,
-                        "L0": s.synth.L0, "R0": s.synth.R0, "noise": s.synth.noise}
-    if s.solver:
-        doc["solver"] = dict(s.solver)
-    if s.stability:
-        doc["stability"] = dict(s.stability)
-    return doc
+           "params": _dump(s.params), "x0": _dump(s.x0), "grid": _dump(s.grid),
+           "observations": _dump(s.observations),
+           "weights": dict(zip(("alpha0", "alpha1"), s.weights)), "penalty": _dump(s.penalty),
+           "synth": _dump(s.synth, skip=("params", "grid", "seed")),
+           "solver": _dump(s.solver), "stability": _dump(s.stability)}
+    return {k: v for k, v in doc.items() if v is not None and v != {}}
 
 
 def write_scenario(s: Scenario, path):

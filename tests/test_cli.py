@@ -163,6 +163,12 @@ class TestOverridesAndDeterminism:
         ("params.sigma=NaN", "params.sigma"),
         ("params.xi=Infinity", "params.xi"),
         ("penalty.eps_schedule=[]", "eps_schedule"),
+        ("x0=5", "x0"),
+        ("params=[1]", "params"),
+        ("solver=3", "solver"),
+        ("weights=5", "weights"),
+        ("stability=3", "stability"),
+        ("synth=3", "synth"),
     ])
     def test_malformed_number_is_load_error(self, tmp_path, capsys, override, field):
         code = main(["control", "--scenario", CONTROL_BINDING, "--out", str(tmp_path),
@@ -209,6 +215,24 @@ class TestOverridesAndDeterminism:
         path = write_doc(tmp_path, simulate_doc())
         assert main(["simulate", "--scenario", path, "--quiet"]) == 0
         assert (tmp_path / "envout" / "summary.json").exists()
+
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+
+class TestSweepCounts:
+    #: upper bounds on summary.json "runtime" (ODE sweeps); only ever tightened
+    BOUNDS = {"simulate_baseline": 1, "synth_truth": 1, "identify_synthetic": 22,
+              "stability_extinction": 4}
+
+    def test_shipped_scenario_sweeps_bounded(self, tmp_path):
+        for name, bound in self.BOUNDS.items():
+            path = SCENARIOS / f"{name}.json"
+            task = json.loads(path.read_text())["task"]
+            out = tmp_path / name
+            assert main([task, "--scenario", str(path), "--out", str(out), "--quiet"]) == 0
+            runtime = json.loads((out / "summary.json").read_text())["runtime"]
+            assert runtime <= bound, (name, runtime)
 
 
 class TestJobs:

@@ -1,11 +1,15 @@
 """Scenario parsing/validation, synthetic data and export round trips."""
 
+import copy
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sailr import (CoefficientTable, Grid, ModelParams, SynthSpec, ValidationError,
+from sailr import (CoefficientTable, Grid, ModelParams, Scenario, SynthSpec, ValidationError,
                    cost_p0, IdentCandidate, load_scenario, read_csv_columns,
                    scenario_from_dict, scenario_to_dict, simulate,
                    synth_observations, write_scenario, write_summary_json,
@@ -95,6 +99,48 @@ class TestLoadScenario:
         write_scenario(s, path)
         s2 = load_scenario(path)
         assert s2 == s
+
+
+SHIPPED = {path.stem: json.loads(path.read_text())
+           for path in sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))}
+DELETE = object()
+REPLACEMENTS = [DELETE, "text", True, None, math.nan, math.inf, -math.inf, [], [1], 7, {}]
+
+
+def _nodes(node, path=()):
+    """The path of every key and list entry below node."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+NODES = [(name, path) for name, doc in SHIPPED.items() for path in _nodes(doc)]
+
+
+class TestShippedScenarios:
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_round_trip(self, name):
+        s = scenario_from_dict(copy.deepcopy(SHIPPED[name]))
+        assert scenario_from_dict(scenario_to_dict(s)) == s
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(node=st.sampled_from(NODES), value=st.sampled_from(REPLACEMENTS))
+    def test_one_node_mutation_loads_or_is_validation_error(self, node, value):
+        name, path = node
+        doc = copy.deepcopy(SHIPPED[name])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+        try:
+            assert isinstance(scenario_from_dict(doc), Scenario)
+        except ValidationError:
+            pass
 
 
 class TestSynthObservations:
