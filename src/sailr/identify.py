@@ -4,13 +4,13 @@ Observed are the isolated and recovered fractions at t = 0 and t = T.  The
 unobserved transmission rate beta_I (a grid function), and the undetected
 counts A0, I0 (hence S0 = N0 - A0 - I0), are recovered by minimizing the
 terminal mismatch plus small quadratic regularizers, with the exact
-gradient of the discrete cost supplied by reverse sweeps of the RK4 map.
+gradient of the discrete cost supplied by one reverse sweep of the RK4 map.
 
 The optimizer is projected gradient with a Barzilai-Borwein trial step and
 monotone Armijo backtracking, projecting beta_I onto {beta >= 0} pointwise
 and (A0, I0) onto the triangle K0 = {y, z >= 0, y + z <= N0}.  The
 fixed-point optimality maps (positive-part projection for beta_I and the
-Gamma-resolvent for (A0, I0)) are used as the convergence certificate.
+Gamma-resolvent for (A0, I0)) on that sweep's adjoint certify convergence.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FeasibilityError, StallError, ValidationError
 from .integrate import Grid, Trajectory, trapezoid
-from .linearize import AdjointTrajectory, adjoint_p0
+from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, simulate,
                     stage_to_knot_gradient)
 
@@ -141,8 +141,8 @@ def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: flo
                 params: ModelParams, grid: Grid):
     """Exact gradient of the discrete cost_p0: (grid function for beta_I, dA0, dI0).
 
-    One forward sweep and two reverse sweeps of the discrete RK4 map (one
-    per observed component).  The beta_I component is the representer on
+    One forward sweep and one reverse sweep of the discrete RK4 map (both
+    observed components at once).  The beta_I component is the representer on
     grid-knotted directions under the trapezoid-weighted inner product.
     """
     _check_grid(grid, obs)
@@ -246,26 +246,22 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
 
 def _exact_gradient(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
                     params: ModelParams, traj: Trajectory, wq, n0: float):
-    """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, plus the
-    Jacobian rows and blocks of the terminal (L, R) it is assembled from.
+    """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, the Jacobian
+    rows and blocks of the terminal (L, R) it is assembled from, and the adjoint.
 
-    One reverse sweep of the discrete RK4 map per observed component;
+    One reverse sweep of the discrete RK4 map with cotangent columns e_L, e_R;
     rows come back as their weighted-inner-product representers (so
     row . direction integrates with the trapezoid weights wq), blocks as
     the (A0, I0) partials with the S0 = N0 - A0 - I0 dependence folded in.
+    The adjoint d(mismatch)/d x_k is the exact discrete counterpart of `adjoint_p0`.
     """
-    rows = []
-    blocks = []
-    for cot in ((0.0, 0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0, 1.0)):
-        x0bar, bbar = _rk4_model_vjp(params.replace(beta_I=c.beta_I), traj, cot)
-        rows.append(stage_to_knot_gradient(bbar) / wq)
-        blocks.append(np.array([x0bar[1] - x0bar[0], x0bar[2] - x0bar[0]]))
-    r1 = float(traj.L[-1] - obs.LT)
-    r2 = float(traj.R[-1] - obs.RT)
-    gb = alpha1 * np.asarray(c.beta_I(traj.grid.points())) + r1 * rows[0] + r2 * rows[1]
-    gA = r1 * blocks[0][0] + r2 * blocks[1][0] + alpha0 * (2 * c.A0 + c.I0 - n0)
-    gI = r1 * blocks[0][1] + r2 * blocks[1][1] + alpha0 * (2 * c.I0 + c.A0 - n0)
-    return gb, gA, gI, rows, blocks
+    r = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT])
+    v, bbar = _rk4_model_vjp(params.replace(beta_I=c.beta_I), traj, np.eye(5)[:, 3:])
+    rows = (stage_to_knot_gradient(bbar) / wq[:, None]).T
+    blocks = (v[0, 1:3] - v[0, 0]).T
+    gb = alpha1 * np.asarray(c.beta_I(traj.grid.points())) + r @ rows
+    gA, gI = r @ blocks + alpha0 * (np.array([2 * c.A0 + c.I0, 2 * c.I0 + c.A0]) - n0)
+    return gb, gA, gI, rows, blocks, AdjointTrajectory(traj.grid, v @ r)
 
 
 def _gn_direction(gbeta, gblock, rows, blocks, alpha0, alpha1, wq, free, free_block):
@@ -341,13 +337,12 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
         return IdentCandidate(_beta_table(grid, bgv), a, i)
 
     def exact_state(cand, traj):
-        # Exact discrete gradient (reverse-mode rows of the terminal data)
-        # plus the continuous-adjoint sweep used by the certificate.
+        # Exact discrete gradient, Gauss-Newton rows and the certificate's
+        # adjoint from one reverse sweep; counted as one sweep per cotangent.
         nonlocal nsolves
-        gb, gA, gI, rows, blocks = _exact_gradient(cand, obs, alpha0, alpha1, params,
-                                                   traj, wq, n0)
-        adj = adjoint_p0(traj, params.replace(beta_I=cand.beta_I), obs)
-        nsolves += 3
+        gb, gA, gI, rows, blocks, adj = _exact_gradient(cand, obs, alpha0, alpha1, params,
+                                                        traj, wq, n0)
+        nsolves += 2
         residual = optimality_residual_p0(cand, traj, adj, alpha0, alpha1, n0)
         return gb, gA, gI, rows, blocks, adj, residual
 

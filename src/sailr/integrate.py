@@ -182,25 +182,26 @@ def rk4_step_maps(G, h: float) -> np.ndarray:
 
 
 def _increment_scan(D: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """States y_0 = y0, ..., y_B (shape (B + 1, N)) of y_{k+1} = y_k + D_k y_k.
+    """States y_0 = y0 (N, K), ..., y_B, shape (B + 1, N, K), of y_{k+1} = y_k + D_k y_k.
 
     Doubling: compose neighbouring pairs of steps, solve that half-length
     problem for the states after odd steps, then step once from those to the
     rest.  O(B) work in O(log B) array operations.
     """
-    ys = np.empty((len(D) + 1, len(y0)))
+    ys = np.empty((len(D) + 1,) + y0.shape)
     ys[0] = y0
     if len(D):
         first, second = D[0:-1:2], D[1::2]
         # (I + D2)(I + D1) = I + (D2 D1 + D1 + D2)
         ys[2::2] = _increment_scan(second @ first + first + second, y0)[1:]
         prev = ys[0:-1:2]
-        ys[1::2] = prev + (D[0::2] @ prev[:, :, None])[:, :, 0]
+        ys[1::2] = prev + D[0::2] @ prev
     return ys
 
 
 def linear_sweep(step_maps, y0, M: int) -> np.ndarray:
-    """States y_0..y_M, shape (M + 1, N), of y_{k+1} = P_k y_k from y0.
+    """States y_0..y_M, shape (M + 1,) + y0.shape, of y_{k+1} = P_k y_k from
+    one state y0 (N,) or K states (N, K) that share the step maps.
 
     step_maps(lo, hi) gives the increments P_k - I of steps lo..hi-1, shape
     (hi - lo, N, N), SWEEP_BLOCK steps at a time; `_increment_scan` composes
@@ -208,14 +209,15 @@ def linear_sweep(step_maps, y0, M: int) -> np.ndarray:
     the first step whose state is non-finite or beyond 1e100 in sum.
     """
     y0 = np.asarray(y0, dtype=float)
-    out = np.empty((M + 1, y0.size))
-    out[0] = y0
+    cols = y0.reshape(len(y0), -1)
+    out = np.empty((M + 1,) + cols.shape)
+    out[0] = cols
     with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
         for lo in range(0, M, SWEEP_BLOCK):
             hi = min(lo + SWEEP_BLOCK, M)
             ys = _increment_scan(step_maps(lo, hi), out[lo])[1:]
-            bad = np.flatnonzero(~(np.abs(ys.sum(axis=1)) < _BIG))
+            bad = np.flatnonzero(~(np.abs(ys.sum(axis=(1, 2))) < _BIG))
             if bad.size:
                 raise BlowupError(lo + int(bad[0]) + 1)
             out[lo + 1:hi + 1] = ys
-    return out
+    return out.reshape((M + 1,) + y0.shape)

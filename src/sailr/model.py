@@ -297,8 +297,9 @@ def simulate(p: ModelParams, x0, grid: Grid) -> Trajectory:
 
 def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
     # Exact reverse-mode sweep of the discrete RK4 map: for the scalar
-    # phi = cotangent . x_M, returns (d phi/d x0, d phi/d beta_I at the
-    # 2M+1 stage samples).  Stage states are recomputed from the stored
+    # phi = cotangent . x_M, returns (v[k] = d phi/d x_k on the grid,
+    # d phi/d beta_I at the 2M+1 stage samples); a (5, K) cotangent gives K
+    # such columns in one sweep.  Stage states are recomputed from the stored
     # grid states, so the result is exact for the discrete flow: v_k =
     # P_k^T v_{k+1} with P_k built from the stage Jacobians, whose three
     # extra columns give d x_{k+1}/d beta_I at the samples 2k, 2k+1, 2k+2.
@@ -324,12 +325,12 @@ def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
         sens[M - hi:M - lo] = D[:, :5, 5:]
         return D[::-1, :5, :5].transpose(0, 2, 1)
 
-    v = linear_sweep(step_maps, cotangent, M)[::-1]  # v[k] = d phi / d x_k
-    per = np.einsum("kic,ki->kc", sens, v[1:])
-    bbar = np.zeros(2 * M + 1)
+    v = linear_sweep(step_maps, cotangent, M)[::-1]
+    per = np.einsum("kic,ki...->kc...", sens, v[1:])
+    bbar = np.zeros((2 * M + 1,) + v.shape[2:])
     for c in range(3):  # samples 2k + c
         bbar[c:2 * M + c:2] += per[:, c]
-    return v[0].copy(), bbar
+    return v, bbar
 
 
 def stage_to_knot_gradient(bbar: np.ndarray) -> np.ndarray:

@@ -259,6 +259,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if "init" in solver:
         solver["init"] = _read(ControlPair, solver["init"], "solver.init", errs, task)
     stability = _numbers_block(doc, "stability", _STABILITY_NUMBERS, errs)
+    errs.extend(f"stability.{k} must be > 0" for k in _STABILITY_NUMBERS
+                if stability.get(k) is not None and not stability[k] > 0)
 
     if params is not None and grid is not None:
         errs.extend(f"params: {m}" for m in param_errors(params, t_max=grid.T)

@@ -154,6 +154,8 @@ class TestStability:
 
 
 CONTROL_BINDING = str(Path(__file__).parent.parent / "scenarios" / "control_binding.json")
+STABILITY_EXTINCTION = str(Path(__file__).parent.parent / "scenarios"
+                           / "stability_extinction.json")
 
 
 class TestOverridesAndDeterminism:
@@ -169,9 +171,15 @@ class TestOverridesAndDeterminism:
         ("weights=5", "weights"),
         ("stability=3", "stability"),
         ("synth=3", "synth"),
+        ("stability.h=0", "stability.h"),
+        ("stability.h=-0.01", "stability.h"),
+        ("stability.horizon=0", "stability.horizon"),
     ])
     def test_malformed_number_is_load_error(self, tmp_path, capsys, override, field):
-        code = main(["control", "--scenario", CONTROL_BINDING, "--out", str(tmp_path),
+        # the control task ignores the stability block, so its keys go to the stability task
+        task, path = (("stability", STABILITY_EXTINCTION) if field.startswith("stability.")
+                      else ("control", CONTROL_BINDING))
+        code = main([task, "--scenario", path, "--out", str(tmp_path),
                      "--set", override, "--quiet"])
         assert code == 1
         errors = [line for line in capsys.readouterr().err.splitlines()
@@ -222,7 +230,7 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 class TestSweepCounts:
     #: upper bounds on summary.json "runtime" (ODE sweeps); only ever tightened
-    BOUNDS = {"simulate_baseline": 1, "synth_truth": 1, "identify_synthetic": 22,
+    BOUNDS = {"simulate_baseline": 1, "synth_truth": 1, "identify_synthetic": 16,
               "stability_extinction": 4}
 
     def test_shipped_scenario_sweeps_bounded(self, tmp_path):

@@ -259,6 +259,23 @@ class TestSolveP0:
         floor = 0.5 * a0w * n0 ** 2
         assert res.cost == pytest.approx(floor, rel=0.05)
 
+    def test_adjoint_is_consistent_with_continuous_adjoint(self):
+        # the certificate reads the exact discrete adjoint of the RK4 map; it
+        # must agree with the continuous-adjoint sweep to O(h^2)
+        gaps = []
+        for M in (400, 800):
+            p, g, obs, ref = planted(M=M)
+            res = solve_p0(obs, p, g, 1e-6, 1e-6)
+            adj = adjoint_p0(res.trajectory, p.replace(beta_I=res.candidate.beta_I), obs)
+            gaps.append(np.max(np.abs(res.adjoint.states - adj.states))
+                        / np.max(np.abs(adj.states)))
+            n0 = n0_of(p, obs)
+            cert = [optimality_residual_p0(res.candidate, res.trajectory, a, 1e-6, 1e-6, n0)
+                    for a in (res.adjoint, adj)]
+            assert abs(cert[0] - cert[1]) <= 1e-9
+        assert max(gaps) <= 2e-9
+        assert gaps[1] <= gaps[0] / 3.0
+
     def test_stall_error_carries_best(self):
         p, g, obs, ref = planted(M=200)
         with pytest.raises(StallError) as exc:

@@ -177,13 +177,18 @@ class TestReverseSweep:
         w = rng.uniform(-1.0, 1.0, 5)
         u = rng.uniform(-1.0, 1.0, tg.size)
         lam = 1e-6
-        for cot in (np.eye(5)[3], np.eye(5)[4]):
-            x0bar, bbar = _rk4_model_vjp(p, traj, cot)
-            an = float(x0bar @ w + stage_to_knot_gradient(bbar) @ u)
+        # the batched cotangent (e_L, e_R) must give each column's single sweep
+        vs, bbars = _rk4_model_vjp(p, traj, np.eye(5)[:, 3:])
+        for j, cot in enumerate((np.eye(5)[3], np.eye(5)[4])):
+            v, bbar = _rk4_model_vjp(p, traj, cot)
+            for single, batched in ((v, vs[..., j]), (bbar, bbars[:, j])):
+                assert np.max(np.abs(batched - single)) <= 1e-13 * np.max(np.abs(single))
 
             def phi(s):
                 ps = p.replace(beta_I=CoefficientTable(tg, p.beta_I.values + s * u))
                 return float(cot @ simulate(ps, x0 + s * w, g).final)
 
             fd = (phi(lam) - phi(-lam)) / (2.0 * lam)
-            assert abs(an - fd) <= 1e-6 * abs(fd)
+            for x0bar, bb in ((v[0], bbar), (vs[0, :, j], bbars[:, j])):
+                an = float(x0bar @ w + stage_to_knot_gradient(bb) @ u)
+                assert abs(an - fd) <= 1e-6 * abs(fd)

@@ -83,6 +83,15 @@ class TestLoadScenario:
             scenario_from_dict(doc)
         assert any("Lhat must exceed L0" in e for e in exc.value.errors)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_stability_tol_must_be_positive(self, tol):
+        # checked at load: a tol <= 0 would never be reached by the extinction run
+        doc = copy.deepcopy(SHIPPED["stability_extinction"])
+        doc["stability"]["tol"] = tol
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(doc)
+        assert any("stability.tol must be > 0" in e for e in exc.value.errors)
+
     def test_nonunit_population_rejected(self):
         doc = simulate_doc()
         doc["params"]["N"] = 2.0
