@@ -23,10 +23,10 @@ from .linearize import (AdjointTrajectory, TangentTrajectory, adjoint_p0, adjoin
                         duality_residual_p, duality_residual_p0, tangent_p, tangent_p0)
 from .model import (CoefficientTable, ModelParams, State, TOL_NEG, eval_coefficient,
                     param_errors, rhs, simulate, total_population, validate_params)
-from .scenario import (Scenario, SynthSpec, export_results, load_scenario,
-                       read_csv_columns, scenario_from_dict, scenario_to_dict,
-                       synth_observations, write_adjoint_csv, write_scenario,
-                       write_summary_json, write_trajectory_csv)
+from .scenario import (Scenario, SynthSpec, load_scenario, read_csv_columns,
+                       scenario_from_dict, scenario_to_dict, synth_observations,
+                       write_adjoint_csv, write_scenario, write_summary_json,
+                       write_trajectory_csv)
 from .stability import (HurwitzCheck, StabilityReport, TLocInputs, compute_t_loc,
                         hurwitz_check, infected_jacobian, r0, s_threshold,
                         simulate_extinction)

@@ -6,11 +6,12 @@ counts A0, I0 (hence S0 = N0 - A0 - I0), are recovered by minimizing the
 terminal mismatch plus small quadratic regularizers, with the exact
 gradient of the discrete cost supplied by one reverse sweep of the RK4 map.
 
-The optimizer is projected gradient with a Barzilai-Borwein trial step and
-monotone Armijo backtracking, projecting beta_I onto {beta >= 0} pointwise
-and (A0, I0) onto the triangle K0 = {y, z >= 0, y + z <= N0}.  The
-fixed-point optimality maps (positive-part projection for beta_I and the
-Gamma-resolvent for (A0, I0)) on that sweep's adjoint certify convergence.
+The optimizer takes exact Gauss-Newton steps with monotone Armijo
+backtracking along the projection arc, projecting beta_I onto {beta >= 0}
+pointwise and (A0, I0) onto the triangle K0 = {y, z >= 0, y + z <= N0}.
+The first-order conditions of that discrete problem (positive-part
+projection for beta_I and the Gamma-resolvent for (A0, I0), both read from
+the exact gradient) certify convergence.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ class IdentConfig:
     beta_init: float = 0.1
     armijo_c: float = 1e-4
     max_backtracks: int = 60
-    step_max: float = 1e14
 
 
 def _check_feasible(c: IdentCandidate, n0: float):
@@ -204,29 +204,21 @@ def project_k0(y, n0: float):
     return _min_quadratic_triangle(((1.0, 0.0), (0.0, 1.0)), y, n0)
 
 
-def optimality_residual_p0(c: IdentCandidate, traj: Trajectory, adj: AdjointTrajectory,
-                           alpha0: float, alpha1: float, n0: float) -> float:
-    """Fixed-point gap of the first-order optimality conditions.
+def optimality_residual_p0(c: IdentCandidate, grid: Grid, grad, alpha0: float,
+                           alpha1: float, n0: float) -> float:
+    """Fixed-point gap of the first-order conditions of the discrete problem.
 
-    Max of (a) the sup-norm distance of beta_I from its projection formula
-    and (b) the Euclidean distance of (A0, I0) from the Gamma-resolvent of
-    the initial adjoint values.  Degenerate weights fall back to
-    complementarity / projected-gradient forms.
+    grad = (gbeta, gA0, gI0) is the exact gradient of cost_p0 at c, as
+    gradient_p0 returns it.  Max of (a) the sup-norm distance of beta_I on
+    the grid from max(beta_I - gbeta/alpha1, 0) and (b) the Euclidean
+    distance of (A0, I0) from the Gamma-resolvent of Gamma z - g_z/alpha0.
+    Both weights must be > 0.
     """
-    bg = np.asarray(c.beta_I(traj.grid.points()), dtype=float)
-    m = (adj.p - adj.q) * traj.S * traj.I
-    if alpha1 > 0:
-        res_a = float(np.max(np.abs(bg - np.maximum(m / alpha1, 0.0))))
-    else:
-        # complementarity: m = 0 where beta > 0, m <= 0 where beta = 0
-        res_a = float(np.max(np.where(bg > 0, np.abs(m), np.maximum(m, 0.0))))
-    p0, q0, d0 = float(adj.p[0]), float(adj.q[0]), float(adj.d[0])
-    if alpha0 > 0:
-        y = ((p0 - q0) / alpha0 + n0, (p0 - d0) / alpha0 + n0)
-        zA, zI = resolve_k0(y, n0)
-    else:
-        gA0, gI0 = q0 - p0, d0 - p0
-        zA, zI = project_k0((c.A0 - gA0, c.I0 - gI0), n0)
+    gbeta, gA0, gI0 = grad
+    bg = np.asarray(c.beta_I(grid.points()), dtype=float)
+    res_a = float(np.max(np.abs(bg - np.maximum(bg - gbeta / alpha1, 0.0))))
+    y = GAMMA @ (c.A0, c.I0) - np.array([gA0, gI0]) / alpha0
+    zA, zI = resolve_k0(y, n0)
     res_b = float(np.hypot(c.A0 - zA, c.I0 - zI))
     return max(res_a, res_b)
 
@@ -307,21 +299,23 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     """Minimize cost_p0 over feasible (beta_I, A0, I0).
 
     beta_I is discretized as values on the integration grid.  Projected
-    descent with monotone Armijo backtracking along the projection arc:
-    the trial direction is the exact Gauss-Newton direction of the
-    rank-2-data-plus-regularizer model (needed because the certificate
-    tolerance divides by the small weights), with a Barzilai-Borwein
-    gradient step as fallback.  Iterates stay feasible (pointwise clamp
-    for beta_I, Euclidean triangle projection for (A0, I0)); cost_history
-    is nonincreasing; terminates when the optimality residual drops below
-    config.tol or max_iters is reached.  Raises StallError (carrying the
-    best iterate) if no direction can make progress.
+    descent with monotone Armijo backtracking along the projection arc of
+    the exact Gauss-Newton direction of the rank-2-data-plus-regularizer
+    model (needed because the certificate tolerance divides by the small
+    weights, which must therefore be > 0).  Iterates stay feasible
+    (pointwise clamp for beta_I, Euclidean triangle projection for
+    (A0, I0)); cost_history is nonincreasing; terminates when the
+    optimality residual of the discrete problem drops below config.tol or
+    max_iters is reached.  Raises StallError (carrying the best iterate) if
+    the arc search finds no decrease.
     """
     cfg = config or IdentConfig()
     _check_grid(grid, obs)
     n0 = n0_of(params, obs)
     if not n0 > 0:
         raise ValidationError("N0 = N - (L0 + R0) must be > 0")
+    if not (alpha0 > 0 and alpha1 > 0):
+        raise ValidationError("weights alpha0 and alpha1 must be > 0")
 
     tg = grid.points()
     wq = _trapezoid_weights(grid)
@@ -337,13 +331,13 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
         return IdentCandidate(_beta_table(grid, bgv), a, i)
 
     def exact_state(cand, traj):
-        # Exact discrete gradient, Gauss-Newton rows and the certificate's
-        # adjoint from one reverse sweep; counted as one sweep per cotangent.
+        # Exact discrete gradient, Gauss-Newton rows and the reported adjoint
+        # from one reverse sweep; counted as one sweep per cotangent.
         nonlocal nsolves
         gb, gA, gI, rows, blocks, adj = _exact_gradient(cand, obs, alpha0, alpha1, params,
                                                         traj, wq, n0)
         nsolves += 2
-        residual = optimality_residual_p0(cand, traj, adj, alpha0, alpha1, n0)
+        residual = optimality_residual_p0(cand, grid, (gb, gA, gI), alpha0, alpha1, n0)
         return gb, gA, gI, rows, blocks, adj, residual
 
     cand = make(bg, A0, I0)
@@ -356,10 +350,10 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     converged = residual <= cfg.tol
     best = (J, cand, traj, adj, residual)
 
-    def arc_search(db, dA, dI, t0, J):
-        # Armijo along the projected arc x + t*(direction); None if no luck.
+    def arc_search(db, dA, dI, J):
+        # Armijo along the projected arc x + t*(direction) from t = 1; None if no luck.
         nonlocal nsolves
-        t = t0
+        t = 1.0
         for _ in range(cfg.max_backtracks):
             nb = np.maximum(bg + t * db, 0.0)
             nA, nI = project_k0((A0 + t * dA, I0 + t * dI), n0)
@@ -377,41 +371,23 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
             t *= 0.5
         return None
 
-    gnorm0 = np.sqrt(inner(gbeta, gA0, gI0, gbeta, gA0, gI0))
-    step = 1.0 / max(gnorm0, 1e-10)
-    prev = None
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
-        move = None
-        if alpha0 > 0 and alpha1 > 0:
-            free = (bg > 0.0) | (gbeta < 0.0)
-            edge = A0 + I0 >= n0 * (1.0 - 1e-12)
-            free_block = np.array([(A0 > 0.0 or gA0 < 0.0) and not (edge and gA0 > gI0),
-                                   (I0 > 0.0 or gI0 < 0.0) and not (edge and gI0 > gA0)])
-            db, dblock = _gn_direction(gbeta, np.array([gA0, gI0]), rows, blocks,
-                                       alpha0, alpha1, wq, free, free_block)
-            move = arc_search(db, dblock[0], dblock[1], 1.0, J)
-        if move is None:
-            if prev is not None:
-                dxb, dxA, dxI, yb, yA, yI = prev
-                sy = inner(dxb, dxA, dxI, yb, yA, yI)
-                ss = inner(dxb, dxA, dxI, dxb, dxA, dxI)
-                if sy > 0 and ss > 0:
-                    step = min(ss / sy, cfg.step_max)  # BB1 spectral step
-            move = arc_search(-gbeta, -gA0, -gI0, step, J)
+        free = (bg > 0.0) | (gbeta < 0.0)
+        edge = A0 + I0 >= n0 * (1.0 - 1e-12)
+        free_block = np.array([(A0 > 0.0 or gA0 < 0.0) and not (edge and gA0 > gI0),
+                               (I0 > 0.0 or gI0 < 0.0) and not (edge and gI0 > gA0)])
+        db, dblock = _gn_direction(gbeta, np.array([gA0, gI0]), rows, blocks,
+                                   alpha0, alpha1, wq, free, free_block)
+        move = arc_search(db, dblock[0], dblock[1], J)
         if move is None:
             result = IdentResult(best[1], best[0], np.asarray(history), best[4],
                                  best[2], best[3], it, False, nsolves)
             raise StallError("line search stalled before reaching tolerance", best=result)
 
-        nb, nA, nI, ncand, ntraj, J = move
-        prev_g = (gbeta, gA0, gI0)
-        dxb, dxA, dxI = nb - bg, nA - A0, nI - I0
-        bg, A0, I0, cand, traj = nb, nA, nI, ncand, ntraj
+        bg, A0, I0, cand, traj, J = move
         gbeta, gA0, gI0, rows, blocks, adj, residual = exact_state(cand, traj)
-        prev = (dxb, dxA, dxI,
-                gbeta - prev_g[0], gA0 - prev_g[1], gI0 - prev_g[2])
         history.append(J)
         if J <= best[0]:
             best = (J, cand, traj, adj, residual)

@@ -251,8 +251,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     w = _object(doc.get("weights", {}), "weights", errs) or {}
     weights = tuple(_num(w.get(k, d), f"weights.{k}", errs)
                     for k, d in zip(("alpha0", "alpha1"), DEFAULT_WEIGHTS))
-    if None not in weights and min(weights) < 0:
-        errs.append("weights must be >= 0")
+    errs.extend(f"weights.{k} must be > 0" for k, v in zip(("alpha0", "alpha1"), weights)
+                if v is not None and not v > 0)
 
     synth = block(SynthSpec, "synth", params=params, grid=grid, seed=seed)
     solver = _numbers_block(doc, "solver", _SOLVER_NUMBERS, errs)
@@ -412,20 +412,3 @@ def write_summary_json(summary: dict, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(jsonable(summary), fh, indent=2)
         fh.write("\n")
-
-
-def export_results(result, path, fmt: str = None):
-    """Write one result artifact: trajectory/adjoint CSV or summary JSON."""
-    if fmt is None:
-        fmt = "json" if isinstance(result, dict) else "csv"
-    if fmt == "csv":
-        if isinstance(result, Trajectory):
-            write_trajectory_csv(result, path)
-        elif isinstance(result, AdjointTrajectory):
-            write_adjoint_csv(result, path)
-        else:
-            raise ValueError(f"cannot export {type(result).__name__} as csv")
-    elif fmt == "json":
-        write_summary_json(result, path)
-    else:
-        raise ValueError(f"unknown export format: {fmt}")

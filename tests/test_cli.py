@@ -171,6 +171,8 @@ class TestOverridesAndDeterminism:
         ("weights=5", "weights"),
         ("stability=3", "stability"),
         ("synth=3", "synth"),
+        ("weights.alpha0=0", "weights.alpha0"),
+        ("weights.alpha1=0", "weights.alpha1"),
         ("stability.h=0", "stability.h"),
         ("stability.h=-0.01", "stability.h"),
         ("stability.horizon=0", "stability.horizon"),

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sailr import (CoefficientTable, Grid, ModelParams, Scenario, SynthSpec, ValidationError,
-                   cost_p0, IdentCandidate, load_scenario, read_csv_columns,
-                   scenario_from_dict, scenario_to_dict, simulate,
-                   synth_observations, write_scenario, write_summary_json,
-                   write_trajectory_csv)
+from sailr import (CoefficientTable, Grid, ModelParams, Observations, Scenario, SynthSpec,
+                   ValidationError, adjoint_p0, cost_p0, IdentCandidate, load_scenario,
+                   read_csv_columns, scenario_from_dict, scenario_to_dict, simulate,
+                   synth_observations, write_adjoint_csv, write_scenario,
+                   write_summary_json, write_trajectory_csv)
 
 
 def simulate_doc(**over):
@@ -235,6 +235,16 @@ class TestExport:
         assert b"\r" not in raw
         assert b",\n" not in raw
 
+    def test_adjoint_csv_header(self, tmp_path, rng):
+        from conftest import random_params, random_state
+        p = random_params(rng)
+        tr = simulate(p, random_state(rng), Grid(0.0, 1.0, 20))
+        adj = adjoint_p0(tr, p, Observations(0.01, 0.01, 0.05, 0.05, 1.0))
+        write_adjoint_csv(adj, tmp_path / "a.csv")
+        header, cols = read_csv_columns(tmp_path / "a.csv")
+        assert header == ["t", "p", "q", "d", "e", "f"]
+        assert len(cols[0]) == 21
+
     def test_empty_history_summary_valid(self, tmp_path):
         path = tmp_path / "summary.json"
         write_summary_json({"task": "simulate", "cost_history": []}, path)
@@ -246,25 +256,3 @@ class TestExport:
         write_summary_json({"b": 1, "a": 2}, path)
         text = path.read_text()
         assert text.index('"b"') < text.index('"a"')
-
-
-class TestExportResults:
-    def test_dispatch(self, tmp_path, rng):
-        from conftest import random_params, random_state
-        from sailr import export_results, adjoint_p0, Observations
-        p = random_params(rng)
-        tr = simulate(p, random_state(rng), Grid(0.0, 1.0, 20))
-        export_results(tr, tmp_path / "t.csv")
-        header, _ = read_csv_columns(tmp_path / "t.csv")
-        assert header[0] == "t"
-        obs = Observations(0.01, 0.01, 0.05, 0.05, 1.0)
-        adj = adjoint_p0(tr, p, obs)
-        export_results(adj, tmp_path / "a.csv")
-        header, _ = read_csv_columns(tmp_path / "a.csv")
-        assert header == ["t", "p", "q", "d", "e", "f"]
-        export_results({"cost": 1.0}, tmp_path / "s.json")
-        assert json.loads((tmp_path / "s.json").read_text()) == {"cost": 1.0}
-        with pytest.raises(ValueError):
-            export_results(object(), tmp_path / "x.csv", fmt="csv")
-        with pytest.raises(ValueError):
-            export_results({}, tmp_path / "x.bin", fmt="bin")
