@@ -225,3 +225,7 @@ def main(argv=None) -> int:
     if argv is None:
         sys.exit(code)
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

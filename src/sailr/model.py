@@ -242,12 +242,10 @@ def _rk4_model(sigma, muA, muI, muL, lA, lI, bI, bA, xi, x0, M, h):
     k2c = muI + lI
     h2 = 0.5 * h
     h6 = h / 6.0
-    for k in range(M):
-        j = 2 * k
-        b0 = bI[j]; c0 = bA[j]; e0 = xi[j]
-        b1 = bI[j + 1]; c1 = bA[j + 1]; e1 = xi[j + 1]
-        b2 = bI[j + 2]; c2 = bA[j + 2]; e2 = xi[j + 2]
-
+    # step k reads the stage samples 2k, 2k + 1 and 2k + 2 of each table
+    stages = zip(bI[0:-1:2], bI[1::2], bI[2::2], bA[0:-1:2], bA[1::2], bA[2::2],
+                 xi[0:-1:2], xi[1::2], xi[2::2])
+    for k, (b0, b1, b2, c0, c1, c2, e0, e1, e2) in enumerate(stages):
         inf = b0 * S * I + c0 * S * A
         dS1 = -inf + e0 * R; dA1 = inf - k1c * A; dI1 = sigma * A - k2c * I
         dL1 = lA * A + lI * I - muL * L; dR1 = muA * A + muI * I + muL * L - e0 * R
@@ -278,8 +276,7 @@ def _rk4_model(sigma, muA, muI, muL, lA, lI, bI, bA, xi, x0, M, h):
         tot = S + A + I + L + R
         if not (-1e100 < tot < 1e100):
             raise BlowupError(k + 1)
-        out[k + 1, 0] = S; out[k + 1, 1] = A; out[k + 1, 2] = I
-        out[k + 1, 3] = L; out[k + 1, 4] = R
+        out[k + 1] = S, A, I, L, R
     return out
 
 

@@ -356,15 +356,19 @@ def synth_observations(spec: SynthSpec):
     return obs, traj
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_CSV_BLOCK = 1024  # rows formatted per write; bounds the writer's memory whatever M is
 
 
 def _write_csv(path, header, t, columns):
+    # One "%.17g" row template: byte-identical to format(x, ".17g") per value
+    # (also for -0, nan, inf and subnormals), rendered a block of rows at a time.
+    cols = [t, *columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for k in range(t.size):
-            fh.write(",".join([_fmt(t[k])] + [_fmt(c[k]) for c in columns]) + "\n")
+        for lo in range(0, t.size, _CSV_BLOCK):
+            block = [c[lo:lo + _CSV_BLOCK].tolist() for c in cols]
+            fh.write("".join([row % r for r in zip(*block)]))
 
 
 def write_trajectory_csv(traj: Trajectory, path):

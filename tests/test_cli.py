@@ -1,11 +1,15 @@
 """Command-line entry point: tasks, overrides, exit codes, outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sailr
 from sailr.cli import main
 from sailr import read_csv_columns
 
@@ -57,6 +61,20 @@ class TestSimulate:
         assert set(summary) >= {"task", "cost", "cost_history", "residuals",
                                 "controls", "candidate", "R0", "S_bar",
                                 "constraint_violation", "seed", "runtime"}
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m sailr.cli` runs the task, not just the import.
+        path = write_doc(tmp_path, simulate_doc())
+        out = tmp_path / "out"
+        src = str(Path(sailr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "sailr.cli", "simulate", "--scenario",
+                               path, "--out", str(out), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "trajectory.csv").exists()
+        assert (out / "summary.json").exists()
 
     def test_missing_scenario_is_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),

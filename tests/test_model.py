@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sailr import (CoefficientTable, Grid, ModelParams, State, TimeDomainError,
+from sailr import (BlowupError, CoefficientTable, Grid, ModelParams, State, TimeDomainError,
                    ValidationError, eval_coefficient, param_errors, rhs, simulate,
                    total_population, validate_params)
 from conftest import random_params, random_state
@@ -161,6 +161,14 @@ class TestSimulate:
         x0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
         tr = simulate(p, x0, Grid(0.0, 5.0, 50))
         assert np.array_equal(tr.states, np.tile(x0, (51, 1)))
+
+    @pytest.mark.parametrize("x, step", [(1e3, 2), (1e20, 1)])
+    def test_blowup_reports_first_diverged_step(self, x, step):
+        p = ModelParams(sigma=0.2, mu_A=0.1, mu_I=0.1, mu_L=0.1, l_A=0.1, l_I=0.2,
+                        beta_I=0.5, beta_A=0.2, xi=0.0)
+        with pytest.raises(BlowupError) as err:
+            simulate(p, (x, x, x, 0.0, 0.0), Grid(0.0, 10.0, 100))
+        assert err.value.step == step
 
 
 class TestReverseSweep:

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sailr import (CoefficientTable, Grid, ModelParams, Observations, Scenario, SynthSpec,
                    ValidationError, adjoint_p0, cost_p0, IdentCandidate, load_scenario,
                    read_csv_columns, scenario_from_dict, scenario_to_dict, simulate,
-                   synth_observations, write_adjoint_csv, write_scenario,
+                   synth_observations, Trajectory, write_adjoint_csv, write_scenario,
                    write_summary_json, write_trajectory_csv)
 
 
@@ -204,15 +205,43 @@ class TestExport:
     def test_trajectory_round_trip_bit_exact(self, tmp_path, rng):
         from conftest import random_params, random_state
         p = random_params(rng)
-        tr = simulate(p, random_state(rng), Grid(0.0, 1.0, 57))
+        # M + 1 = 1023, 1024, 1025 and 2049 rows put the end of the table on
+        # either side of a block edge of the writer (1024 rows).
+        for M in (57, 1022, 1023, 1024, 2048):
+            tr = simulate(p, random_state(rng), Grid(0.0, 1.0, M))
+            path = tmp_path / "tr.csv"
+            write_trajectory_csv(tr, path)
+            header, cols = read_csv_columns(path)
+            assert header == ["t", "S", "A", "I", "L", "R"]
+            assert len(cols[0]) == M + 1
+            assert np.array_equal(cols[0], tr.grid.points())
+            for j in range(5):
+                assert np.array_equal(cols[j + 1], tr.states[:, j])
+
+    def test_bytes_match_per_value_format(self, tmp_path):
+        edges = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 2.0 ** 53 + 2,
+                 math.nan, math.inf, -math.inf]
+        states = np.array([[edges[(k + j) % 9] for j in range(5)] for k in range(9)])
+        tr = Trajectory(Grid(0.0, 1.0, 8), states)
         path = tmp_path / "tr.csv"
         write_trajectory_csv(tr, path)
-        header, cols = read_csv_columns(path)
-        assert header == ["t", "S", "A", "I", "L", "R"]
-        assert len(cols[0]) == 58  # M + 1 rows
-        assert np.array_equal(cols[0], tr.grid.points())
-        for j in range(5):
-            assert np.array_equal(cols[j + 1], tr.states[:, j])
+        rows = np.column_stack([tr.grid.points(), states]).tolist()
+        expected = "t,S,A,I,L,R\n" + "".join(
+            ",".join(format(x, ".17g") for x in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_writer_memory_bounded_by_block(self, tmp_path, rng):
+        # The writer's peak is set by its block of rows, not by M: a
+        # full-table column_stack alone would take 4.8 MB here.
+        M = 100_000
+        tr = Trajectory(Grid(0.0, 1.0, M), rng.uniform(0.0, 1.0, (M + 1, 5)))
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(tr, tmp_path / "tr.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
     def test_csv_strictly_increasing_uniform_t(self, tmp_path, rng):
         from conftest import random_params, random_state
