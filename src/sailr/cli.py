@@ -24,7 +24,7 @@ from . import control as ctl
 from . import identify as idf
 from . import stability as stab
 from .errors import SailrError, StallError, ValidationError
-from .integrate import Grid, trapezoid
+from .integrate import trapezoid
 from .model import simulate, total_population
 from .scenario import (Scenario, read_scenario_doc, scenario_from_dict,
                        synth_observations, write_adjoint_csv, write_series_csv,
@@ -44,7 +44,8 @@ def _parse_args(argv):
                         "(dotted path, e.g. grid.M=2000); repeatable")
         sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for multi-start runs")
+                        help="worker processes for multi-start runs "
+                        "(at most one per start)")
         sp.add_argument("--quiet", action="store_true", help="suppress the console summary")
     return parser.parse_args(argv)
 
@@ -74,12 +75,10 @@ def _run_simulate(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
 
 
 def _run_identify(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
-    cfg_kw = {k: s.solver[k] for k in ("tol", "max_iters", "beta_init") if k in s.solver}
-    cfg = idf.IdentConfig(**cfg_kw)
     alpha0, alpha1 = s.weights
     status = 0
     try:
-        res = idf.solve_p0(s.observations, s.params, s.grid, alpha0, alpha1, cfg)
+        res = idf.solve_p0(s.observations, s.params, s.grid, alpha0, alpha1, s.solver)
     except StallError as err:
         res = err.best
         summary["notes"] = [str(err)]
@@ -109,16 +108,12 @@ def _run_identify(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
 
 
 def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
-    keys = ("theta", "tol_fp", "max_sweeps", "tol_constraint", "tol_residual",
-            "polish_max", "max_pg_iters")
-    cfg = ctl.ControlConfig(**{k: s.solver[k] for k in keys if k in s.solver})
-    if s.solver.get("multistart"):
+    if s.solver.multistart:
         res, _, spread = ctl.solve_p_multistart(s.penalty, s.params, s.x0, s.grid,
-                                                config=cfg, jobs=jobs)
+                                                config=s.solver, jobs=jobs)
         res.notes.append(f"multistart spread {spread:.3e}")
     else:
-        res = ctl.solve_p(s.penalty, s.params, s.x0, s.grid, init=s.solver.get("init"),
-                          config=cfg)
+        res = ctl.solve_p(s.penalty, s.params, s.x0, s.grid, config=s.solver)
     write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
     write_adjoint_csv(res.adjoint, outdir / "adjoint.csv")
     write_series_csv(outdir / "multiplier.csv", "nu", s.grid, res.multiplier_diag)
@@ -137,11 +132,8 @@ def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
 
 
 def _run_stability(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
-    opts = s.stability
-    horizon, h = opts.get("horizon", 100.0), opts.get("h", 1e-2)
-    report = stab.simulate_extinction(s.params, s.x0, horizon=horizon,
-                                      tol=opts.get("tol", 1e-8), h=h)
-    first = Grid(0.0, horizon, max(1, round(horizon / h)))
+    report = stab.simulate_extinction(s.params, s.x0, s.stability)
+    first = s.stability.grid(s.stability.horizon)
     write_trajectory_csv(simulate(s.params, s.x0, first), outdir / "trajectory.csv")
     summary["R0"] = report.R0
     summary["S_bar"] = report.S_bar

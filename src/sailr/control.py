@@ -17,7 +17,8 @@ alpha1 + 1), which are reported as the convergence certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -78,21 +79,29 @@ class PenaltyConfig:
         object.__setattr__(self, "eps_schedule", sched)
 
 
+FP_FLOOR = 1e-7      # plateaued sweeps below this still count as converged
+OSC_WINDOW = 3       # cost increases before gradient fallback
+ARMIJO_C = 1e-4      # projected gradient: sufficient-decrease constant
+MAX_BACKTRACKS = 60  # projected gradient: backtracks per step
+
+
 @dataclass(frozen=True)
 class ControlConfig:
-    """Iteration knobs for the stage solver and the continuation."""
+    """Settings of solve_p, the `solver` block of a control scenario."""
 
     theta: float = 0.5            # relaxation of the fixed-point sweep
     tol_fp: float = 1e-9          # stage fixed-point tolerance on controls
-    fp_floor: float = 1e-7        # plateaued sweeps below this still count as converged
     max_sweeps: int = 200
-    osc_window: int = 3           # cost increases before gradient fallback
     max_pg_iters: int = 200
-    armijo_c: float = 1e-4
-    max_backtracks: int = 60
     tol_constraint: float = 1e-4  # on sup (L - Lhat)^+
     tol_residual: float = 1e-3    # on the limit fixed-point residual
     polish_max: int = 200         # extra self-anchored stages at final eps
+    init: ControlPair | None = None  # first stage's start; None starts at the anchor
+    multistart: bool = False      # the CLI runs solve_p_multistart instead of solve_p
+
+    def __post_init__(self):
+        if not self.max_sweeps >= 1:
+            raise ValidationError("max_sweeps must be >= 1")
 
 
 @dataclass
@@ -187,7 +196,7 @@ def update_controls_eps(traj: Trajectory, adjoint: AdjointTrajectory,
                        _clamp01((ii + anchor.lI) / (alpha1 + 1.0)))
 
 
-def _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl, cfg):
+def _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl):
     """One (traj, adjoint, raw update) evaluation at the current controls."""
     traj = simulate(params.with_controls(ctrl.lA, ctrl.lI), x0, grid)
     adj = adjoint_p_eps(traj, params, ctrl.lA, ctrl.lI, eps,
@@ -203,7 +212,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     """Solve one penalized stage by damped fixed-point sweeps.
 
     Relaxation new = theta*update + (1-theta)*old; if the stage cost rises
-    on osc_window consecutive sweeps the solver falls back to projected
+    on OSC_WINDOW consecutive sweeps the solver falls back to projected
     gradient with Armijo backtracking on the 2-D control space.  Raises
     StageStallError (carrying the best iterate) if neither converges.
     """
@@ -220,7 +229,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     used_fallback = False
     sweeps = 0
     for sweeps in range(1, cfg.max_sweeps + 1):
-        traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl, cfg)
+        traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl)
         nsolves += 2
         fp_res = raw.dist(ctrl)
         cost = _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor)
@@ -238,7 +247,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
             bad += 1
         else:
             bad = 0
-        if bad >= cfg.osc_window:
+        if bad >= OSC_WINDOW:
             used_fallback = True
             break
         if len(res_hist) > 25 and fp_res > 0.8 * res_hist[-25]:
@@ -249,12 +258,12 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     # Newton on the fixed-point gap: handles stages where the sweep map is
     # expansive (stiff penalty); quadratic convergence from the sweep's iterate.
     ctrl, traj, adj, fp_res, cost, n = _stage_newton(pcfg, eps, params, x0, grid,
-                                                     anchor, best[1], cfg, tol)
+                                                     anchor, best[1], tol)
     nsolves += n
     sweeps += (n + 1) // 2
     if fp_res <= best[4]:
         best = (cost, ctrl, traj, adj, fp_res)
-    if best[4] > max(tol, cfg.fp_floor):
+    if best[4] > max(tol, FP_FLOOR):
         ctrl, traj, adj, fp_res, cost, n = _stage_pg(pcfg, eps, params, x0, grid,
                                                      anchor, best[1], cfg, tol)
         used_fallback = True
@@ -263,7 +272,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
         if fp_res <= best[4]:
             best = (cost, ctrl, traj, adj, fp_res)
     cost, ctrl, traj, adj, fp_res = best
-    converged = fp_res <= max(tol, cfg.fp_floor)  # accuracy floor reached
+    converged = fp_res <= max(tol, FP_FLOOR)  # accuracy floor reached
     result = StageResult(eps, ctrl, cost, fp_res, sweeps, used_fallback, traj, adj,
                          _penalty_integral(traj, pcfg.Lhat), nsolves, converged,
                          _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
@@ -273,7 +282,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
         f"stage eps={eps:g} not converged (residual {fp_res:.3e})", best=result)
 
 
-def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, cfg, tol):
+def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, tol):
     """Damped finite-difference Newton on F(l) = update(l) - l.
 
     Each evaluation is one forward/backward sweep; steps are accepted only
@@ -283,7 +292,7 @@ def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, cfg, tol):
 
     def F(l):
         nonlocal nsolves
-        traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, l, cfg)
+        traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, l)
         nsolves += 2
         return np.array([raw.lA - l.lA, raw.lI - l.lI]), traj, adj
 
@@ -329,7 +338,7 @@ def _stage_pg(pcfg, eps, params, x0, grid, anchor, ctrl, cfg, tol):
     """Projected gradient with Armijo backtracking on (l_A, l_I)."""
     a1 = pcfg.alpha1
     nsolves = 0
-    traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl, cfg)
+    traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl)
     nsolves += 2
     J = _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor)
     fp_res = raw.dist(ctrl)
@@ -341,7 +350,7 @@ def _stage_pg(pcfg, eps, params, x0, grid, anchor, ctrl, cfg, tol):
         gA = trapezoid(traj.A * (adj.e - adj.q), h) + (a1 + 1.0) * ctrl.lA - anchor.lA
         gI = trapezoid(traj.I * (adj.e - adj.d), h) + (a1 + 1.0) * ctrl.lI - anchor.lI
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = ControlPair(_clamp01(ctrl.lA - s * gA), _clamp01(ctrl.lI - s * gI))
             dpred = gA * (cand.lA - ctrl.lA) + gI * (cand.lI - ctrl.lI)
             if dpred == 0.0:
@@ -349,7 +358,7 @@ def _stage_pg(pcfg, eps, params, x0, grid, anchor, ctrl, cfg, tol):
             ctraj = simulate(params.with_controls(cand.lA, cand.lI), x0, grid)
             nsolves += 1
             Jc = _cost_p_eps_from(ctraj, cand, pcfg, eps, anchor)
-            if Jc <= J + cfg.armijo_c * dpred:
+            if Jc <= J + ARMIJO_C * dpred:
                 accepted = True
                 break
             s *= 0.5
@@ -375,22 +384,22 @@ def _limit_residual(traj, adj, ctrl, alpha1) -> float:
 
 
 def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid,
-            init: ControlPair | None = None,
             config: ControlConfig | None = None) -> ControlResult:
     """Penalty continuation over the eps schedule, self-anchored.
 
-    Each stage warm-starts from (and anchors at) the previous solution;
-    after the schedule, extra stages at the final eps are run until the
-    limit fixed-point residual stops improving or drops below tolerance.
-    A schedule that ends above tolerance yields converged=False, not an
-    error.
+    The first stage starts from config.init, or from the anchor when that
+    is unset.  Each stage warm-starts from (and anchors at) the previous
+    solution; after the schedule, extra stages at the final eps are run
+    until the limit fixed-point residual stops improving or drops below
+    tolerance.  A schedule that ends above tolerance yields
+    converged=False, not an error.
     """
     cfg = config or ControlConfig()
     x0 = _x0_array(x0)
     L0 = float(x0[3])
     if not pcfg.Lhat > L0:
         raise ValidationError("Lhat must exceed L0")
-    ctrl = init if init is not None else pcfg.anchor
+    ctrl = cfg.init if cfg.init is not None else pcfg.anchor
     anchor = pcfg.anchor
     notes = []
     history = []
@@ -483,26 +492,24 @@ _CORNERS = (ControlPair(0.0, 0.0), ControlPair(1.0, 0.0),
             ControlPair(0.0, 1.0), ControlPair(1.0, 1.0), ControlPair(0.5, 0.5))
 
 
-def _solve_one(args):
-    pcfg, params, x0, grid, start, cfg = args
-    return solve_p(pcfg, params, x0, grid, init=start, config=cfg)
-
-
 def solve_p_multistart(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid,
                        starts=None, config: ControlConfig | None = None,
                        jobs: int = 1):
     """solve_p from the box corners plus center; disagreement is reported.
 
-    Returns (best result, all results, max pairwise control distance).
+    Each start replaces config.init; jobs > 1 runs the starts in at most
+    min(jobs, number of starts) worker processes.  Returns (best result,
+    all results, max pairwise control distance).
     """
-    starts = tuple(starts) if starts is not None else _CORNERS
-    argv = [(pcfg, params, _x0_array(x0), grid, s, config) for s in starts]
+    cfg = config or ControlConfig()
+    configs = [replace(cfg, init=s) for s in (_CORNERS if starts is None else starts)]
+    solve = partial(solve_p, pcfg, params, _x0_array(x0), grid)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_solve_one, argv))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
+            results = list(pool.map(solve, configs))
     else:
-        results = [_solve_one(a) for a in argv]
+        results = list(map(solve, configs))
     pool_res = [r for r in results if r.converged] or results
     best = min(pool_res, key=lambda r: r.cost)
     spread = max((a.controls.dist(b.controls)

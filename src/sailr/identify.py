@@ -28,6 +28,8 @@ from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, simulate,
 
 #: resolvent matrix coupling (A0, I0) in the initial-data optimality condition
 GAMMA = np.array([[2.0, 1.0], [1.0, 2.0]])
+ARMIJO_C = 1e-4      # arc search: sufficient-decrease constant
+MAX_BACKTRACKS = 60  # arc search: backtracks per step
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,16 @@ class IdentResult:
 
 @dataclass(frozen=True)
 class IdentConfig:
-    """Solver knobs for solve_p0 (defaults favour tight data fits)."""
+    """Settings of solve_p0, the `solver` block of an identify scenario
+    (defaults favour tight data fits)."""
 
     tol: float = 1e-6
     max_iters: int = 3000
-    beta_init: float = 0.1
-    armijo_c: float = 1e-4
-    max_backtracks: int = 60
+    beta_init: float = 0.1        # constant initial guess for beta_I
+
+    def __post_init__(self):
+        if not self.beta_init >= 0:
+            raise ValidationError("beta_init must be >= 0")
 
 
 def _check_feasible(c: IdentCandidate, n0: float):
@@ -354,7 +359,7 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
         # Armijo along the projected arc x + t*(direction) from t = 1; None if no luck.
         nonlocal nsolves
         t = 1.0
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             nb = np.maximum(bg + t * db, 0.0)
             nA, nI = project_k0((A0 + t * dA, I0 + t * dI), n0)
             dpred = inner(gbeta, gA0, gI0, nb - bg, nA - A0, nI - I0)
@@ -366,7 +371,7 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
             nsolves += 1
             mis, reg_b, reg_0 = _cost_terms(ncand, obs, alpha0, alpha1, params, grid, ntraj)
             Jn = mis + reg_b + reg_0
-            if Jn <= J + cfg.armijo_c * dpred:
+            if Jn <= J + ARMIJO_C * dpred:
                 return nb, nA, nI, ncand, ntraj, Jn
             t *= 0.5
         return None

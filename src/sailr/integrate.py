@@ -135,23 +135,6 @@ def integrate_forward(f, x0, grid: Grid) -> Trajectory:
     return Trajectory(grid, out)
 
 
-def integrate_backward(f, xT, grid: Grid) -> Trajectory:
-    """RK4 for x' = f(t, x) integrated from x(T) = xT down to t0.
-
-    Forward RK4 in reversed time s = T - t.  The result is indexed on the
-    same increasing grid as forward trajectories, and the last sample
-    equals xT exactly.
-    """
-    rev = integrate_forward(lambda s, x: -f(grid.T - s, x), xT,
-                            Grid(0.0, grid.T - grid.t0, grid.M))
-    return Trajectory(grid, rev.states[::-1])
-
-
-def sample(tr, t: float) -> np.ndarray:
-    """Free-function form of Trajectory.sample."""
-    return tr.sample(t)
-
-
 def half_samples(values: np.ndarray) -> np.ndarray:
     """Expand grid samples (M+1, ...) to stage samples (2M+1, ...) by midpoint averaging."""
     values = np.asarray(values, dtype=float)

@@ -85,11 +85,6 @@ class CoefficientTable:
         return float(out) if t.ndim == 0 else out
 
 
-def eval_coefficient(table: CoefficientTable, t):
-    """Free-function form of CoefficientTable.__call__."""
-    return table(t)
-
-
 def _as_table(c) -> CoefficientTable:
     if isinstance(c, CoefficientTable):
         return c

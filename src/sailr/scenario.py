@@ -12,17 +12,18 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .control import ControlPair, PenaltyConfig
+from .control import ControlConfig, ControlPair, PenaltyConfig
 from .errors import ValidationError
-from .identify import Observations, n0_of
+from .identify import IdentConfig, Observations, n0_of
 from .integrate import Grid, Trajectory
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, State, param_errors, simulate,
                     total_population)
+from .stability import StabilityConfig
 
 TASKS = ("simulate", "identify", "control", "stability", "synth")
 
@@ -35,14 +36,11 @@ _REQUIRED = {
     "synth": ("grid", "synth"),
 }
 
+#: the settings dataclass of the solver block, per task (other tasks ignore its keys)
+_SOLVER_CONFIG = {"identify": IdentConfig, "control": ControlConfig}
+
 DEFAULT_GRID_M = 10_000
 DEFAULT_WEIGHTS = (1e-6, 1e-6)
-
-#: numeric keys of the free-form solver and stability blocks (True: integer)
-_SOLVER_NUMBERS = {"tol": False, "max_iters": True, "beta_init": False, "theta": False,
-                   "tol_fp": False, "max_sweeps": True, "tol_constraint": False,
-                   "tol_residual": False, "polish_max": True, "max_pg_iters": True}
-_STABILITY_NUMBERS = {"horizon": False, "tol": False, "h": False}
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,9 @@ class Scenario:
     observations: Observations | None = None
     weights: tuple = DEFAULT_WEIGHTS
     penalty: PenaltyConfig | None = None
-    solver: dict = field(default_factory=dict)
+    solver: IdentConfig | ControlConfig | None = None
     synth: SynthSpec | None = None
-    stability: dict = field(default_factory=dict)
+    stability: StabilityConfig = StabilityConfig()
     seed: int = 0
 
 
@@ -143,11 +141,12 @@ def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given)
 
     Fields named in given are passed through; every other field is the
     block key of the same name, read by its declared type: float and int
-    by _num, tuple as a list of finite numbers, CoefficientTable by _table
-    and ControlPair as a nested object.  An absent key takes defaults[name]
-    or the dataclass default, and is reported as required if it has none.
-    Every problem goes to errs (those raised by cls itself under locus) and
-    then the result is None.
+    by _num, bool as true or false, tuple as a list of finite numbers,
+    CoefficientTable by _table and ControlPair as a nested object.  An
+    absent key, or null for an `X | None` field, takes defaults[name] or the
+    dataclass default, and is reported as required if it has none.  Every
+    problem goes to errs (those raised by cls itself under locus, joined by
+    "." to a leading field name) and then the result is None.
     """
     block = _object(block, locus, errs)
     if block is None:
@@ -164,10 +163,16 @@ def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given)
                 kw[f.name] = None
             continue
         value, kind = block[f.name], f.type  # annotation text: evaluation is postponed
+        if value is None and kind.endswith(" | None"):
+            continue  # null leaves an optional field unset
         if kind == "CoefficientTable":
             kw[f.name] = _table(value, name, errs)
-        elif kind == "ControlPair":
+        elif kind.startswith("ControlPair"):
             kw[f.name] = _read(ControlPair, value, name, errs, task)
+        elif kind == "bool":
+            kw[f.name] = value if isinstance(value, bool) else None
+            if kw[f.name] is None:
+                errs.append(f"{name} must be true or false")
         elif kind == "tuple":
             kw[f.name] = _nums(value, name, errs)
         else:
@@ -177,7 +182,9 @@ def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given)
     try:
         return cls(**kw)
     except ValidationError as err:
-        errs.extend(f"{locus}: {m}" for m in err.errors)
+        names = {f.name for f in fields(cls)}
+        errs.extend(f"{locus}{'.' if m.split(' ', 1)[0] in names else ': '}{m}"
+                    for m in err.errors)
         return None
 
 
@@ -192,15 +199,6 @@ def _dump(obj, skip=()):
     if isinstance(obj, dict):
         return {k: _dump(v) for k, v in obj.items()}
     return list(obj) if isinstance(obj, tuple) else obj
-
-
-def _numbers_block(doc: dict, name: str, spec: dict, errs: list) -> dict:
-    """A copy of a free-form block with its known numeric keys read by _num."""
-    block = dict(_object(doc.get(name, {}), name, errs) or {})
-    for key, integer in spec.items():
-        if key in block:
-            block[key] = _num(block[key], f"{name}.{key}", errs, integer)
-    return block
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -255,12 +253,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 if v is not None and not v > 0)
 
     synth = block(SynthSpec, "synth", params=params, grid=grid, seed=seed)
-    solver = _numbers_block(doc, "solver", _SOLVER_NUMBERS, errs)
-    if "init" in solver:
-        solver["init"] = _read(ControlPair, solver["init"], "solver.init", errs, task)
-    stability = _numbers_block(doc, "stability", _STABILITY_NUMBERS, errs)
-    errs.extend(f"stability.{k} must be > 0" for k in _STABILITY_NUMBERS
-                if stability.get(k) is not None and not stability[k] > 0)
+    solver = None
+    if task in _SOLVER_CONFIG:
+        solver = _read(_SOLVER_CONFIG[task], doc.get("solver", {}), "solver", errs, task)
+    else:
+        _object(doc.get("solver", {}), "solver", errs)
+    stability = _read(StabilityConfig, doc.get("stability", {}), "stability", errs, task)
 
     if params is not None and grid is not None:
         errs.extend(f"params: {m}" for m in param_errors(params, t_max=grid.T)

@@ -11,7 +11,7 @@ extinction (A, I, L -> 0) and of the limit susceptible level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -118,8 +118,26 @@ def _regime(product: float) -> str:
     return "subcritical" if product < 1.0 else "supercritical"
 
 
-def simulate_extinction(params: ModelParams, x0, horizon: float = 100.0,
-                        tol: float = 1e-8, h: float = 1e-2) -> StabilityReport:
+@dataclass(frozen=True)
+class StabilityConfig:
+    """Settings of simulate_extinction, the `stability` block of a scenario."""
+
+    horizon: float = 100.0  # length of the first segment
+    tol: float = 1e-8       # extinction level of max(A, I, L)
+    h: float = 1e-2         # RK4 step size
+
+    def __post_init__(self):
+        errs = [f"{f.name} must be > 0" for f in fields(self) if not getattr(self, f.name) > 0]
+        if errs:
+            raise ValidationError(errs)
+
+    def grid(self, span: float) -> Grid:
+        """The grid of one segment of length span, in steps of about h."""
+        return Grid(0.0, span, max(1, round(span / self.h)))
+
+
+def simulate_extinction(params: ModelParams, x0,
+                        config: StabilityConfig | None = None) -> StabilityReport:
     """Finite-horizon certificate of asymptotic extinction under xi = 0.
 
     Integrates forward, doubling the horizon until max(A, I, L) at the end
@@ -127,6 +145,7 @@ def simulate_extinction(params: ModelParams, x0, horizon: float = 100.0,
     and that the simulated limit sits below the threshold S_bar.  Reaching
     the cap yields an inconclusive report (extinction=False), not an error.
     """
+    cfg = config or StabilityConfig()
     if float(np.max(np.abs(params.xi.values))) != 0.0:
         raise ValidationError("extinction analysis requires xi identically zero")
     x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
@@ -137,19 +156,18 @@ def simulate_extinction(params: ModelParams, x0, horizon: float = 100.0,
 
     monotone = True
     total = 0.0
-    seg = float(horizon)
+    seg = float(cfg.horizon)
     segments = 0
-    extinct = bool(max(x[1], x[2], x[3]) < tol)
+    extinct = bool(max(x[1], x[2], x[3]) < cfg.tol)
     while not extinct and total + seg <= HORIZON_CAP:
-        grid = Grid(0.0, seg, max(1, round(seg / h)))
-        traj = simulate(params, x, grid)
+        traj = simulate(params, x, cfg.grid(seg))
         segments += 1
         if float(np.max(np.diff(traj.S))) > TOL_NEG:
             monotone = False
         x = traj.final
         total += seg
         seg = total  # doubling: next segment doubles the total horizon
-        extinct = bool(max(x[1], x[2], x[3]) < tol)
+        extinct = bool(max(x[1], x[2], x[3]) < cfg.tol)
 
     s_tilde = float(x[0])
     check = hurwitz_check(s_tilde, params)

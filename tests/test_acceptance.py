@@ -13,7 +13,7 @@ import pytest
 
 import sailr as sl
 from sailr import (CoefficientTable, ControlPair, Grid, IdentCandidate, IdentConfig,
-                   ModelParams, Observations, PenaltyConfig, SynthSpec,
+                   ModelParams, Observations, PenaltyConfig, StabilityConfig, SynthSpec,
                    adjoint_p_eps, adjoint_p0, cost_p, cost_p_eps, cost_p0,
                    default_eps_schedule, duality_residual_p, duality_residual_p0,
                    gradient_p0, hurwitz_check, integrate_forward, n0_of, r0,
@@ -365,7 +365,7 @@ def test_c11_extinction_theorem():
         x0 = random_state(rng)
         if abs(x0[0] - s_bar) < 0.05:
             continue
-        rep = simulate_extinction(p, x0, horizon=100.0, tol=3e-9)
+        rep = simulate_extinction(p, x0, StabilityConfig(horizon=100.0, tol=3e-9))
         assert rep.extinction
         assert float(np.sum(rep.final_state[1:4])) < 1e-8
         assert rep.S_tilde_inf < rep.S_bar + 1e-9

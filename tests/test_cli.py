@@ -174,6 +174,7 @@ class TestStability:
 CONTROL_BINDING = str(Path(__file__).parent.parent / "scenarios" / "control_binding.json")
 STABILITY_EXTINCTION = str(Path(__file__).parent.parent / "scenarios"
                            / "stability_extinction.json")
+IDENTIFY_SYNTHETIC = str(Path(__file__).parent.parent / "scenarios" / "identify_synthetic.json")
 
 
 class TestOverridesAndDeterminism:
@@ -194,10 +195,14 @@ class TestOverridesAndDeterminism:
         ("stability.h=0", "stability.h"),
         ("stability.h=-0.01", "stability.h"),
         ("stability.horizon=0", "stability.horizon"),
+        ("solver.max_sweeps=0", "solver.max_sweeps"),
+        ('solver.multistart="no"', "solver.multistart"),
+        ("solver.beta_init=-1", "solver.beta_init"),
     ])
     def test_malformed_number_is_load_error(self, tmp_path, capsys, override, field):
-        # the control task ignores the stability block, so its keys go to the stability task
+        # stability keys go to the stability task and identify's solver key to identify
         task, path = (("stability", STABILITY_EXTINCTION) if field.startswith("stability.")
+                      else ("identify", IDENTIFY_SYNTHETIC) if field == "solver.beta_init"
                       else ("control", CONTROL_BINDING))
         code = main([task, "--scenario", path, "--out", str(tmp_path),
                      "--set", override, "--quiet"])

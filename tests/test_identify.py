@@ -8,6 +8,7 @@ from sailr import (CoefficientTable, FeasibilityError, Grid, IdentCandidate,
                    ValidationError, adjoint_p0, cost_p0, gradient_p0, n0_of,
                    optimality_residual_p0, project_k0, project_kplus_grid,
                    resolve_k0, simulate, solve_p0, synth_observations, trapezoid)
+from sailr import identify
 from conftest import random_params, random_state
 
 
@@ -301,11 +302,11 @@ class TestSolveP0:
         with pytest.raises(ValidationError, match="alpha0 and alpha1 must be > 0"):
             solve_p0(obs, p, g, alpha0, alpha1)
 
-    def test_stall_error_carries_best(self):
+    def test_stall_error_carries_best(self, monkeypatch):
         p, g, obs, ref = planted(M=200)
+        monkeypatch.setattr(identify, "MAX_BACKTRACKS", 0)
         with pytest.raises(StallError) as exc:
-            solve_p0(obs, p, g, 1e-6, 1e-6,
-                     IdentConfig(tol=1e-7, max_iters=50, max_backtracks=0))
+            solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=50))
         assert exc.value.best is not None
         assert exc.value.best.converged is False
 

@@ -1,11 +1,10 @@
-"""Fixed-step RK4: order, reversibility, conservation, sampling."""
+"""Fixed-step RK4: order, conservation, sampling."""
 
 import numpy as np
 import pytest
 
 from sailr import (BlowupError, Grid, TimeDomainError, Trajectory, ValidationError,
-                   integrate_backward, integrate_forward, sample, simulate,
-                   total_population, trapezoid)
+                   integrate_forward, simulate, total_population, trapezoid)
 from conftest import random_params, random_state
 
 
@@ -46,26 +45,6 @@ class TestForward:
         assert drift.max() <= 1e-10
 
 
-class TestBackward:
-    def test_zero_data(self):
-        tr = integrate_backward(lambda t, x: np.zeros(2), [0.0, 0.0], Grid(0.0, 1.0, 8))
-        assert np.array_equal(tr.states, np.zeros((9, 2)))
-
-    def test_exponential_backward(self):
-        tr = integrate_backward(exp_decay, [np.exp(-1.0)], Grid(0.0, 1.0, 1000))
-        assert abs(tr.initial[0] - 1.0) <= 1e-9
-        assert tr.final[0] == np.exp(-1.0)  # final sample assigned exactly
-
-    def test_round_trip(self, rng):
-        # frozen-coefficient linear system forward then backward
-        A = rng.uniform(-0.5, 0.5, (4, 4))
-        x0 = rng.uniform(-1.0, 1.0, 4)
-        g = Grid(0.0, 2.0, 500)
-        fwd = integrate_forward(lambda t, x: A @ x, x0, g)
-        back = integrate_backward(lambda t, x: A @ x, fwd.final, g)
-        assert np.max(np.abs(back.initial - x0)) <= 1e-8
-
-
 class TestSample:
     def _tr(self):
         g = Grid(0.0, 1.0, 4)
@@ -74,19 +53,19 @@ class TestSample:
 
     def test_grid_hit_exact(self):
         tr = self._tr()
-        assert np.array_equal(sample(tr, 0.5), tr.states[2])
+        assert np.array_equal(tr.sample(0.5), tr.states[2])
 
     def test_constant(self):
         tr = Trajectory(Grid(0.0, 1.0, 4), np.tile([3.0, 4.0], (5, 1)))
-        assert np.allclose(sample(tr, 0.3), [3.0, 4.0])
+        assert np.allclose(tr.sample(0.3), [3.0, 4.0])
 
     def test_midpoint_mean(self):
         tr = self._tr()
-        assert np.allclose(sample(tr, 0.375), 0.5 * (tr.states[1] + tr.states[2]))
+        assert np.allclose(tr.sample(0.375), 0.5 * (tr.states[1] + tr.states[2]))
 
     def test_out_of_range(self):
         with pytest.raises(TimeDomainError):
-            sample(self._tr(), 1.5)
+            self._tr().sample(1.5)
 
 
 class TestGridAndQuadrature:

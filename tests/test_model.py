@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sailr import (BlowupError, CoefficientTable, Grid, ModelParams, State, TimeDomainError,
-                   ValidationError, eval_coefficient, param_errors, rhs, simulate,
-                   total_population, validate_params)
+                   ValidationError, param_errors, rhs, simulate, total_population,
+                   validate_params)
 from conftest import random_params, random_state
 
 
@@ -73,7 +73,7 @@ class TestTotalPopulation:
 class TestCoefficientTable:
     def test_single_knot_constant(self):
         c = CoefficientTable([0.0], [0.3])
-        assert eval_coefficient(c, 0.0) == 0.3
+        assert c(0.0) == 0.3
         assert c(123.0) == 0.3  # constant tables extend everywhere
 
     def test_linear_identity(self):

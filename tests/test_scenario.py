@@ -3,14 +3,17 @@
 import copy
 import json
 import math
+import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sailr import (CoefficientTable, Grid, ModelParams, Observations, Scenario, SynthSpec,
+from sailr import (CoefficientTable, ControlConfig, Grid, IdentConfig, ModelParams,
+                   Observations, Scenario, StabilityConfig, SynthSpec,
                    ValidationError, adjoint_p0, cost_p0, IdentCandidate, load_scenario,
                    read_csv_columns, scenario_from_dict, scenario_to_dict, simulate,
                    synth_observations, Trajectory, write_adjoint_csv, write_scenario,
@@ -151,6 +154,20 @@ class TestShippedScenarios:
             assert isinstance(scenario_from_dict(doc), Scenario)
         except ValidationError:
             pass
+
+
+class TestSchemaDoc:
+    def test_defaults_table_matches_settings_dataclasses(self):
+        # one `solver.<key>` or `stability.<key>` row per field, its default as JSON
+        text = (Path(__file__).parent.parent / "docs" / "scenario-schema.md").read_text()
+        rows = re.findall(r"^\| `(solver|stability)\.(\w+)` +\| `([^`]+)`", text, re.M)
+        documented = {(block, key): json.loads(default) for block, key, default in rows}
+        assert len(documented) == len(rows)
+        expected = {(block, f.name): f.default
+                    for block, classes in (("solver", (IdentConfig, ControlConfig)),
+                                           ("stability", (StabilityConfig,)))
+                    for cls in classes for f in fields(cls)}
+        assert documented == expected
 
 
 class TestSynthObservations:

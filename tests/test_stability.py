@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from sailr import (CoefficientTable, Grid, ModelParams, TLocInputs, ValidationError,
-                   compute_t_loc, hurwitz_check, infected_jacobian, r0, s_threshold,
-                   simulate, simulate_extinction)
+from sailr import (CoefficientTable, Grid, ModelParams, StabilityConfig, TLocInputs,
+                   ValidationError, compute_t_loc, hurwitz_check, infected_jacobian, r0,
+                   s_threshold, simulate, simulate_extinction)
 from conftest import random_params, random_state
 
 
@@ -113,7 +113,7 @@ class TestHurwitzCheck:
 class TestSimulateExtinction:
     def test_disease_free_start(self):
         p = const_params()
-        rep = simulate_extinction(p, (0.7, 0.0, 0.0, 0.0, 0.3), horizon=10.0)
+        rep = simulate_extinction(p, (0.7, 0.0, 0.0, 0.0, 0.3), StabilityConfig(horizon=10.0))
         assert rep.extinction
         assert rep.S_tilde_inf == 0.7
         assert rep.horizon == 0.0  # no integration needed
@@ -121,7 +121,7 @@ class TestSimulateExtinction:
     def test_subcritical_decay(self):
         p = const_params()  # S_bar = 0.75
         rep = simulate_extinction(p, (0.5, 0.02, 0.01, 0.0, 0.47),
-                                  horizon=50.0, tol=1e-8)
+                                  StabilityConfig(horizon=50.0, tol=1e-8))
         assert rep.extinction
         assert rep.monotone_S
         assert rep.S_tilde_inf < rep.S_bar
@@ -131,7 +131,7 @@ class TestSimulateExtinction:
     def test_supercritical_outbreak_limits_below_threshold(self):
         p = const_params(beta_A=0.4, beta_I=0.9)  # S_bar ~ 0.4
         rep = simulate_extinction(p, (0.93, 0.04, 0.03, 0.0, 0.0),
-                                  horizon=50.0, tol=1e-8)
+                                  StabilityConfig(horizon=50.0, tol=1e-8))
         assert rep.extinction
         assert rep.S_tilde_inf < rep.S_bar - 1e-6
         assert max(rep.final_state[1:4]) < 1e-8
@@ -141,6 +141,11 @@ class TestSimulateExtinction:
         p = const_params(xi=0.1)
         with pytest.raises(ValidationError, match="xi"):
             simulate_extinction(p, (0.9, 0.05, 0.05, 0.0, 0.0))
+
+    def test_zero_step_rejected(self):
+        with pytest.raises(ValidationError, match="h must be > 0"):
+            simulate_extinction(const_params(), (0.9, 0.05, 0.05, 0.0, 0.0),
+                                StabilityConfig(h=0.0))
 
 
 class TestComputeTLoc:
