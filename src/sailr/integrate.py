@@ -154,12 +154,16 @@ def rk4_step_maps(G, h: float) -> np.ndarray:
     [y; 1].  P - I is returned so the small increment is not rounded
     against 1.
     """
-    eye = np.eye(G[0].shape[-1])
     K = G[0]
     acc = K.copy()
+    Y, K_next = np.empty_like(acc), np.empty_like(acc)
+    n = acc.shape[-1]
+    diag = Y.reshape(-1, n * n)[:, ::n + 1]
     for Gr, a, w in zip(G[1:], (0.5, 0.5, 1.0), (2.0, 2.0, 1.0)):
-        K = Gr @ (eye + (a * h) * K)
-        acc += w * K
+        np.multiply(K, a * h, out=Y)
+        diag += 1.0  # Y = I + (a h) K
+        K = np.matmul(Gr, Y, out=K_next)
+        acc += np.multiply(K, w, out=Y)
     acc *= h / 6.0
     return acc
 
@@ -176,9 +180,13 @@ def _increment_scan(D: np.ndarray, y0: np.ndarray) -> np.ndarray:
     if len(D):
         first, second = D[0:-1:2], D[1::2]
         # (I + D2)(I + D1) = I + (D2 D1 + D1 + D2)
-        ys[2::2] = _increment_scan(second @ first + first + second, y0)[1:]
+        pair = second @ first
+        pair += first
+        pair += second
+        ys[2::2] = _increment_scan(pair, y0)[1:]
         prev = ys[0:-1:2]
-        ys[1::2] = prev + D[0::2] @ prev
+        odd = np.matmul(D[0::2], prev, out=ys[1::2])
+        odd += prev
     return ys
 
 

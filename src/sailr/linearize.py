@@ -9,20 +9,22 @@ can be verified independently.
 
 All these sweeps, and the model's discrete reverse-mode sweep
 (`model._rk4_model_vjp`), run on one step-map kernel: with the trajectory
-fixed, an RK4 step is an affine map y -> P_k y + c_k.  `model.jacobian`
-gives the stage Jacobians (here at the midpoint-averaged states, transposed
-and in reversed time for the adjoint), `integrate.rk4_step_maps` builds
-the maps for a block of steps, and `integrate.linear_sweep` composes them
-by a doubling scan, one fixed block at a time.
+fixed, an RK4 step is an affine map y -> P_k y + c_k.  The stage
+Jacobians (here at the midpoint-averaged states, transposed and in reversed
+time for the adjoint) are written into one stage buffer per sweep:
+`model.jacobian_constants` once, `model.jacobian_update` per block from
+coefficients evaluated once on the stage times.  `integrate.rk4_step_maps`
+builds the maps for a block of steps, and `integrate.linear_sweep` composes
+them by a doubling scan, one fixed block at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .integrate import (Grid, Trajectory, _GridSeries, half_samples, linear_sweep,
-                        rk4_step_maps, same_grid, trapezoid)
-from .model import CoefficientTable, ModelParams, jacobian
+from .integrate import (SWEEP_BLOCK, Grid, Trajectory, _GridSeries, half_samples,
+                        linear_sweep, rk4_step_maps, same_grid, trapezoid)
+from .model import CoefficientTable, ModelParams, jacobian_constants, jacobian_update
 
 
 class TangentTrajectory(_GridSeries):
@@ -53,16 +55,20 @@ def _sweep(xh: np.ndarray, grid: Grid, params: ModelParams, src: np.ndarray, y0,
     s the (2M+1, 5) stage-time sources src.  With dual=True this is the
     adjoint: y' = J^T y + s in reversed time from y(T) = y0.
     """
-    data = (xh, grid.half_points(), src)
-    xh, th, src = (a[::-1] for a in data) if dual else data
+    th = grid.half_points()
+    data = (xh, src, params.beta_I(th), params.beta_A(th), params.xi(th))
+    xh, src, *coeffs = (a[::-1] for a in data) if dual else data
+    # [[J, s], [0, 0]] acting on [y; 1] at the stage times of one block
+    G = np.zeros((2 * min(grid.M, SWEEP_BLOCK) + 1, 6, 6))
+    J = G[:, :5, :5].transpose(0, 2, 1) if dual else G[:, :5, :5]
+    jacobian_constants(J, params)
 
     def step_maps(lo, hi):
         j = slice(2 * lo, 2 * hi + 1)
-        J = jacobian(xh[j], params, th[j])
-        G = np.zeros((len(J), 6, 6))  # [[J, s], [0, 0]] acting on [y; 1]
-        G[:, :5, :5] = J.transpose(0, 2, 1) if dual else J
-        G[:, :5, 5] = src[j]
-        return rk4_step_maps((G[0:-1:2], G[1::2], G[1::2], G[2::2]), grid.h)
+        n = 2 * (hi - lo) + 1
+        jacobian_update(J[:n], params, xh[j, 0], xh[j, 1], xh[j, 2], *(c[j] for c in coeffs))
+        G[:n, :5, 5] = src[j]
+        return rk4_step_maps((G[0:n - 1:2], G[1:n:2], G[1:n:2], G[2:n:2]), grid.h)
 
     out = linear_sweep(step_maps, np.append(y0, 1.0), grid.M)[:, :5]
     return out[::-1] if dual else out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BlowupError, TimeDomainError, ValidationError
-from .integrate import Grid, Trajectory, linear_sweep, rk4_step_maps
+from .integrate import SWEEP_BLOCK, Grid, Trajectory, linear_sweep, rk4_step_maps
 
 #: numerical slack for nonnegativity checks on integrated trajectories
 TOL_NEG = 1e-10
@@ -198,8 +198,12 @@ def rhs(x, p: ModelParams, t) -> np.ndarray:
     rounding.
     """
     x = x.as_array() if isinstance(x, State) else np.asarray(x, dtype=float)
+    return _rhs(x, p, p.beta_I(t), p.beta_A(t), p.xi(t))
+
+
+def _rhs(x, p: ModelParams, bI, bA, xi) -> np.ndarray:
+    # rhs with beta_I, beta_A and xi already evaluated at the states' times
     S, A, I, L, R = np.moveaxis(x, -1, 0)
-    bI, bA, xi = p.beta_I(t), p.beta_A(t), p.xi(t)
     infections = bI * S * I + bA * S * A
     return np.stack([
         -infections + xi * R,
@@ -213,19 +217,41 @@ def rhs(x, p: ModelParams, t) -> np.ndarray:
 def jacobian(x, p: ModelParams, t) -> np.ndarray:
     """Jacobian of rhs with respect to (S, A, I, L, R), batched like rhs: (..., 5, 5)."""
     x = np.asarray(x, dtype=float)
-    S, A, I = x[..., 0], x[..., 1], x[..., 2]
-    bI, bA, xi = p.beta_I(t), p.beta_A(t), p.xi(t)
     J = np.zeros(x.shape + (5,))
-    J[..., 1, 1] = -p.k1
+    jacobian_constants(J, p)
+    jacobian_update(J, p, x[..., 0], x[..., 1], x[..., 2], p.beta_I(t), p.beta_A(t), p.xi(t))
+    return J
+
+
+def jacobian_constants(J: np.ndarray, p: ModelParams) -> None:
+    """Write the entries of the model Jacobian that are the same at every
+    state and time into the zeroed (..., 5, 5) view J (the rows of I, L
+    and R in the columns of A, I and L); `jacobian_update` writes the rest.
+
+    A sweep writes these once into the stage buffer it reuses per block.
+    J may be a transposed view, as the adjoint needs.
+    """
     J[..., 2:, 1:4] = ((p.sigma, -p.k2, 0.0), (p.l_A, p.l_I, -p.mu_L),
                        (p.mu_A, p.mu_I, p.mu_L))
+
+
+def jacobian_update(J: np.ndarray, p: ModelParams, S, A, I, bI, bA, xi) -> None:
+    """Write the entries of the model Jacobian that depend on state or time
+    into J (..., 5, 5): rows S and A in the columns of S, A and I, and the
+    two xi entries.  S, A, I are the state components and bI, bA, xi the
+    coefficients at the same times, shaped like J[..., 0, 0].
+    """
+    dS = J[..., 0, :]
     # infections move mass from S to A; their gradient in (S, A, I)
-    for col, g in enumerate((bA * A + bI * I, bA * S, bI * S)):
-        J[..., 0, col] = -g
-        J[..., 1, col] += g
-    J[..., 0, 4] = xi
-    J[..., 4, 4] = -xi
-    return J
+    np.multiply(bA, A, out=dS[..., 0])
+    dS[..., 0] += bI * I
+    np.multiply(bA, S, out=dS[..., 1])
+    np.multiply(bI, S, out=dS[..., 2])
+    np.subtract(dS[..., 1], p.k1, out=J[..., 1, 1])
+    np.negative(dS[..., :3], out=dS[..., :3])
+    np.subtract(0.0, dS[..., 0:3:2], out=J[..., 1, 0:3:2])  # 0 - (-g): +0.0 for a zero g
+    dS[..., 4] = xi
+    np.negative(xi, out=J[..., 4, 4])
 
 
 def _rk4_model(sigma, muA, muI, muL, lA, lI, bI, bA, xi, x0, M, h):
@@ -295,25 +321,32 @@ def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
     # grid states, so the result is exact for the discrete flow: v_k =
     # P_k^T v_{k+1} with P_k built from the stage Jacobians, whose three
     # extra columns give d x_{k+1}/d beta_I at the samples 2k, 2k+1, 2k+2.
+    # The coefficients are evaluated once on the stage samples, and one
+    # stage buffer G, its constant Jacobian entries written once, serves
+    # every block: per block only the entries that vary are rewritten.
     g = traj.grid
     M, h = g.M, g.h
-    th = g.half_points()
+    coeffs = [c(g.half_points()) for c in (p.beta_I, p.beta_A, p.xi)]
     sens = np.empty((M, 5, 3))
+    G = np.zeros((4, min(M, SWEEP_BLOCK), 8, 8))
+    jacobian_constants(G[:, :, :5, :5], p)
 
     def step_maps(lo, hi):
-        # reverse-sweep steps lo..hi-1 are the forward steps M-hi..M-lo-1
+        # reverse-sweep steps lo..hi-1 are the forward steps M-hi..M-lo-1,
+        # whose stage r reads the samples 2k + c, c = 0, 1, 1, 2
         x = traj.states[M - hi:M - lo]
-        t = th[2 * (M - hi):2 * (M - lo) + 1]
-        G = np.zeros((4, hi - lo, 8, 8))
+        Gb = G[:, :hi - lo]
         d = 0.0
-        for r, (tr, a, col) in enumerate(zip((t[0:-1:2], t[1::2], t[1::2], t[2::2]),
-                                             (0.0, 0.5, 0.5, 1.0), (5, 6, 6, 7))):
+        for r, (a, c) in enumerate(zip((0.0, 0.5, 0.5, 1.0), (0, 1, 1, 2))):
+            bI, bA, xi = (v[2 * (M - hi) + c:2 * (M - lo) + c:2] for v in coeffs)
             xr = x + (a * h) * d
-            d = rhs(xr, p, tr)
-            G[r, :, :5, :5] = jacobian(xr, p, tr)
-            G[r, :, 1, col] = xr[:, 0] * xr[:, 2]  # d rhs/d beta_I = S I (-1, 1, 0, 0, 0)
-            G[r, :, 0, col] = -G[r, :, 1, col]
-        D = rk4_step_maps(G, h)
+            d = _rhs(xr, p, bI, bA, xi)
+            S, A, I = xr[:, 0], xr[:, 1], xr[:, 2]
+            jacobian_update(Gb[r, :, :5, :5], p, S, A, I, bI, bA, xi)
+            # d rhs/d beta_I = S I (-1, 1, 0, 0, 0)
+            np.multiply(S, I, out=Gb[r, :, 1, 5 + c])
+            np.negative(Gb[r, :, 1, 5 + c], out=Gb[r, :, 0, 5 + c])
+        D = rk4_step_maps(Gb, h)
         sens[M - hi:M - lo] = D[:, :5, 5:]
         return D[::-1, :5, :5].transpose(0, 2, 1)
 

@@ -40,6 +40,8 @@ _REQUIRED = {
 _SOLVER_CONFIG = {"identify": IdentConfig, "control": ControlConfig}
 
 DEFAULT_GRID_M = 10_000
+#: most RK4 steps one grid may ask for (grid.M, and a stability segment's horizon / h)
+MAX_STEPS = 10**7
 DEFAULT_WEIGHTS = (1e-6, 1e-6)
 
 
@@ -242,6 +244,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if params is not None and not n0_of(params, observations) > 0:
             errs.append("observations leave no unobserved mass: L0 + R0 >= N")
 
+    if grid is not None and grid.M > MAX_STEPS:
+        errs.append(f"grid.M must be <= {MAX_STEPS}")
+
     if task == "control" and penalty is not None and x0 is not None:
         if not penalty.Lhat > x0.L:
             errs.append("Lhat must exceed L0")
@@ -258,7 +263,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         solver = _read(_SOLVER_CONFIG[task], doc.get("solver", {}), "solver", errs, task)
     else:
         _object(doc.get("solver", {}), "solver", errs)
+    if isinstance(solver, ControlConfig) and solver.multistart and solver.init is not None:
+        errs.append("solver.init cannot be set with solver.multistart: each start replaces it")
     stability = _read(StabilityConfig, doc.get("stability", {}), "stability", errs, task)
+    if stability is not None and stability.horizon / stability.h > MAX_STEPS:
+        errs.append(f"stability.horizon / stability.h must be <= {MAX_STEPS} steps")
 
     if params is not None and grid is not None:
         errs.extend(f"params: {m}" for m in param_errors(params, t_max=grid.T)

@@ -1,0 +1,53 @@
+"""Per-layer kernel timings: microseconds per grid step of each sweep kernel.
+
+    PYTHONPATH=src python -m pytest tests/bench_kernels.py
+
+The file name keeps it out of the tier-1 run.  Each case times one kernel
+at one grid size with pytest-benchmark (best of several rounds after a
+warm-up) and stores `us_per_step` = fastest round / M in its extra_info,
+also written by `--benchmark-json=FILE`.  The problem is identify's: a
+beta_I table knotted on the grid and the two-column cotangent (e_L, e_R)
+for the reverse sweep.
+"""
+
+import numpy as np
+import pytest
+
+from sailr import (CoefficientTable, Grid, Observations, adjoint_p0, adjoint_p_eps,
+                   simulate, tangent_p)
+from sailr.model import _rk4_model_vjp
+from conftest import random_params, random_state
+
+T = 50.0
+SIZES = (400, 10_000, 100_000)
+
+
+def _problem(M):
+    rng = np.random.default_rng(20261018)
+    g = Grid(0.0, T, M)
+    p = random_params(rng, t_max=T, varying=True)
+    p = p.replace(beta_I=CoefficientTable(g.points(), rng.uniform(0.1, 0.4, M + 1)))
+    x0 = random_state(rng)
+    traj = simulate(p, x0, g)
+    obs = Observations(L0=x0[3], R0=x0[4], LT=1.1 * traj.L[-1], RT=0.9 * traj.R[-1], T=T)
+    return p, x0, g, traj, obs
+
+
+KERNELS = {
+    "simulate": lambda p, x0, g, traj, obs: simulate(p, x0, g),
+    "tangent_p": lambda p, x0, g, traj, obs: tangent_p(traj, p, 0.3, -0.2),
+    "adjoint_p_eps": lambda p, x0, g, traj, obs: adjoint_p_eps(
+        traj, p, p.l_A, p.l_I, 1e-2, 1.0, 2.0, 0.5 * float(traj.L.max())),
+    "adjoint_p0": lambda p, x0, g, traj, obs: adjoint_p0(traj, p, obs),
+    "_rk4_model_vjp": lambda p, x0, g, traj, obs: _rk4_model_vjp(p, traj, np.eye(5)[:, 3:]),
+}
+
+
+@pytest.mark.parametrize("M", SIZES)
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel(benchmark, kernel, M):
+    args = _problem(M)
+    benchmark.group = f"M={M}"
+    benchmark.pedantic(KERNELS[kernel], args, rounds=max(5, 400_000 // M), warmup_rounds=1)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_step"] = benchmark.stats.stats.min * 1e6 / M

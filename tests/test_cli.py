@@ -198,6 +198,10 @@ class TestOverridesAndDeterminism:
         ("solver.max_sweeps=0", "solver.max_sweeps"),
         ('solver.multistart="no"', "solver.multistart"),
         ("solver.beta_init=-1", "solver.beta_init"),
+        ('solver={"init": {"lA": 0.1, "lI": 0.2}, "multistart": true}', "solver.init"),
+        ("grid.M=100000000000", "grid.M"),
+        ("stability.h=1e-9", "stability.horizon / stability.h"),
+        ("stability.horizon=1e9", "stability.horizon / stability.h"),
     ])
     def test_malformed_number_is_load_error(self, tmp_path, capsys, override, field):
         # stability keys go to the stability task and identify's solver key to identify

@@ -96,6 +96,19 @@ class TestLoadScenario:
             scenario_from_dict(doc)
         assert any("stability.tol must be > 0" in e for e in exc.value.errors)
 
+    def test_step_cap_is_inclusive(self):
+        # loading allocates nothing, so the cap itself can be checked at its edge
+        from sailr.scenario import MAX_STEPS
+        doc = simulate_doc(grid={"T": 5.0, "M": MAX_STEPS})
+        assert scenario_from_dict(doc).grid.M == MAX_STEPS
+        doc = simulate_doc(grid={"T": 5.0, "M": MAX_STEPS + 1},
+                           stability={"horizon": 1.0, "h": 0.5 / MAX_STEPS})
+        with pytest.raises(ValidationError) as exc:
+            scenario_from_dict(doc)
+        assert exc.value.errors == [
+            f"grid.M must be <= {MAX_STEPS}",
+            f"stability.horizon / stability.h must be <= {MAX_STEPS} steps"]
+
     def test_nonunit_population_rejected(self):
         doc = simulate_doc()
         doc["params"]["N"] = 2.0
