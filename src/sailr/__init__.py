@@ -13,7 +13,7 @@ from .control import (ControlConfig, ControlPair, ControlResult, PenaltyConfig,
                       default_eps_schedule, solve_p, solve_p_eps,
                       solve_p_multistart, update_controls_eps)
 from .errors import (BlowupError, FeasibilityError, GridMismatchError, SailrError,
-                     StageStallError, StallError, TimeDomainError, ValidationError)
+                     TimeDomainError, ValidationError)
 from .identify import (GAMMA, IdentCandidate, IdentConfig, IdentResult, Observations,
                        cost_p0, gradient_p0, n0_of, optimality_residual_p0,
                        project_k0, project_kplus_grid, resolve_k0, solve_p0)

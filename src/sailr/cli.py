@@ -23,7 +23,7 @@ import numpy as np
 from . import control as ctl
 from . import identify as idf
 from . import stability as stab
-from .errors import SailrError, StallError, ValidationError
+from .errors import SailrError, ValidationError
 from .integrate import trapezoid
 from .model import simulate, total_population
 from .scenario import (Scenario, read_scenario_doc, scenario_from_dict,
@@ -76,15 +76,9 @@ def _run_simulate(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
 
 def _run_identify(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     alpha0, alpha1 = s.weights
-    status = 0
-    try:
-        res = idf.solve_p0(s.observations, s.params, s.grid, alpha0, alpha1, s.solver)
-    except StallError as err:
-        res = err.best
-        summary["notes"] = [str(err)]
-        status = 2
-    if not res.converged:
-        status = 2
+    res = idf.solve_p0(s.observations, s.params, s.grid, alpha0, alpha1, s.solver)
+    if res.notes:
+        summary["notes"] = list(res.notes)
     write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
     write_adjoint_csv(res.adjoint, outdir / "adjoint.csv")
     write_series_csv(outdir / "beta_I.csv", "beta_I", s.grid,
@@ -104,7 +98,7 @@ def _run_identify(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     # reproduction number at the time-average of the recovered rate
     beta_avg = trapezoid(res.candidate.beta_I(s.grid.points()), s.grid.h) / s.grid.T
     _try_r0(summary, s.params.replace(beta_I=beta_avg))
-    return status
+    return 0 if res.converged else 2
 
 
 def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):

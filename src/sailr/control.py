@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import FeasibilityError, StageStallError, ValidationError
+from .errors import FeasibilityError, ValidationError
 from .integrate import Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory, adjoint_p_eps
 from .model import ModelParams, State, TOL_NEG, simulate
@@ -79,29 +79,25 @@ class PenaltyConfig:
         object.__setattr__(self, "eps_schedule", sched)
 
 
-FP_FLOOR = 1e-7      # plateaued sweeps below this still count as converged
-OSC_WINDOW = 3       # cost increases before gradient fallback
-ARMIJO_C = 1e-4      # projected gradient: sufficient-decrease constant
-MAX_BACKTRACKS = 60  # projected gradient: backtracks per step
+THETA = 0.5            # relaxation of the fixed-point sweep
+TOL_FP = 1e-9          # stage fixed-point tolerance on controls
+FP_FLOOR = 1e-7        # plateaued sweeps below this still count as converged
+MAX_SWEEPS = 200       # damped sweeps per stage
+OSC_WINDOW = 3         # cost increases before gradient fallback
+MAX_PG_ITERS = 200     # projected-gradient iterations per stage
+ARMIJO_C = 1e-4        # projected gradient: sufficient-decrease constant
+MAX_BACKTRACKS = 60    # projected gradient: backtracks per step
+TOL_CONSTRAINT = 1e-4  # on sup (L - Lhat)^+
+TOL_RESIDUAL = 1e-3    # on the limit fixed-point residual
+POLISH_MAX = 200       # extra self-anchored stages at final eps
 
 
 @dataclass(frozen=True)
 class ControlConfig:
     """Settings of solve_p, the `solver` block of a control scenario."""
 
-    theta: float = 0.5            # relaxation of the fixed-point sweep
-    tol_fp: float = 1e-9          # stage fixed-point tolerance on controls
-    max_sweeps: int = 200
-    max_pg_iters: int = 200
-    tol_constraint: float = 1e-4  # on sup (L - Lhat)^+
-    tol_residual: float = 1e-3    # on the limit fixed-point residual
-    polish_max: int = 200         # extra self-anchored stages at final eps
     init: ControlPair | None = None  # first stage's start; None starts at the anchor
     multistart: bool = False      # the CLI runs solve_p_multistart instead of solve_p
-
-    def __post_init__(self):
-        if not self.max_sweeps >= 1:
-            raise ValidationError("max_sweeps must be >= 1")
 
 
 @dataclass
@@ -110,7 +106,6 @@ class StageResult:
     controls: ControlPair
     cost_eps: float
     fp_residual: float
-    sweeps: int
     used_fallback: bool
     trajectory: Trajectory
     adjoint: AdjointTrajectory
@@ -186,12 +181,17 @@ def cost_p_eps(ctrl: ControlPair, params: ModelParams, x0, grid: Grid,
     return _cost_p_eps_from(traj, ctrl, pcfg, eps, pcfg.anchor)
 
 
+def _stage_integrals(traj: Trajectory, adjoint: AdjointTrajectory):
+    """(int A (q - e), int I (d - e)): minus the state part of the control gradient."""
+    h = traj.grid.h
+    return (trapezoid(traj.A * (adjoint.q - adjoint.e), h),
+            trapezoid(traj.I * (adjoint.d - adjoint.e), h))
+
+
 def update_controls_eps(traj: Trajectory, adjoint: AdjointTrajectory,
                         alpha1: float, anchor: ControlPair) -> ControlPair:
     """Projection form of the stage optimality conditions."""
-    h = traj.grid.h
-    ia = trapezoid(traj.A * (adjoint.q - adjoint.e), h)
-    ii = trapezoid(traj.I * (adjoint.d - adjoint.e), h)
+    ia, ii = _stage_integrals(traj, adjoint)
     return ControlPair(_clamp01((ia + anchor.lA) / (alpha1 + 1.0)),
                        _clamp01((ii + anchor.lI) / (alpha1 + 1.0)))
 
@@ -206,18 +206,16 @@ def _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl):
 
 
 def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: Grid,
-                init: ControlPair, config: ControlConfig | None = None,
-                anchor: ControlPair | None = None,
-                tol_fp: float | None = None) -> StageResult:
+                init: ControlPair, anchor: ControlPair | None = None,
+                tol_fp: float = TOL_FP) -> StageResult:
     """Solve one penalized stage by damped fixed-point sweeps.
 
-    Relaxation new = theta*update + (1-theta)*old; if the stage cost rises
+    Relaxation new = THETA*update + (1-THETA)*old; if the stage cost rises
     on OSC_WINDOW consecutive sweeps the solver falls back to projected
-    gradient with Armijo backtracking on the 2-D control space.  Raises
-    StageStallError (carrying the best iterate) if neither converges.
+    gradient with Armijo backtracking on the 2-D control space.  If neither
+    reaches tol_fp, the iterate with the smallest fixed-point residual is
+    returned with converged=False.
     """
-    cfg = config or ControlConfig()
-    tol = tol_fp if tol_fp is not None else cfg.tol_fp
     anchor = anchor if anchor is not None else pcfg.anchor
     x0 = _x0_array(x0)
     ctrl = init
@@ -227,8 +225,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     bad = 0
     best = None
     used_fallback = False
-    sweeps = 0
-    for sweeps in range(1, cfg.max_sweeps + 1):
+    for _ in range(MAX_SWEEPS):
         traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl)
         nsolves += 2
         fp_res = raw.dist(ctrl)
@@ -237,12 +234,12 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
         res_hist.append(fp_res)
         if best is None or fp_res <= best[4]:
             best = (cost, ctrl, traj, adj, fp_res)
-        if fp_res <= tol:
-            return StageResult(eps, ctrl, cost, fp_res, sweeps, used_fallback, traj, adj,
+        if fp_res <= tol_fp:
+            return StageResult(eps, ctrl, cost, fp_res, used_fallback, traj, adj,
                                _penalty_integral(traj, pcfg.Lhat), nsolves, True,
                                _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
         # oscillation detector: material cost increases, not float noise
-        if (len(costs) >= 2 and fp_res > 100 * tol
+        if (len(costs) >= 2 and fp_res > 100 * tol_fp
                 and cost > costs[-2] + 1e-12 * abs(costs[-2]) + 1e-300):
             bad += 1
         else:
@@ -252,34 +249,28 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
             break
         if len(res_hist) > 25 and fp_res > 0.8 * res_hist[-25]:
             break  # plateaued well above tolerance; sweeping further is wasted
-        ctrl = ControlPair(cfg.theta * raw.lA + (1 - cfg.theta) * ctrl.lA,
-                           cfg.theta * raw.lI + (1 - cfg.theta) * ctrl.lI)
+        ctrl = ControlPair(THETA * raw.lA + (1 - THETA) * ctrl.lA,
+                           THETA * raw.lI + (1 - THETA) * ctrl.lI)
 
     # Newton on the fixed-point gap: handles stages where the sweep map is
     # expansive (stiff penalty); quadratic convergence from the sweep's iterate.
     ctrl, traj, adj, fp_res, cost, n = _stage_newton(pcfg, eps, params, x0, grid,
-                                                     anchor, best[1], tol)
+                                                     anchor, best[1], tol_fp)
     nsolves += n
-    sweeps += (n + 1) // 2
     if fp_res <= best[4]:
         best = (cost, ctrl, traj, adj, fp_res)
-    if best[4] > max(tol, FP_FLOOR):
+    if best[4] > max(tol_fp, FP_FLOOR):
         ctrl, traj, adj, fp_res, cost, n = _stage_pg(pcfg, eps, params, x0, grid,
-                                                     anchor, best[1], cfg, tol)
+                                                     anchor, best[1], tol_fp)
         used_fallback = True
         nsolves += n
-        sweeps += (n + 1) // 2
         if fp_res <= best[4]:
             best = (cost, ctrl, traj, adj, fp_res)
     cost, ctrl, traj, adj, fp_res = best
-    converged = fp_res <= max(tol, FP_FLOOR)  # accuracy floor reached
-    result = StageResult(eps, ctrl, cost, fp_res, sweeps, used_fallback, traj, adj,
-                         _penalty_integral(traj, pcfg.Lhat), nsolves, converged,
-                         _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
-    if converged:
-        return result
-    raise StageStallError(
-        f"stage eps={eps:g} not converged (residual {fp_res:.3e})", best=result)
+    converged = fp_res <= max(tol_fp, FP_FLOOR)  # accuracy floor reached
+    return StageResult(eps, ctrl, cost, fp_res, used_fallback, traj, adj,
+                       _penalty_integral(traj, pcfg.Lhat), nsolves, converged,
+                       _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
 
 
 def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, tol):
@@ -334,7 +325,7 @@ def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, tol):
     return ctrl, traj, adj, fp, cost, nsolves
 
 
-def _stage_pg(pcfg, eps, params, x0, grid, anchor, ctrl, cfg, tol):
+def _stage_pg(pcfg, eps, params, x0, grid, anchor, ctrl, tol):
     """Projected gradient with Armijo backtracking on (l_A, l_I)."""
     a1 = pcfg.alpha1
     nsolves = 0
@@ -343,12 +334,12 @@ def _stage_pg(pcfg, eps, params, x0, grid, anchor, ctrl, cfg, tol):
     J = _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor)
     fp_res = raw.dist(ctrl)
     s = 1.0
-    for _ in range(cfg.max_pg_iters):
+    for _ in range(MAX_PG_ITERS):
         if fp_res <= tol:
             break
-        h = grid.h
-        gA = trapezoid(traj.A * (adj.e - adj.q), h) + (a1 + 1.0) * ctrl.lA - anchor.lA
-        gI = trapezoid(traj.I * (adj.e - adj.d), h) + (a1 + 1.0) * ctrl.lI - anchor.lI
+        ia, ii = _stage_integrals(traj, adj)
+        gA = -ia + (a1 + 1.0) * ctrl.lA - anchor.lA
+        gI = -ii + (a1 + 1.0) * ctrl.lI - anchor.lI
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = ControlPair(_clamp01(ctrl.lA - s * gA), _clamp01(ctrl.lI - s * gI))
@@ -377,9 +368,9 @@ def _stage_pg(pcfg, eps, params, x0, grid, anchor, ctrl, cfg, tol):
 
 def _limit_residual(traj, adj, ctrl, alpha1) -> float:
     """Distance from the limit optimality conditions (divisor alpha1)."""
-    h = traj.grid.h
-    lA_hat = _clamp01(trapezoid(traj.A * (adj.q - adj.e), h) / alpha1)
-    lI_hat = _clamp01(trapezoid(traj.I * (adj.d - adj.e), h) / alpha1)
+    ia, ii = _stage_integrals(traj, adj)
+    lA_hat = _clamp01(ia / alpha1)
+    lI_hat = _clamp01(ii / alpha1)
     return max(abs(ctrl.lA - lA_hat), abs(ctrl.lI - lI_hat))
 
 
@@ -405,23 +396,20 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid,
     history = []
     nsolves = 0
 
-    def run_stage(eps, anchor, ctrl, tol=None):
+    def run_stage(eps, anchor, ctrl, tol=TOL_FP):
         nonlocal nsolves
-        try:
-            st = solve_p_eps(pcfg, eps, params, x0, grid, ctrl, cfg, anchor=anchor,
-                             tol_fp=tol)
-        except StageStallError as err:
-            st = err.best
+        st = solve_p_eps(pcfg, eps, params, x0, grid, ctrl, anchor=anchor, tol_fp=tol)
+        if not st.converged:
             notes.append(f"stage eps={eps:g} stalled at residual {st.fp_residual:.3e}")
         nsolves += st.forward_solves
         history.append(st)
         return st
 
     st = None
-    mid_tol = max(cfg.tol_fp, 1e-6)  # warm-up stages only seed the next one
     for i, eps in enumerate(pcfg.eps_schedule):
         last = i == len(pcfg.eps_schedule) - 1
-        st = run_stage(eps, anchor, ctrl, tol=None if last else mid_tol)
+        # warm-up stages only seed the next one
+        st = run_stage(eps, anchor, ctrl, tol=TOL_FP if last else 1e-6)
         ctrl = st.controls
         anchor = ctrl
 
@@ -429,8 +417,8 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid,
     limit_res = _limit_residual(st.trajectory, st.adjoint, ctrl, pcfg.alpha1)
     recent = [ctrl]
     no_progress = 0
-    for rnd in range(cfg.polish_max):
-        if limit_res <= cfg.tol_residual:
+    for rnd in range(POLISH_MAX):
+        if limit_res <= TOL_RESIDUAL:
             break
         st = run_stage(eps_min, anchor, ctrl)
         new_res = _limit_residual(st.trajectory, st.adjoint, st.controls, pcfg.alpha1)
@@ -463,7 +451,7 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid,
             notes.append("penalty integral rose by more than 10% between stages")
             break
     _tloc_note(params, pcfg, L0, traj, ctrl, grid, notes)
-    converged = (viol <= cfg.tol_constraint and limit_res <= cfg.tol_residual
+    converged = (viol <= TOL_CONSTRAINT and limit_res <= TOL_RESIDUAL
                  and st.converged)
     cost = _cost_p_from(traj, ctrl, pcfg.alpha0, pcfg.alpha1)
     return ControlResult(ctrl, traj, adj, cost, viol, nu, history, limit_res,

@@ -37,14 +37,3 @@ class BlowupError(SailrError):
 class FeasibilityError(SailrError, ValueError):
     """A candidate or state violated a hard feasibility constraint."""
 
-
-class StallError(SailrError):
-    """Line search could not make progress; ``best`` holds the best iterate."""
-
-    def __init__(self, message, best=None):
-        self.best = best
-        super().__init__(message)
-
-
-class StageStallError(StallError):
-    """A penalty-continuation stage failed to converge; ``best`` is its result."""

@@ -16,11 +16,11 @@ the exact gradient) certify convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FeasibilityError, StallError, ValidationError
+from .errors import FeasibilityError, ValidationError
 from .integrate import Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, simulate,
@@ -84,6 +84,7 @@ class IdentResult:
     iterations: int
     converged: bool
     forward_solves: int = 0
+    notes: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -311,8 +312,9 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     (pointwise clamp for beta_I, Euclidean triangle projection for
     (A0, I0)); cost_history is nonincreasing; terminates when the
     optimality residual of the discrete problem drops below config.tol or
-    max_iters is reached.  Raises StallError (carrying the best iterate) if
-    the arc search finds no decrease.
+    max_iters is reached.  When the arc search finds no decrease the current
+    iterate is returned with converged=False and a note saying so; an Armijo
+    step never raises the cost, so it is also the best iterate seen.
     """
     cfg = config or IdentConfig()
     _check_grid(grid, obs)
@@ -353,7 +355,7 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     gbeta, gA0, gI0, rows, blocks, adj, residual = exact_state(cand, traj)
     history = [J]
     converged = residual <= cfg.tol
-    best = (J, cand, traj, adj, residual)
+    notes = []
 
     def arc_search(db, dA, dI, J):
         # Armijo along the projected arc x + t*(direction) from t = 1; None if no luck.
@@ -387,16 +389,13 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
                                    alpha0, alpha1, wq, free, free_block)
         move = arc_search(db, dblock[0], dblock[1], J)
         if move is None:
-            result = IdentResult(best[1], best[0], np.asarray(history), best[4],
-                                 best[2], best[3], it, False, nsolves)
-            raise StallError("line search stalled before reaching tolerance", best=result)
+            notes.append("line search stalled before reaching tolerance")
+            break
 
         bg, A0, I0, cand, traj, J = move
         gbeta, gA0, gI0, rows, blocks, adj, residual = exact_state(cand, traj)
         history.append(J)
-        if J <= best[0]:
-            best = (J, cand, traj, adj, residual)
         converged = residual <= cfg.tol
 
     return IdentResult(cand, J, np.asarray(history), residual, traj, adj,
-                       it, converged, nsolves)
+                       it, converged, nsolves, notes)

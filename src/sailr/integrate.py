@@ -22,6 +22,9 @@ _BIG = 1e100  # magnitude treated as blow-up (also catches NaN via comparison)
 #: steps per block of `linear_sweep`: bounds the step maps held at once
 SWEEP_BLOCK = 512
 
+#: most RK4 steps one grid may take (grid.M, and each segment of a stability run)
+MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class Grid:

@@ -19,7 +19,7 @@ import numpy as np
 from .control import ControlConfig, ControlPair, PenaltyConfig
 from .errors import ValidationError
 from .identify import IdentConfig, Observations, n0_of
-from .integrate import Grid, Trajectory
+from .integrate import MAX_STEPS, Grid, Trajectory
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, State, param_errors, simulate,
                     total_population)
@@ -40,8 +40,6 @@ _REQUIRED = {
 _SOLVER_CONFIG = {"identify": IdentConfig, "control": ControlConfig}
 
 DEFAULT_GRID_M = 10_000
-#: most RK4 steps one grid may ask for (grid.M, and a stability segment's horizon / h)
-MAX_STEPS = 10**7
 DEFAULT_WEIGHTS = (1e-6, 1e-6)
 
 

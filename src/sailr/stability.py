@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ValidationError
-from .integrate import Grid, Trajectory
+from .integrate import MAX_STEPS, Grid, Trajectory
 from .model import ModelParams, State, TOL_NEG, jacobian, simulate, validate_params
 
 #: horizon doubling stops once the total simulated time would exceed this
@@ -141,9 +141,10 @@ def simulate_extinction(params: ModelParams, x0,
     """Finite-horizon certificate of asymptotic extinction under xi = 0.
 
     Integrates forward, doubling the horizon until max(A, I, L) at the end
-    drops below tol or the cap is reached; checks that S is nonincreasing
+    drops below tol, the total would pass HORIZON_CAP or the next segment
+    would take more than MAX_STEPS steps; checks that S is nonincreasing
     and that the simulated limit sits below the threshold S_bar.  Reaching
-    the cap yields an inconclusive report (extinction=False), not an error.
+    a cap yields an inconclusive report (extinction=False), not an error.
     """
     cfg = config or StabilityConfig()
     if float(np.max(np.abs(params.xi.values))) != 0.0:
@@ -159,7 +160,7 @@ def simulate_extinction(params: ModelParams, x0,
     seg = float(cfg.horizon)
     segments = 0
     extinct = bool(max(x[1], x[2], x[3]) < cfg.tol)
-    while not extinct and total + seg <= HORIZON_CAP:
+    while not extinct and total + seg <= HORIZON_CAP and seg / cfg.h <= MAX_STEPS:
         traj = simulate(params, x, cfg.grid(seg))
         segments += 1
         if float(np.max(np.diff(traj.S))) > TOL_NEG:

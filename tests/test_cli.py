@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import sailr
+from sailr import stability
 from sailr.cli import main
-from sailr import read_csv_columns
+from sailr import (CoefficientTable, Grid, SynthSpec, read_csv_columns, scenario_from_dict,
+                   synth_observations)
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -132,6 +134,27 @@ class TestIdentify:
                      "--quiet"])
         assert code == 2
 
+    def test_stalled_line_search_exit_2_with_note(self, tmp_path):
+        # a planted truth whose arc search finds no decrease after 16 iterations
+        doc = json.loads(Path(IDENTIFY_SYNTHETIC).read_text())
+        doc["grid"]["M"] = 1000
+        doc["solver"]["max_iters"] = 40
+        obs, _ = synth_observations(SynthSpec(
+            params=scenario_from_dict(doc).params, grid=Grid(0.0, 2.0, 1000),
+            beta_I_true=CoefficientTable.constant(0.3561063940143885),
+            A0_true=0.08624411839212873, I0_true=0.06667511300716819, L0=0.02, R0=0.01))
+        doc["observations"] = {"L0": obs.L0, "R0": obs.R0, "LT": obs.LT, "RT": obs.RT,
+                               "T": obs.T}
+        out = tmp_path / "out"
+        code = main(["identify", "--scenario", write_doc(tmp_path, doc), "--out", str(out),
+                     "--quiet"])
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is False
+        assert summary["notes"] == ["line search stalled before reaching tolerance"]
+        keys = list(summary)
+        assert keys.index("notes") == keys.index("runtime") + 1 == keys.index("iterations") - 1
+
 
 class TestControl:
     def test_lhat_validation_exit_1(self, tmp_path, capsys):
@@ -170,6 +193,25 @@ class TestStability:
         assert summary["stability"]["extinction"] is True
         assert summary["R0"] is not None
 
+    def test_segments_stop_at_step_cap(self, tmp_path, monkeypatch):
+        # mu_L = 0: L never decays, so the doubling runs until a cap stops it
+        steps = []
+        simulate = stability.simulate
+
+        def recording_simulate(params, x0, grid):
+            steps.append(grid.M)
+            return simulate(params, x0, grid)
+
+        monkeypatch.setattr(stability, "MAX_STEPS", 1000, raising=False)
+        monkeypatch.setattr(stability, "simulate", recording_simulate)
+        out = tmp_path / "out"
+        code = main(["stability", "--scenario", STABILITY_EXTINCTION, "--out", str(out),
+                     "--set", "params.mu_L=0", "--set", "stability.h=1.0", "--quiet"])
+        assert code == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["stability"]["extinction"] is False
+        assert steps == [100, 100, 200, 400, 800]
+
 
 CONTROL_BINDING = str(Path(__file__).parent.parent / "scenarios" / "control_binding.json")
 STABILITY_EXTINCTION = str(Path(__file__).parent.parent / "scenarios"
@@ -195,7 +237,6 @@ class TestOverridesAndDeterminism:
         ("stability.h=0", "stability.h"),
         ("stability.h=-0.01", "stability.h"),
         ("stability.horizon=0", "stability.horizon"),
-        ("solver.max_sweeps=0", "solver.max_sweeps"),
         ('solver.multistart="no"', "solver.multistart"),
         ("solver.beta_init=-1", "solver.beta_init"),
         ('solver={"init": {"lA": 0.1, "lI": 0.2}, "multistart": true}', "solver.init"),

@@ -8,6 +8,7 @@ from sailr import (ControlConfig, ControlPair, FeasibilityError, Grid, ModelPara
                    constraint_violation, cost_p, cost_p_eps, default_eps_schedule,
                    simulate, solve_p, solve_p_eps, solve_p_multistart, trapezoid,
                    update_controls_eps)
+from sailr import control
 from sailr.linearize import AdjointTrajectory
 
 
@@ -118,6 +119,24 @@ class TestSolvePEps:
         assert st.converged
         raw = update_controls_eps(st.trajectory, st.adjoint, pcfg.alpha1, pcfg.anchor)
         assert raw.dist(st.controls) <= 1e-6
+
+    def test_stage_above_tolerance_returns_unconverged(self, monkeypatch):
+        # a stiff binding stage with its sweep and gradient budgets cut
+        monkeypatch.setattr(control, "MAX_SWEEPS", 1)
+        monkeypatch.setattr(control, "MAX_PG_ITERS", 0)
+        p = epidemic_params()
+        g = Grid(0.0, 8.0, 100)
+        pcfg = PenaltyConfig(alpha0=5.0, alpha1=0.02, alpha2=5.0, Lhat=0.04,
+                             eps_schedule=(1e-4,))
+        st = solve_p_eps(pcfg, 1e-4, p, X0, g, pcfg.anchor)
+        assert st.converged is False
+        assert st.fp_residual > 1e-7
+        raw = update_controls_eps(st.trajectory, st.adjoint, pcfg.alpha1, pcfg.anchor)
+        assert raw.dist(st.controls) == st.fp_residual
+        res = solve_p(pcfg, p, X0, g)
+        assert res.converged is False
+        assert res.per_eps_history[0].fp_residual == st.fp_residual
+        assert f"stage eps=0.0001 stalled at residual {st.fp_residual:.3e}" in res.notes
 
     def test_gradient_matches_finite_differences(self):
         p = epidemic_params()

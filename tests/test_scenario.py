@@ -98,7 +98,7 @@ class TestLoadScenario:
 
     def test_step_cap_is_inclusive(self):
         # loading allocates nothing, so the cap itself can be checked at its edge
-        from sailr.scenario import MAX_STEPS
+        from sailr.integrate import MAX_STEPS
         doc = simulate_doc(grid={"T": 5.0, "M": MAX_STEPS})
         assert scenario_from_dict(doc).grid.M == MAX_STEPS
         doc = simulate_doc(grid={"T": 5.0, "M": MAX_STEPS + 1},
