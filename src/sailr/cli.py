@@ -127,8 +127,10 @@ def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
 
 def _run_stability(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     report = stab.simulate_extinction(s.params, s.x0, s.stability)
-    first = s.stability.grid(s.stability.horizon)
-    write_trajectory_csv(simulate(s.params, s.x0, first), outdir / "trajectory.csv")
+    first = report.first_segment
+    if first is None:  # x0 already extinct: no segment was integrated
+        first = simulate(s.params, s.x0, s.stability.grid(s.stability.horizon))
+    write_trajectory_csv(first, outdir / "trajectory.csv")
     summary["R0"] = report.R0
     summary["S_bar"] = report.S_bar
     summary["residuals"] = {"infected_mass": float(sum(report.final_state[1:4]))}
@@ -138,7 +140,7 @@ def _run_stability(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
         "eigenvalues_re": [float(z.real) for z in report.eigenvalues],
         "eigenvalues_im": [float(z.imag) for z in report.eigenvalues],
         "horizon": report.horizon, "monotone_S": report.monotone_S}
-    summary["runtime"] = report.segments + 1
+    summary["runtime"] = max(report.segments, 1)  # the segments, or the solve above
     return 0 if report.extinction else 2
 
 

@@ -472,7 +472,9 @@ def _tloc_note(params, pcfg, L0, traj, ctrl, grid, notes):
         if grid.T >= tloc:
             notes.append(f"horizon T={grid.T:g} is not below the local bound "
                          f"T_loc={tloc:g}; limit conditions are proven only below it")
-    except Exception:
+    except (ValidationError, OverflowError):
+        # rounding can leave y1 or rho outside their open intervals, and
+        # e^(G t) overflows the bound's root search once G t passes ~709
         pass
 
 

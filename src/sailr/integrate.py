@@ -19,7 +19,10 @@ from .errors import BlowupError, GridMismatchError, TimeDomainError, ValidationE
 
 _BIG = 1e100  # magnitude treated as blow-up (also catches NaN via comparison)
 
-#: steps per block of `linear_sweep`: bounds the step maps held at once
+#: steps per block of every sweep: `linear_sweep` holds the step maps of one
+#: block at a time, and the forward solve `model.simulate` converts the
+#: coefficient samples of one block at a time, so a sweep's memory beyond its
+#: output is O(SWEEP_BLOCK)
 SWEEP_BLOCK = 512
 
 #: most RK4 steps one grid may take (grid.M, and each segment of a stability run)
@@ -47,9 +50,22 @@ class Grid:
     def points(self) -> np.ndarray:
         return np.linspace(self.t0, self.T, self.M + 1)
 
-    def half_points(self) -> np.ndarray:
-        """All stage times: grid points plus interval midpoints (2M+1 values)."""
-        return np.linspace(self.t0, self.T, 2 * self.M + 1)
+    def half_points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Stage times of steps lo..hi-1 (all M steps by default): grid
+        points plus interval midpoints, the samples 2 lo..2 hi (2M+1 values
+        for the whole grid).
+
+        Sample i is t0 + i (T - t0)/(2M) and the last is T exactly, as
+        np.linspace computes them, so a block's stage times are the same
+        bits as that slice of the whole grid's.
+        """
+        hi = self.M if hi is None else hi
+        t = np.arange(2 * lo, 2 * hi + 1, dtype=float)
+        t *= (self.T - self.t0) / (2 * self.M)
+        t += self.t0
+        if hi == self.M:
+            t[-1] = self.T
+        return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,19 +209,23 @@ def _increment_scan(D: np.ndarray, y0: np.ndarray) -> np.ndarray:
     return ys
 
 
-def linear_sweep(step_maps, y0, M: int) -> np.ndarray:
+def linear_sweep(step_maps, y0, M: int, block_done=None) -> np.ndarray:
     """States y_0..y_M, shape (M + 1,) + y0.shape, of y_{k+1} = P_k y_k from
     one state y0 (N,) or K states (N, K) that share the step maps.
 
     step_maps(lo, hi) gives the increments P_k - I of steps lo..hi-1, shape
     (hi - lo, N, N), SWEEP_BLOCK steps at a time; `_increment_scan` composes
-    each block from the last state of the one before.  Raises BlowupError at
-    the first step whose state is non-finite or beyond 1e100 in sum.
+    each block from the last state of the one before.  block_done(lo, hi,
+    ys), if given, is called once each block's states are stored, with the
+    view ys of y_lo..y_hi, so that a caller can reduce what it built for the
+    block before the next one.  Raises BlowupError at the first step whose
+    state is non-finite or beyond 1e100 in sum.
     """
     y0 = np.asarray(y0, dtype=float)
     cols = y0.reshape(len(y0), -1)
     out = np.empty((M + 1,) + cols.shape)
     out[0] = cols
+    states = out.reshape((M + 1,) + y0.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
         for lo in range(0, M, SWEEP_BLOCK):
             hi = min(lo + SWEEP_BLOCK, M)
@@ -214,4 +234,6 @@ def linear_sweep(step_maps, y0, M: int) -> np.ndarray:
             if bad.size:
                 raise BlowupError(lo + int(bad[0]) + 1)
             out[lo + 1:hi + 1] = ys
-    return out.reshape((M + 1,) + y0.shape)
+            if block_done is not None:
+                block_done(lo, hi, states[lo:hi + 1])
+    return states

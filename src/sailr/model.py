@@ -42,8 +42,8 @@ class CoefficientTable:
         return hash((self.knots.tobytes(), self.values.tobytes()))
 
     def __post_init__(self):
-        knots = np.atleast_1d(np.asarray(self.knots, dtype=float))
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        knots = np.array(self.knots, dtype=float, ndmin=1)
+        values = np.array(self.values, dtype=float, ndmin=1)
         errs = []
         if knots.size != values.size or knots.size < 1:
             errs.append("coefficient table needs len(values) == len(knots) >= 1")
@@ -53,9 +53,14 @@ class CoefficientTable:
             errs.append("negative coefficient value in table")
         if errs:
             raise ValidationError(errs)
+        # np.interp copies read-only inputs on every call, which a sweep
+        # evaluating block by block would repeat per block; it reads the
+        # table's own writeable copies, and the fields are read-only views
+        object.__setattr__(self, "_interp_args", (knots, values))
         for name, arr in (("knots", knots), ("values", values)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            view = arr.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientTable":
@@ -81,7 +86,7 @@ class CoefficientTable:
         span = hi - lo
         if np.any(t < lo - 1e-12 * span) or np.any(t > hi + 1e-12 * span):
             raise TimeDomainError(f"t outside coefficient table range [{lo}, {hi}]")
-        out = np.interp(t, self.knots, self.values)
+        out = np.interp(t, *self._interp_args)
         return float(out) if t.ndim == 0 else out
 
 
@@ -254,63 +259,86 @@ def jacobian_update(J: np.ndarray, p: ModelParams, S, A, I, bI, bA, xi) -> None:
     np.negative(xi, out=J[..., 4, 4])
 
 
-def _rk4_model(sigma, muA, muI, muL, lA, lI, bI, bA, xi, x0, M, h):
-    # Hot loop: plain float arithmetic on list-indexed coefficients.
-    out = np.empty((M + 1, 5))
-    S, A, I, L, R = (float(v) for v in x0)
-    out[0] = S, A, I, L, R
+def _rk4_block(sigma, muA, muI, muL, lA, lI, h, bI, bA, xi, x):
+    # Hot loop: plain float RK4 from the state x over the steps whose stage
+    # samples are the lists bI, bA, xi (2n + 1 each for n steps); returns the
+    # n new states as one flat list of 5n floats.  Float arithmetic does not
+    # raise on inf or nan, so a blow-up is found afterwards on the stored rows.
+    S, A, I, L, R = x
     k1c = sigma + muA + lA
     k2c = muI + lI
     h2 = 0.5 * h
     h6 = h / 6.0
-    # step k reads the stage samples 2k, 2k + 1 and 2k + 2 of each table
+    rows = []
+    extend = rows.extend
+    # step j reads the stage samples 2j, 2j + 1 and 2j + 2 of each table
     stages = zip(bI[0:-1:2], bI[1::2], bI[2::2], bA[0:-1:2], bA[1::2], bA[2::2],
                  xi[0:-1:2], xi[1::2], xi[2::2])
-    for k, (b0, b1, b2, c0, c1, c2, e0, e1, e2) in enumerate(stages):
+    for b0, b1, b2, c0, c1, c2, e0, e1, e2 in stages:
         inf = b0 * S * I + c0 * S * A
-        dS1 = -inf + e0 * R; dA1 = inf - k1c * A; dI1 = sigma * A - k2c * I
-        dL1 = lA * A + lI * I - muL * L; dR1 = muA * A + muI * I + muL * L - e0 * R
+        eR = e0 * R; mL = muL * L
+        dS1 = eR - inf; dA1 = inf - k1c * A; dI1 = sigma * A - k2c * I
+        dL1 = lA * A + lI * I - mL; dR1 = muA * A + muI * I + mL - eR
         S2 = S + h2 * dS1; A2 = A + h2 * dA1; I2 = I + h2 * dI1
         L2 = L + h2 * dL1; R2 = R + h2 * dR1
 
         inf = b1 * S2 * I2 + c1 * S2 * A2
-        dS2 = -inf + e1 * R2; dA2 = inf - k1c * A2; dI2 = sigma * A2 - k2c * I2
-        dL2 = lA * A2 + lI * I2 - muL * L2; dR2 = muA * A2 + muI * I2 + muL * L2 - e1 * R2
+        eR = e1 * R2; mL = muL * L2
+        dS2 = eR - inf; dA2 = inf - k1c * A2; dI2 = sigma * A2 - k2c * I2
+        dL2 = lA * A2 + lI * I2 - mL; dR2 = muA * A2 + muI * I2 + mL - eR
         S3 = S + h2 * dS2; A3 = A + h2 * dA2; I3 = I + h2 * dI2
         L3 = L + h2 * dL2; R3 = R + h2 * dR2
 
         inf = b1 * S3 * I3 + c1 * S3 * A3
-        dS3 = -inf + e1 * R3; dA3 = inf - k1c * A3; dI3 = sigma * A3 - k2c * I3
-        dL3 = lA * A3 + lI * I3 - muL * L3; dR3 = muA * A3 + muI * I3 + muL * L3 - e1 * R3
+        eR = e1 * R3; mL = muL * L3
+        dS3 = eR - inf; dA3 = inf - k1c * A3; dI3 = sigma * A3 - k2c * I3
+        dL3 = lA * A3 + lI * I3 - mL; dR3 = muA * A3 + muI * I3 + mL - eR
         S4 = S + h * dS3; A4 = A + h * dA3; I4 = I + h * dI3
         L4 = L + h * dL3; R4 = R + h * dR3
 
         inf = b2 * S4 * I4 + c2 * S4 * A4
-        dS4 = -inf + e2 * R4; dA4 = inf - k1c * A4; dI4 = sigma * A4 - k2c * I4
-        dL4 = lA * A4 + lI * I4 - muL * L4; dR4 = muA * A4 + muI * I4 + muL * L4 - e2 * R4
+        eR = e2 * R4; mL = muL * L4
+        dS4 = eR - inf; dA4 = inf - k1c * A4; dI4 = sigma * A4 - k2c * I4
+        dL4 = lA * A4 + lI * I4 - mL; dR4 = muA * A4 + muI * I4 + mL - eR
 
         S += h6 * (dS1 + 2.0 * (dS2 + dS3) + dS4)
         A += h6 * (dA1 + 2.0 * (dA2 + dA3) + dA4)
         I += h6 * (dI1 + 2.0 * (dI2 + dI3) + dI4)
         L += h6 * (dL1 + 2.0 * (dL2 + dL3) + dL4)
         R += h6 * (dR1 + 2.0 * (dR2 + dR3) + dR4)
-        tot = S + A + I + L + R
-        if not (-1e100 < tot < 1e100):
-            raise BlowupError(k + 1)
-        out[k + 1] = S, A, I, L, R
-    return out
+        extend((S, A, I, L, R))
+    return rows
 
 
 def simulate(p: ModelParams, x0, grid: Grid) -> Trajectory:
     """Forward RK4 solve of the model on the grid (same discrete map as
-    integrate_forward with rhs, specialized for speed)."""
+    integrate_forward with rhs, specialized for speed).
+
+    The solve streams SWEEP_BLOCK steps at a time: each block evaluates the
+    coefficients on its own stage times, so the memory beyond the (M + 1, 5)
+    output is one block's.  Raises BlowupError at the first step whose
+    S + A + I + L + R is non-finite or beyond 1e100 in magnitude.
+    """
     validate_params(p, t_max=grid.T)
     x0 = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
-    th = grid.half_points()
-    bI, bA, xi = (c(th).tolist() for c in (p.beta_I, p.beta_A, p.xi))
-    states = _rk4_model(p.sigma, p.mu_A, p.mu_I, p.mu_L, p.l_A, p.l_I,
-                        bI, bA, xi, x0, grid.M, grid.h)
-    return Trajectory(grid, states)
+    M = grid.M
+    out = np.empty((M + 1, 5))
+    x = tuple(float(v) for v in x0)
+    out[0] = x
+    rates = (p.sigma, p.mu_A, p.mu_I, p.mu_L, p.l_A, p.l_I, grid.h)
+    for lo in range(0, M, SWEEP_BLOCK):
+        hi = min(lo + SWEEP_BLOCK, M)
+        th = grid.half_points(lo, hi)
+        rows = _rk4_block(*rates, *(c(th).tolist() for c in (p.beta_I, p.beta_A, p.xi)), x)
+        x = rows[-5:]
+        block = out[lo + 1:hi + 1]
+        block.reshape(-1)[:] = rows
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
+            tot = block[:, 0] + block[:, 1] + block[:, 2] + block[:, 3] + block[:, 4]
+        bad = np.flatnonzero(~((-1e100 < tot) & (tot < 1e100)))
+        if bad.size:
+            raise BlowupError(lo + int(bad[0]) + 1)
+    return Trajectory(grid, out)
 
 
 def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
@@ -321,40 +349,55 @@ def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
     # grid states, so the result is exact for the discrete flow: v_k =
     # P_k^T v_{k+1} with P_k built from the stage Jacobians, whose three
     # extra columns give d x_{k+1}/d beta_I at the samples 2k, 2k+1, 2k+2.
-    # The coefficients are evaluated once on the stage samples, and one
-    # stage buffer G, its constant Jacobian entries written once, serves
-    # every block: per block only the entries that vary are rewritten.
+    # The sweep streams: each block evaluates its coefficients on its own
+    # stage times, and its sensitivities are contracted into bbar as soon as
+    # the block's states exist.  One stage buffer G, its constant Jacobian
+    # entries written once, serves every block: per block only the entries
+    # that vary are rewritten.
     g = traj.grid
     M, h = g.M, g.h
-    coeffs = [c(g.half_points()) for c in (p.beta_I, p.beta_A, p.xi)]
-    sens = np.empty((M, 5, 3))
+    bbar = np.zeros((2 * M + 1,) + np.shape(cotangent)[1:])
     G = np.zeros((4, min(M, SWEEP_BLOCK), 8, 8))
     jacobian_constants(G[:, :, :5, :5], p)
+    sens = None  # d x_{k+1}/d beta_I at the samples of the block last built
 
     def step_maps(lo, hi):
         # reverse-sweep steps lo..hi-1 are the forward steps M-hi..M-lo-1,
         # whose stage r reads the samples 2k + c, c = 0, 1, 1, 2
+        nonlocal sens
         x = traj.states[M - hi:M - lo]
+        th = g.half_points(M - hi, M - lo)
+        coeffs = [c(th) for c in (p.beta_I, p.beta_A, p.xi)]
         Gb = G[:, :hi - lo]
         d = 0.0
         for r, (a, c) in enumerate(zip((0.0, 0.5, 0.5, 1.0), (0, 1, 1, 2))):
-            bI, bA, xi = (v[2 * (M - hi) + c:2 * (M - lo) + c:2] for v in coeffs)
+            bI, bA, xi = (v[c:c + 2 * (hi - lo):2] for v in coeffs)
             xr = x + (a * h) * d
-            d = _rhs(xr, p, bI, bA, xi)
+            if r < 3:  # the last stage's rhs feeds no later stage
+                d = _rhs(xr, p, bI, bA, xi)
             S, A, I = xr[:, 0], xr[:, 1], xr[:, 2]
             jacobian_update(Gb[r, :, :5, :5], p, S, A, I, bI, bA, xi)
             # d rhs/d beta_I = S I (-1, 1, 0, 0, 0)
             np.multiply(S, I, out=Gb[r, :, 1, 5 + c])
             np.negative(Gb[r, :, 1, 5 + c], out=Gb[r, :, 0, 5 + c])
         D = rk4_step_maps(Gb, h)
-        sens[M - hi:M - lo] = D[:, :5, 5:]
+        sens = D[:, :5, 5:]
         return D[::-1, :5, :5].transpose(0, 2, 1)
 
-    v = linear_sweep(step_maps, cotangent, M)[::-1]
-    per = np.einsum("kic,ki...->kc...", sens, v[1:])
-    bbar = np.zeros((2 * M + 1,) + v.shape[2:])
-    for c in range(3):  # samples 2k + c
-        bbar[c:2 * M + c:2] += per[:, c]
+    def contract(lo, hi, ys):
+        # forward step k of the block pairs with v[k + 1], the reverse state
+        # M - k - 1: the block's reverse states hi-1 down to lo.  per[k, c] =
+        # sum_i sens[k, i, c] v[k + 1, i], summed in order of i as einsum
+        # does, in fewer passes than its generic loop
+        v = ys[-2::-1].reshape(hi - lo, 5, -1)
+        per = sens[:, 0, :, None] * v[:, 0, None]
+        for i in range(1, 5):
+            per += sens[:, i, :, None] * v[:, i, None]
+        per = per.reshape((hi - lo, 3) + ys.shape[2:])
+        for c in range(3):  # samples 2k + c
+            bbar[2 * (M - hi) + c:2 * (M - lo) + c:2] += per[:, c]
+
+    v = linear_sweep(step_maps, cotangent, M, contract)[::-1]
     return v, bbar
 
 

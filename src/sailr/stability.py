@@ -110,6 +110,7 @@ class StabilityReport:
     monotone_S: bool
     final_state: np.ndarray
     segments: int = 0
+    first_segment: Trajectory | None = None  # None when no segment was integrated
 
 
 def _regime(product: float) -> str:
@@ -159,10 +160,13 @@ def simulate_extinction(params: ModelParams, x0,
     total = 0.0
     seg = float(cfg.horizon)
     segments = 0
+    first = None
     extinct = bool(max(x[1], x[2], x[3]) < cfg.tol)
     while not extinct and total + seg <= HORIZON_CAP and seg / cfg.h <= MAX_STEPS:
         traj = simulate(params, x, cfg.grid(seg))
         segments += 1
+        if first is None:
+            first = traj
         if float(np.max(np.diff(traj.S))) > TOL_NEG:
             monotone = False
         x = traj.final
@@ -176,7 +180,7 @@ def simulate_extinction(params: ModelParams, x0,
         R0=rep_r0, S_bar=s_bar, eigenvalues=check.eigenvalues,
         hurwitz=check.hurwitz, S_tilde_inf=s_tilde, extinction=extinct,
         regime=_regime(rep_r0 * s_tilde), horizon=total, monotone_S=monotone,
-        final_state=x, segments=segments)
+        final_state=x, segments=segments, first_segment=first)
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,31 @@ class TestStability:
         assert summary["stability"]["extinction"] is True
         assert summary["R0"] is not None
 
+    def test_trajectory_is_first_segment(self, tmp_path):
+        # the run writes the segment simulate_extinction integrated first
+        # and counts no extra solve for it
+        out = tmp_path / "out"
+        assert main(["stability", "--scenario", STABILITY_EXTINCTION, "--out", str(out),
+                     "--quiet"]) == 0
+        s = scenario_from_dict(json.loads(Path(STABILITY_EXTINCTION).read_text()))
+        report = stability.simulate_extinction(s.params, s.x0, s.stability)
+        _, cols = read_csv_columns(out / "trajectory.csv")
+        assert np.array_equal(np.column_stack(cols[1:]), report.first_segment.states)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["runtime"] == report.segments
+
+    def test_extinct_x0_simulates_once(self, tmp_path):
+        doc = epidemic_doc(task="stability")
+        doc["params"]["xi"] = 0.0
+        doc["x0"] = {"S": 0.9, "A": 0.0, "I": 0.0, "L": 0.0, "R": 0.1}
+        doc["stability"] = {"horizon": 2.0, "tol": 1e-8, "h": 0.01}
+        out = tmp_path / "out"
+        assert main(["stability", "--scenario", write_doc(tmp_path, doc), "--out", str(out),
+                     "--quiet"]) == 0
+        _, cols = read_csv_columns(out / "trajectory.csv")
+        assert len(cols[0]) == 201
+        assert json.loads((out / "summary.json").read_text())["runtime"] == 1
+
     def test_segments_stop_at_step_cap(self, tmp_path, monkeypatch):
         # mu_L = 0: L never decays, so the doubling runs until a cap stops it
         steps = []
@@ -301,7 +326,7 @@ SCENARIOS = Path(__file__).parent.parent / "scenarios"
 class TestSweepCounts:
     #: upper bounds on summary.json "runtime" (ODE sweeps); only ever tightened
     BOUNDS = {"simulate_baseline": 1, "synth_truth": 1, "identify_synthetic": 16,
-              "stability_extinction": 4}
+              "stability_extinction": 3}
 
     def test_shipped_scenario_sweeps_bounded(self, tmp_path):
         for name, bound in self.BOUNDS.items():

@@ -201,6 +201,53 @@ class TestPenaltyConfig:
         assert len(s) == 13 and s[0] == 0.1 and s[1] == 0.05
 
 
+class TestTLocNote:
+    # The T_loc horizon diagnostic drops only the errors its inputs can
+    # legitimately raise; any other error is a bug and propagates.
+    GRID = Grid(0.0, 4.0, 100)
+    CTRL = ControlPair(0.1, 0.1)
+
+    def _note(self, L0=0.01, alpha0=1.0, traj=None):
+        p = epidemic_params()
+        pcfg = PenaltyConfig(alpha0=alpha0, alpha1=0.1, alpha2=1.0, Lhat=0.05)
+        x0 = X0.copy()
+        x0[3] = L0
+        traj = simulate(p, x0, self.GRID) if traj is None else traj
+        notes = []
+        control._tloc_note(p, pcfg, L0, traj, self.CTRL, self.GRID, notes)
+        return notes
+
+    def test_note_when_horizon_reaches_bound(self):
+        assert self._note() == ["horizon T=4 is not below the local bound "
+                                "T_loc=0.279236; limit conditions are proven only below it"]
+
+    def test_rounding_validation_error_dropped(self):
+        # y1 = L0/2 rounds to 0 for the least subnormal L0
+        from sailr.stability import TLocInputs
+        p = epidemic_params()
+        x0 = X0.copy()
+        x0[3] = 5e-324
+        traj = simulate(p, x0, self.GRID)
+        with pytest.raises(ValidationError, match="0 < y1 < L0"):
+            TLocInputs.from_trajectory(p, traj, 0.5 * 5e-324, 0.025, 0.05)
+        assert self._note(L0=5e-324) == []
+
+    def test_overflow_dropped(self):
+        # a tiny alpha0 pushes the root of 4 mu_L alpha0 e^(G t) t^1.5 = 1
+        # past the range of math.exp
+        from sailr.stability import TLocInputs, compute_t_loc
+        p = epidemic_params()
+        traj = simulate(p, X0, self.GRID)
+        inputs = TLocInputs.from_trajectory(p.with_controls(0.1, 0.1), traj, 0.005, 0.025, 0.05)
+        with pytest.raises(OverflowError):
+            compute_t_loc(p, inputs, 1e-300)
+        assert self._note(alpha0=1e-300) == []
+
+    def test_other_errors_propagate(self):
+        with pytest.raises(AttributeError):
+            self._note(traj=object())
+
+
 class TestSolveP:
     def test_lhat_must_exceed_L0(self):
         p = epidemic_params()
