@@ -5,7 +5,8 @@ isolated fraction must respect L(t) <= Lhat.  The constraint is handled by
 exterior quadratic penalization with weight alpha2/eps and a continuation
 eps -> 0.  Each penalized stage is solved by a damped forward-backward
 fixed-point sweep (forward state solve, backward dual solve, projection
-update), with a projected-gradient fallback if the sweep oscillates.
+update), followed by a finite-difference Newton step on the two-control
+fixed-point gap when the sweep stops short of tolerance.
 
 The adapted quadratic terms 0.5*(l - anchor)^2 in the stage cost reference
 an anchor control pair; the continuation self-anchors by passing each
@@ -83,10 +84,7 @@ THETA = 0.5            # relaxation of the fixed-point sweep
 TOL_FP = 1e-9          # stage fixed-point tolerance on controls
 FP_FLOOR = 1e-7        # plateaued sweeps below this still count as converged
 MAX_SWEEPS = 200       # damped sweeps per stage
-OSC_WINDOW = 3         # cost increases before gradient fallback
-MAX_PG_ITERS = 200     # projected-gradient iterations per stage
-ARMIJO_C = 1e-4        # projected gradient: sufficient-decrease constant
-MAX_BACKTRACKS = 60    # projected gradient: backtracks per step
+OSC_WINDOW = 3         # cost increases that end the sweep phase
 TOL_CONSTRAINT = 1e-4  # on sup (L - Lhat)^+
 TOL_RESIDUAL = 1e-3    # on the limit fixed-point residual
 POLISH_MAX = 200       # extra self-anchored stages at final eps
@@ -106,6 +104,7 @@ class StageResult:
     controls: ControlPair
     cost_eps: float
     fp_residual: float
+    #: the oscillation detector ended the sweep phase (OSC_WINDOW cost rises)
     used_fallback: bool
     trajectory: Trajectory
     adjoint: AdjointTrajectory
@@ -210,11 +209,12 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
                 tol_fp: float = TOL_FP) -> StageResult:
     """Solve one penalized stage by damped fixed-point sweeps.
 
-    Relaxation new = THETA*update + (1-THETA)*old; if the stage cost rises
-    on OSC_WINDOW consecutive sweeps the solver falls back to projected
-    gradient with Armijo backtracking on the 2-D control space.  If neither
-    reaches tol_fp, the iterate with the smallest fixed-point residual is
-    returned with converged=False.
+    Relaxation new = THETA*update + (1-THETA)*old.  The sweep phase ends at
+    tol_fp, after OSC_WINDOW consecutive cost increases, on a plateau, or
+    after MAX_SWEEPS; a finite-difference Newton step on the fixed-point gap
+    then starts from the best sweep.  If that does not reach tol_fp, the
+    iterate with the smallest fixed-point residual is returned with
+    converged=False.
     """
     anchor = anchor if anchor is not None else pcfg.anchor
     x0 = _x0_array(x0)
@@ -255,17 +255,10 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     # Newton on the fixed-point gap: handles stages where the sweep map is
     # expansive (stiff penalty); quadratic convergence from the sweep's iterate.
     ctrl, traj, adj, fp_res, cost, n = _stage_newton(pcfg, eps, params, x0, grid,
-                                                     anchor, best[1], tol_fp)
+                                                     anchor, *best[1:4], tol_fp)
     nsolves += n
     if fp_res <= best[4]:
         best = (cost, ctrl, traj, adj, fp_res)
-    if best[4] > max(tol_fp, FP_FLOOR):
-        ctrl, traj, adj, fp_res, cost, n = _stage_pg(pcfg, eps, params, x0, grid,
-                                                     anchor, best[1], tol_fp)
-        used_fallback = True
-        nsolves += n
-        if fp_res <= best[4]:
-            best = (cost, ctrl, traj, adj, fp_res)
     cost, ctrl, traj, adj, fp_res = best
     converged = fp_res <= max(tol_fp, FP_FLOOR)  # accuracy floor reached
     return StageResult(eps, ctrl, cost, fp_res, used_fallback, traj, adj,
@@ -273,10 +266,11 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
                        _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
 
 
-def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, tol):
+def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, traj, adj, tol):
     """Damped finite-difference Newton on F(l) = update(l) - l.
 
-    Each evaluation is one forward/backward sweep; steps are accepted only
+    Starts from ctrl with its trajectory and adjoint already solved.  Each
+    further evaluation is one forward/backward sweep; steps are accepted only
     if they shrink |F|, so the phase cannot wander.
     """
     nsolves = 0
@@ -287,7 +281,8 @@ def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, tol):
         nsolves += 2
         return np.array([raw.lA - l.lA, raw.lI - l.lI]), traj, adj
 
-    Fv, traj, adj = F(ctrl)
+    raw = update_controls_eps(traj, adj, pcfg.alpha1, anchor)
+    Fv = np.array([raw.lA - ctrl.lA, raw.lI - ctrl.lI])
     fp = float(np.max(np.abs(Fv)))
     for _ in range(30):
         if fp <= tol:
@@ -323,47 +318,6 @@ def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, tol):
             break
     cost = _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor)
     return ctrl, traj, adj, fp, cost, nsolves
-
-
-def _stage_pg(pcfg, eps, params, x0, grid, anchor, ctrl, tol):
-    """Projected gradient with Armijo backtracking on (l_A, l_I)."""
-    a1 = pcfg.alpha1
-    nsolves = 0
-    traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl)
-    nsolves += 2
-    J = _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor)
-    fp_res = raw.dist(ctrl)
-    s = 1.0
-    for _ in range(MAX_PG_ITERS):
-        if fp_res <= tol:
-            break
-        ia, ii = _stage_integrals(traj, adj)
-        gA = -ia + (a1 + 1.0) * ctrl.lA - anchor.lA
-        gI = -ii + (a1 + 1.0) * ctrl.lI - anchor.lI
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = ControlPair(_clamp01(ctrl.lA - s * gA), _clamp01(ctrl.lI - s * gI))
-            dpred = gA * (cand.lA - ctrl.lA) + gI * (cand.lI - ctrl.lI)
-            if dpred == 0.0:
-                break
-            ctraj = simulate(params.with_controls(cand.lA, cand.lI), x0, grid)
-            nsolves += 1
-            Jc = _cost_p_eps_from(ctraj, cand, pcfg, eps, anchor)
-            if Jc <= J + ARMIJO_C * dpred:
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-        ctrl, J = cand, Jc
-        adj = adjoint_p_eps(ctraj, params, ctrl.lA, ctrl.lI, eps,
-                            pcfg.alpha0, pcfg.alpha2, pcfg.Lhat)
-        nsolves += 1
-        traj = ctraj
-        raw = update_controls_eps(traj, adj, a1, anchor)
-        fp_res = raw.dist(ctrl)
-        s = min(s * 2.0, 1e6)
-    return ctrl, traj, adj, fp_res, J, nsolves
 
 
 def _limit_residual(traj, adj, ctrl, alpha1) -> float:

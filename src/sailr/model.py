@@ -84,7 +84,8 @@ class CoefficientTable:
         t = np.asarray(t, dtype=float)
         lo, hi = self.knots[0], self.knots[-1]
         span = hi - lo
-        if np.any(t < lo - 1e-12 * span) or np.any(t > hi + 1e-12 * span):
+        # written so that a NaN time fails the test: comparisons with NaN are False
+        if t.size and not (lo - 1e-12 * span <= t.min() and t.max() <= hi + 1e-12 * span):
             raise TimeDomainError(f"t outside coefficient table range [{lo}, {hi}]")
         out = np.interp(t, *self._interp_args)
         return float(out) if t.ndim == 0 else out
@@ -206,17 +207,19 @@ def rhs(x, p: ModelParams, t) -> np.ndarray:
     return _rhs(x, p, p.beta_I(t), p.beta_A(t), p.xi(t))
 
 
-def _rhs(x, p: ModelParams, bI, bA, xi) -> np.ndarray:
-    # rhs with beta_I, beta_A and xi already evaluated at the states' times
+def _rhs(x, p: ModelParams, bI, bA, xi, out=None) -> np.ndarray:
+    # rhs with beta_I, beta_A and xi already evaluated at the states' times,
+    # written into out (shaped like x) when a sweep passes its reused buffer
+    if out is None:
+        out = np.empty(np.shape(x))
     S, A, I, L, R = np.moveaxis(x, -1, 0)
     infections = bI * S * I + bA * S * A
-    return np.stack([
-        -infections + xi * R,
-        infections - p.k1 * A,
-        p.sigma * A - p.k2 * I,
-        p.l_A * A + p.l_I * I - p.mu_L * L,
-        p.mu_A * A + p.mu_I * I + p.mu_L * L - xi * R,
-    ], axis=-1)
+    out[..., 0] = -infections + xi * R
+    out[..., 1] = infections - p.k1 * A
+    out[..., 2] = p.sigma * A - p.k2 * I
+    out[..., 3] = p.l_A * A + p.l_I * I - p.mu_L * L
+    out[..., 4] = p.mu_A * A + p.mu_I * I + p.mu_L * L - xi * R
+    return out
 
 
 def jacobian(x, p: ModelParams, t) -> np.ndarray:
@@ -359,6 +362,7 @@ def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
     bbar = np.zeros((2 * M + 1,) + np.shape(cotangent)[1:])
     G = np.zeros((4, min(M, SWEEP_BLOCK), 8, 8))
     jacobian_constants(G[:, :, :5, :5], p)
+    dbuf = np.empty((min(M, SWEEP_BLOCK), 5))  # stage derivative, reused per stage
     sens = None  # d x_{k+1}/d beta_I at the samples of the block last built
 
     def step_maps(lo, hi):
@@ -374,7 +378,7 @@ def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
             bI, bA, xi = (v[c:c + 2 * (hi - lo):2] for v in coeffs)
             xr = x + (a * h) * d
             if r < 3:  # the last stage's rhs feeds no later stage
-                d = _rhs(xr, p, bI, bA, xi)
+                d = _rhs(xr, p, bI, bA, xi, out=dbuf[:hi - lo])
             S, A, I = xr[:, 0], xr[:, 1], xr[:, 2]
             jacobian_update(Gb[r, :, :5, :5], p, S, A, I, bI, bA, xi)
             # d rhs/d beta_I = S I (-1, 1, 0, 0, 0)

@@ -331,7 +331,7 @@ def test_c10_constraint_satisfaction():
     pcfg = PenaltyConfig(alpha0=5.0, alpha1=0.02, alpha2=5.0, Lhat=lhat,
                          eps_schedule=default_eps_schedule(17))
     res = solve_p(pcfg, p, x0, g)
-    assert res.forward_solves <= 10_835  # control_binding's problem: 9850 sweeps
+    assert res.forward_solves <= 6_851  # control_binding's problem: 6228 sweeps
     assert res.constraint_violation <= 1e-4
     assert res.limit_residual <= 1e-3
     nu = res.multiplier_diag

@@ -121,9 +121,8 @@ class TestSolvePEps:
         assert raw.dist(st.controls) <= 1e-6
 
     def test_stage_above_tolerance_returns_unconverged(self, monkeypatch):
-        # a stiff binding stage with its sweep and gradient budgets cut
+        # a stiff binding stage with its sweep budget cut
         monkeypatch.setattr(control, "MAX_SWEEPS", 1)
-        monkeypatch.setattr(control, "MAX_PG_ITERS", 0)
         p = epidemic_params()
         g = Grid(0.0, 8.0, 100)
         pcfg = PenaltyConfig(alpha0=5.0, alpha1=0.02, alpha2=5.0, Lhat=0.04,

@@ -105,6 +105,13 @@ class TestCoefficientTable:
         with pytest.raises(TimeDomainError):
             c(-0.1)
 
+    def test_nan_time_rejected(self):
+        c = CoefficientTable([0.0, 8.0], [0.3, 0.4])
+        with pytest.raises(TimeDomainError):
+            c(np.nan)
+        with pytest.raises(TimeDomainError):
+            c(np.array([0.0, np.nan, 4.0]))
+
     def test_invalid_tables(self):
         with pytest.raises(ValidationError):
             CoefficientTable([0.0, 0.0], [0.1, 0.2])  # not strictly increasing
