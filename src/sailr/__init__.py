@@ -8,10 +8,9 @@ analysis.  All public types are immutable after construction and all
 solvers are deterministic.
 """
 
-from .control import (ControlConfig, ControlPair, ControlResult, PenaltyConfig,
-                      StageResult, constraint_violation, cost_p, cost_p_eps,
-                      default_eps_schedule, solve_p, solve_p_eps,
-                      solve_p_multistart, update_controls_eps)
+from .control import (ControlPair, ControlResult, PenaltyConfig, StageResult,
+                      constraint_violation, cost_p, cost_p_eps, default_eps_schedule,
+                      solve_p, solve_p_eps, update_controls_eps)
 from .errors import (BlowupError, FeasibilityError, GridMismatchError, SailrError,
                      TimeDomainError, ValidationError)
 from .identify import (GAMMA, IdentCandidate, IdentConfig, IdentResult, Observations,

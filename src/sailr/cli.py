@@ -43,9 +43,6 @@ def _parse_args(argv):
                         metavar="KEY=VALUE", help="override a scenario field "
                         "(dotted path, e.g. grid.M=2000); repeatable")
         sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for multi-start runs "
-                        "(at most one per start)")
         sp.add_argument("--quiet", action="store_true", help="suppress the console summary")
     return parser.parse_args(argv)
 
@@ -64,7 +61,7 @@ def _try_r0(summary: dict, params):
         pass  # time-varying coefficients: no scalar reproduction number
 
 
-def _run_simulate(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
+def _run_simulate(s: Scenario, outdir: Path, summary: dict):
     traj = simulate(s.params, s.x0, s.grid)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     drift = float(np.max(np.abs(traj.states.sum(axis=1) - total_population(s.x0))))
@@ -74,7 +71,7 @@ def _run_simulate(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     return 0
 
 
-def _run_identify(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
+def _run_identify(s: Scenario, outdir: Path, summary: dict):
     alpha0, alpha1 = s.weights
     res = idf.solve_p0(s.observations, s.params, s.grid, alpha0, alpha1, s.solver)
     if res.notes:
@@ -101,13 +98,8 @@ def _run_identify(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     return 0 if res.converged else 2
 
 
-def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
-    if s.solver.multistart:
-        res, _, spread = ctl.solve_p_multistart(s.penalty, s.params, s.x0, s.grid,
-                                                config=s.solver, jobs=jobs)
-        res.notes.append(f"multistart spread {spread:.3e}")
-    else:
-        res = ctl.solve_p(s.penalty, s.params, s.x0, s.grid, config=s.solver)
+def _run_control(s: Scenario, outdir: Path, summary: dict):
+    res = ctl.solve_p(s.penalty, s.params, s.x0, s.grid)
     write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
     write_adjoint_csv(res.adjoint, outdir / "adjoint.csv")
     write_series_csv(outdir / "multiplier.csv", "nu", s.grid, res.multiplier_diag)
@@ -125,7 +117,7 @@ def _run_control(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     return 0 if res.converged else 2
 
 
-def _run_stability(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
+def _run_stability(s: Scenario, outdir: Path, summary: dict):
     report = stab.simulate_extinction(s.params, s.x0, s.stability)
     first = report.first_segment
     if first is None:  # x0 already extinct: no segment was integrated
@@ -144,7 +136,7 @@ def _run_stability(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
     return 0 if report.extinction else 2
 
 
-def _run_synth(s: Scenario, outdir: Path, summary: dict, jobs: int = 1):
+def _run_synth(s: Scenario, outdir: Path, summary: dict):
     obs, traj = synth_observations(s.synth)
     write_trajectory_csv(traj, outdir / "trajectory.csv")
     summary["observations"] = {"L0": obs.L0, "R0": obs.R0, "LT": obs.LT,
@@ -170,7 +162,7 @@ def run(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         stage = s.task
         summary = _summary_skeleton(s.task, s.seed)
-        status = _RUNNERS[s.task](s, outdir, summary, jobs=args.jobs)
+        status = _RUNNERS[s.task](s, outdir, summary)
         stage = "export"
         write_summary_json(summary, outdir / "summary.json")
     except SailrError as err:

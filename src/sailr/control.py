@@ -9,7 +9,8 @@ update), followed by a finite-difference Newton step on the two-control
 fixed-point gap when the sweep stops short of tolerance.
 
 The adapted quadratic terms 0.5*(l - anchor)^2 in the stage cost reference
-an anchor control pair; the continuation self-anchors by passing each
+an anchor control pair.  The first stage starts from and anchors at the
+configured anchor; the continuation then self-anchors by passing each
 stage's solution as the next stage's anchor, so the adaptation penalty
 vanishes along the schedule and the stage fixed point approaches the
 limit optimality conditions (projection with divisor alpha1 instead of
@@ -18,8 +19,7 @@ alpha1 + 1), which are reported as the convergence certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,14 +88,6 @@ OSC_WINDOW = 3         # cost increases that end the sweep phase
 TOL_CONSTRAINT = 1e-4  # on sup (L - Lhat)^+
 TOL_RESIDUAL = 1e-3    # on the limit fixed-point residual
 POLISH_MAX = 200       # extra self-anchored stages at final eps
-
-
-@dataclass(frozen=True)
-class ControlConfig:
-    """Settings of solve_p, the `solver` block of a control scenario."""
-
-    init: ControlPair | None = None  # first stage's start; None starts at the anchor
-    multistart: bool = False      # the CLI runs solve_p_multistart instead of solve_p
 
 
 @dataclass
@@ -328,24 +320,21 @@ def _limit_residual(traj, adj, ctrl, alpha1) -> float:
     return max(abs(ctrl.lA - lA_hat), abs(ctrl.lI - lI_hat))
 
 
-def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid,
-            config: ControlConfig | None = None) -> ControlResult:
+def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid) -> ControlResult:
     """Penalty continuation over the eps schedule, self-anchored.
 
-    The first stage starts from config.init, or from the anchor when that
-    is unset.  Each stage warm-starts from (and anchors at) the previous
-    solution; after the schedule, extra stages at the final eps are run
-    until the limit fixed-point residual stops improving or drops below
-    tolerance.  A schedule that ends above tolerance yields
-    converged=False, not an error.
+    The first stage starts from and anchors at pcfg.anchor.  Each stage
+    warm-starts from (and anchors at) the previous solution; after the
+    schedule, extra stages at the final eps are run until the limit
+    fixed-point residual stops improving or drops below tolerance.  A
+    schedule that ends above tolerance yields converged=False, not an
+    error.
     """
-    cfg = config or ControlConfig()
     x0 = _x0_array(x0)
     L0 = float(x0[3])
     if not pcfg.Lhat > L0:
         raise ValidationError("Lhat must exceed L0")
-    ctrl = cfg.init if cfg.init is not None else pcfg.anchor
-    anchor = pcfg.anchor
+    ctrl = anchor = pcfg.anchor
     notes = []
     history = []
     nsolves = 0
@@ -430,35 +419,3 @@ def _tloc_note(params, pcfg, L0, traj, ctrl, grid, notes):
         # rounding can leave y1 or rho outside their open intervals, and
         # e^(G t) overflows the bound's root search once G t passes ~709
         pass
-
-
-_CORNERS = (ControlPair(0.0, 0.0), ControlPair(1.0, 0.0),
-            ControlPair(0.0, 1.0), ControlPair(1.0, 1.0), ControlPair(0.5, 0.5))
-
-
-def solve_p_multistart(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid,
-                       starts=None, config: ControlConfig | None = None,
-                       jobs: int = 1):
-    """solve_p from the box corners plus center; disagreement is reported.
-
-    Each start replaces config.init; jobs > 1 runs the starts in at most
-    min(jobs, number of starts) worker processes.  Returns (best result,
-    all results, max pairwise control distance).
-    """
-    cfg = config or ControlConfig()
-    configs = [replace(cfg, init=s) for s in (_CORNERS if starts is None else starts)]
-    solve = partial(solve_p, pcfg, params, _x0_array(x0), grid)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-            results = list(pool.map(solve, configs))
-    else:
-        results = list(map(solve, configs))
-    pool_res = [r for r in results if r.converged] or results
-    best = min(pool_res, key=lambda r: r.cost)
-    spread = max((a.controls.dist(b.controls)
-                  for i, a in enumerate(pool_res) for b in pool_res[i + 1:]),
-                 default=0.0)
-    if spread > 1e-3:
-        best.notes.append(f"multi-start solutions disagree by {spread:.3e}")
-    return best, results, spread

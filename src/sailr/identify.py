@@ -16,7 +16,7 @@ the exact gradient) certify convergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, simulate,
 GAMMA = np.array([[2.0, 1.0], [1.0, 2.0]])
 ARMIJO_C = 1e-4      # arc search: sufficient-decrease constant
 MAX_BACKTRACKS = 60  # arc search: backtracks per step
+BETA_INIT = 0.1      # constant initial guess for beta_I
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,11 @@ class IdentConfig:
 
     tol: float = 1e-6
     max_iters: int = 3000
-    beta_init: float = 0.1        # constant initial guess for beta_I
 
     def __post_init__(self):
-        if not self.beta_init >= 0:
-            raise ValidationError("beta_init must be >= 0")
+        errs = [f"{f.name} must be > 0" for f in fields(self) if not getattr(self, f.name) > 0]
+        if errs:
+            raise ValidationError(errs)
 
 
 def _check_feasible(c: IdentCandidate, n0: float):
@@ -330,7 +331,7 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     def inner(u1, a1, i1, u2, a2, i2):
         return float(np.dot(wq * u1, u2) + a1 * a2 + i1 * i2)
 
-    bg = np.full(tg.size, float(cfg.beta_init))
+    bg = np.full(tg.size, BETA_INIT)
     A0 = I0 = n0 / 4.0
     nsolves = 0
 

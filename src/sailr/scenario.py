@@ -16,7 +16,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .control import ControlConfig, ControlPair, PenaltyConfig
+from .control import ControlPair, PenaltyConfig
 from .errors import ValidationError
 from .identify import IdentConfig, Observations, n0_of
 from .integrate import MAX_STEPS, Grid, Trajectory
@@ -35,9 +35,6 @@ _REQUIRED = {
     "stability": ("x0",),
     "synth": ("grid", "synth"),
 }
-
-#: the settings dataclass of the solver block, per task (other tasks ignore its keys)
-_SOLVER_CONFIG = {"identify": IdentConfig, "control": ControlConfig}
 
 DEFAULT_GRID_M = 10_000
 DEFAULT_WEIGHTS = (1e-6, 1e-6)
@@ -81,7 +78,7 @@ class Scenario:
     observations: Observations | None = None
     weights: tuple = DEFAULT_WEIGHTS
     penalty: PenaltyConfig | None = None
-    solver: IdentConfig | ControlConfig | None = None
+    solver: IdentConfig | None = None
     synth: SynthSpec | None = None
     stability: StabilityConfig = StabilityConfig()
     seed: int = 0
@@ -141,12 +138,12 @@ def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given)
 
     Fields named in given are passed through; every other field is the
     block key of the same name, read by its declared type: float and int
-    by _num, bool as true or false, tuple as a list of finite numbers,
-    CoefficientTable by _table and ControlPair as a nested object.  An
-    absent key, or null for an `X | None` field, takes defaults[name] or the
-    dataclass default, and is reported as required if it has none.  Every
-    problem goes to errs (those raised by cls itself under locus, joined by
-    "." to a leading field name) and then the result is None.
+    by _num, tuple as a list of finite numbers, CoefficientTable by _table
+    and ControlPair as a nested object.  An absent key takes defaults[name]
+    or the dataclass default, and is reported as required if it has none.
+    Keys that name no field are ignored.  Every problem goes to errs (those
+    raised by cls itself under locus, joined by "." to a leading field
+    name) and then the result is None.
     """
     block = _object(block, locus, errs)
     if block is None:
@@ -163,16 +160,10 @@ def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given)
                 kw[f.name] = None
             continue
         value, kind = block[f.name], f.type  # annotation text: evaluation is postponed
-        if value is None and kind.endswith(" | None"):
-            continue  # null leaves an optional field unset
         if kind == "CoefficientTable":
             kw[f.name] = _table(value, name, errs)
-        elif kind.startswith("ControlPair"):
+        elif kind == "ControlPair":
             kw[f.name] = _read(ControlPair, value, name, errs, task)
-        elif kind == "bool":
-            kw[f.name] = value if isinstance(value, bool) else None
-            if kw[f.name] is None:
-                errs.append(f"{name} must be true or false")
         elif kind == "tuple":
             kw[f.name] = _nums(value, name, errs)
         else:
@@ -257,12 +248,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     synth = block(SynthSpec, "synth", params=params, grid=grid, seed=seed)
     solver = None
-    if task in _SOLVER_CONFIG:
-        solver = _read(_SOLVER_CONFIG[task], doc.get("solver", {}), "solver", errs, task)
+    if task == "identify":  # other tasks ignore the solver block's keys
+        solver = _read(IdentConfig, doc.get("solver", {}), "solver", errs, task)
     else:
         _object(doc.get("solver", {}), "solver", errs)
-    if isinstance(solver, ControlConfig) and solver.multistart and solver.init is not None:
-        errs.append("solver.init cannot be set with solver.multistart: each start replaces it")
     stability = _read(StabilityConfig, doc.get("stability", {}), "stability", errs, task)
     if stability is not None and stability.horizon / stability.h > MAX_STEPS:
         errs.append(f"stability.horizon / stability.h must be <= {MAX_STEPS} steps")

@@ -1,5 +1,6 @@
 """Command-line entry point: tasks, overrides, exit codes, outputs."""
 
+import copy
 import json
 import os
 import subprocess
@@ -262,17 +263,17 @@ class TestOverridesAndDeterminism:
         ("stability.h=0", "stability.h"),
         ("stability.h=-0.01", "stability.h"),
         ("stability.horizon=0", "stability.horizon"),
-        ('solver.multistart="no"', "solver.multistart"),
-        ("solver.beta_init=-1", "solver.beta_init"),
-        ('solver={"init": {"lA": 0.1, "lI": 0.2}, "multistart": true}', "solver.init"),
+        ("solver.tol=0", "solver.tol"),
+        ("solver.max_iters=0", "solver.max_iters"),
         ("grid.M=100000000000", "grid.M"),
         ("stability.h=1e-9", "stability.horizon / stability.h"),
         ("stability.horizon=1e9", "stability.horizon / stability.h"),
     ])
     def test_malformed_number_is_load_error(self, tmp_path, capsys, override, field):
-        # stability keys go to the stability task and identify's solver key to identify
+        # stability keys go to the stability task and solver keys to identify,
+        # the one task that reads them
         task, path = (("stability", STABILITY_EXTINCTION) if field.startswith("stability.")
-                      else ("identify", IDENTIFY_SYNTHETIC) if field == "solver.beta_init"
+                      else ("identify", IDENTIFY_SYNTHETIC) if field.startswith("solver.")
                       else ("control", CONTROL_BINDING))
         code = main([task, "--scenario", path, "--out", str(tmp_path),
                      "--set", override, "--quiet"])
@@ -338,17 +339,35 @@ class TestSweepCounts:
             assert runtime <= bound, (name, runtime)
 
 
-class TestJobs:
-    def test_multistart_with_workers(self, tmp_path):
+class TestRemovedSolverKeys:
+    """Scenario files written for earlier versions keep loading: a solver key
+    that names no setting is ignored, and the outputs do not change."""
+
+    def _outputs(self, tmp_path, name, doc):
+        out = tmp_path / name
+        code = main([doc["task"], "--scenario", write_doc(tmp_path, doc, f"{name}.json"),
+                     "--out", str(out), "--quiet"])
+        assert code in (0, 2)
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def _identify_doc(self):
+        doc = json.loads(Path(IDENTIFY_SYNTHETIC).read_text())
+        doc["grid"] = {"T": doc["observations"]["T"], "M": 60}
+        return doc
+
+    def _control_doc(self):
         doc = epidemic_doc(task="control")
         doc["grid"] = {"T": 3.0, "M": 60}
         doc["penalty"] = {"alpha0": 2.0, "alpha1": 0.2, "alpha2": 1.0, "Lhat": 10.0,
                           "eps_schedule": [0.1 * 2 ** -k for k in range(5)]}
-        doc["solver"] = {"multistart": True}
-        path = write_doc(tmp_path, doc)
-        out = tmp_path / "out"
-        code = main(["control", "--scenario", path, "--out", str(out),
-                     "--jobs", "2", "--quiet"])
-        assert code in (0, 2)
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["controls"] is not None
+        return doc
+
+    @pytest.mark.parametrize("make, removed", [
+        ("_control_doc", {"multistart": True, "init": {"lA": 0.1, "lI": 0.2}}),
+        ("_identify_doc", {"beta_init": 0.1}),
+    ], ids=["control", "identify"])
+    def test_removed_keys_change_no_output(self, tmp_path, make, removed):
+        current = getattr(self, make)()
+        old = copy.deepcopy(current)
+        old.setdefault("solver", {}).update(removed)
+        assert self._outputs(tmp_path, "old", old) == self._outputs(tmp_path, "new", current)

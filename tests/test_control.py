@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from sailr import (ControlConfig, ControlPair, FeasibilityError, Grid, ModelParams,
-                   PenaltyConfig, Trajectory, ValidationError, adjoint_p_eps,
-                   constraint_violation, cost_p, cost_p_eps, default_eps_schedule,
-                   simulate, solve_p, solve_p_eps, solve_p_multistart, trapezoid,
-                   update_controls_eps)
+from sailr import (ControlPair, FeasibilityError, Grid, ModelParams, PenaltyConfig,
+                   Trajectory, ValidationError, adjoint_p_eps, constraint_violation,
+                   cost_p, cost_p_eps, default_eps_schedule, simulate, solve_p,
+                   solve_p_eps, trapezoid, update_controls_eps)
 from sailr import control
 from sailr.linearize import AdjointTrajectory
 
@@ -292,42 +291,3 @@ class TestSolveP:
         for st in res.per_eps_history:
             assert 0.0 <= st.controls.lA <= 1.0
             assert 0.0 <= st.controls.lI <= 1.0
-
-    def test_multistart_agrees(self):
-        p = epidemic_params()
-        g = Grid(0.0, 4.0, 100)
-        pcfg = PenaltyConfig(alpha0=2.0, alpha1=0.2, alpha2=1.0, Lhat=10.0,
-                             eps_schedule=default_eps_schedule(8))
-        best, results, spread = solve_p_multistart(
-            pcfg, p, X0, g, starts=(ControlPair(0.0, 0.0), ControlPair(1.0, 1.0)))
-        assert len(results) == 2
-        assert spread <= 1e-2
-
-    def test_multistart_pool_capped_at_starts(self, monkeypatch):
-        import concurrent.futures
-        workers = []
-
-        class SerialPool:  # records the pool size, starts no process
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        p = epidemic_params()
-        g = Grid(0.0, 2.0, 40)
-        pcfg = PenaltyConfig(alpha0=2.0, alpha1=0.2, alpha2=1.0, Lhat=10.0,
-                             eps_schedule=default_eps_schedule(3))
-        _, pooled, spread = solve_p_multistart(pcfg, p, X0, g, jobs=10 ** 6)
-        _, serial, spread1 = solve_p_multistart(pcfg, p, X0, g, jobs=1)
-        assert len(workers) == 1 and workers[0] <= 5
-        assert spread == spread1
-        assert [(r.controls, r.cost, r.forward_solves) for r in pooled] == \
-            [(r.controls, r.cost, r.forward_solves) for r in serial]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sailr import (CoefficientTable, ControlConfig, Grid, IdentConfig, ModelParams,
+from sailr import (CoefficientTable, Grid, IdentConfig, ModelParams,
                    Observations, Scenario, StabilityConfig, SynthSpec,
                    ValidationError, adjoint_p0, cost_p0, IdentCandidate, load_scenario,
                    read_csv_columns, scenario_from_dict, scenario_to_dict, simulate,
@@ -177,9 +177,8 @@ class TestSchemaDoc:
         documented = {(block, key): json.loads(default) for block, key, default in rows}
         assert len(documented) == len(rows)
         expected = {(block, f.name): f.default
-                    for block, classes in (("solver", (IdentConfig, ControlConfig)),
-                                           ("stability", (StabilityConfig,)))
-                    for cls in classes for f in fields(cls)}
+                    for block, cls in (("solver", IdentConfig), ("stability", StabilityConfig))
+                    for f in fields(cls)}
         assert documented == expected
 
 
