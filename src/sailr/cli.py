@@ -2,7 +2,8 @@
 
 Reads one scenario JSON, applies --set overrides, runs the task and writes
 a trajectory CSV plus a summary JSON into the output directory.  Exit
-codes: 0 converged/ok, 2 finished but not converged, 1 hard error.
+codes: 0 converged/ok, 2 finished but not converged, 1 hard error (a
+malformed command line included).
 
 The summary's "runtime" field is a deterministic work measure (number of
 five-component ODE sweeps performed), so identical invocations with the
@@ -31,8 +32,15 @@ from .scenario import (Scenario, read_scenario_doc, scenario_from_dict,
                        write_summary_json, write_trajectory_csv)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as malformed input (exit 1, not argparse's 2); subparsers inherit it."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(prog="sailr", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="sailr", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="task", required=True)
     for task in ("simulate", "identify", "control", "stability", "synth"):
         sp = sub.add_parser(task)
@@ -57,7 +65,7 @@ def _try_r0(summary: dict, params):
     try:
         summary["R0"] = stab.r0(params)
         summary["S_bar"] = stab.s_threshold(params)
-    except (ValidationError, SailrError):
+    except SailrError:
         pass  # time-varying coefficients: no scalar reproduction number
 
 
@@ -201,7 +209,13 @@ def _print_summary(s: Scenario, summary: dict, status: int, wall: float, outdir:
 
 
 def main(argv=None) -> int:
-    code = run(_parse_args(argv))
+    try:
+        args = _parse_args(argv)
+    except ValidationError as err:
+        print(f"sailr: error: {err}", file=sys.stderr)
+        code = 1
+    else:
+        code = run(args)
     if argv is None:
         sys.exit(code)
     return code

@@ -82,7 +82,6 @@ class PenaltyConfig:
 
 THETA = 0.5            # relaxation of the fixed-point sweep
 TOL_FP = 1e-9          # stage fixed-point tolerance on controls
-FP_FLOOR = 1e-7        # plateaued sweeps below this still count as converged
 MAX_SWEEPS = 200       # damped sweeps per stage
 OSC_WINDOW = 3         # cost increases that end the sweep phase
 TOL_CONSTRAINT = 1e-4  # on sup (L - Lhat)^+
@@ -204,7 +203,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     Relaxation new = THETA*update + (1-THETA)*old.  The sweep phase ends at
     tol_fp, after OSC_WINDOW consecutive cost increases, on a plateau, or
     after MAX_SWEEPS; a finite-difference Newton step on the fixed-point gap
-    then starts from the best sweep.  If that does not reach tol_fp, the
+    then starts from the best sweep.  If that does not reach tol_fp, its
     iterate with the smallest fixed-point residual is returned with
     converged=False.
     """
@@ -224,8 +223,8 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
         cost = _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor)
         costs.append(cost)
         res_hist.append(fp_res)
-        if best is None or fp_res <= best[4]:
-            best = (cost, ctrl, traj, adj, fp_res)
+        if best is None or fp_res <= best[3]:
+            best = (ctrl, traj, adj, fp_res)
         if fp_res <= tol_fp:
             return StageResult(eps, ctrl, cost, fp_res, used_fallback, traj, adj,
                                _penalty_integral(traj, pcfg.Lhat), nsolves, True,
@@ -246,15 +245,13 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
 
     # Newton on the fixed-point gap: handles stages where the sweep map is
     # expansive (stiff penalty); quadratic convergence from the sweep's iterate.
+    # It only accepts steps that shrink the residual, so it ends at or below
+    # the best sweep.
     ctrl, traj, adj, fp_res, cost, n = _stage_newton(pcfg, eps, params, x0, grid,
-                                                     anchor, *best[1:4], tol_fp)
+                                                     anchor, *best[:3], tol_fp)
     nsolves += n
-    if fp_res <= best[4]:
-        best = (cost, ctrl, traj, adj, fp_res)
-    cost, ctrl, traj, adj, fp_res = best
-    converged = fp_res <= max(tol_fp, FP_FLOOR)  # accuracy floor reached
     return StageResult(eps, ctrl, cost, fp_res, used_fallback, traj, adj,
-                       _penalty_integral(traj, pcfg.Lhat), nsolves, converged,
+                       _penalty_integral(traj, pcfg.Lhat), nsolves, fp_res <= tol_fp,
                        _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
 
 

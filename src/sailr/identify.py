@@ -160,11 +160,6 @@ def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: flo
     return _exact_gradient(c, obs, alpha0, alpha1, params, traj, wq, n0)[:3]
 
 
-def project_kplus_grid(g) -> np.ndarray:
-    """Pointwise projection onto {values >= 0}."""
-    return np.maximum(np.asarray(g, dtype=float), 0.0)
-
-
 def _min_quadratic_triangle(Q, b, n0: float):
     """Minimize 0.5 z'Qz - b'z over the triangle {z >= 0, z1 + z2 <= n0}.
 

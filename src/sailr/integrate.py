@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, GridMismatchError, TimeDomainError, ValidationError
+from .errors import BlowupError, GridMismatchError, ValidationError
 
 _BIG = 1e100  # magnitude treated as blow-up (also catches NaN via comparison)
 
@@ -81,18 +81,6 @@ class _GridSeries:
         object.__setattr__(self, "states", states)
         if states.shape[0] != self.grid.M + 1:
             raise ValidationError("states length must be grid.M + 1")
-
-    def sample(self, t: float) -> np.ndarray:
-        """Linear interpolation between bracketing samples; exact at grid points."""
-        g = self.grid
-        if not (g.t0 - 1e-12 * (g.T - g.t0) <= t <= g.T + 1e-12 * (g.T - g.t0)):
-            raise TimeDomainError(f"t={t} outside [{g.t0}, {g.T}]")
-        s = min(max((t - g.t0) / g.h, 0.0), float(g.M))
-        k = min(int(s), g.M - 1)
-        w = s - k
-        if w == 0.0:
-            return self.states[k].copy()
-        return (1.0 - w) * self.states[k] + w * self.states[k + 1]
 
     @property
     def initial(self) -> np.ndarray:

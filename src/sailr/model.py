@@ -110,11 +110,6 @@ class State:
     def as_array(self) -> np.ndarray:
         return np.array([self.S, self.A, self.I, self.L, self.R], dtype=float)
 
-    @classmethod
-    def from_array(cls, x) -> "State":
-        S, A, I, L, R = (float(v) for v in x)
-        return cls(S, A, I, L, R)
-
 
 def total_population(x) -> float:
     """Sum of the five compartments (conserved along exact trajectories)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -179,19 +179,6 @@ def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given)
         return None
 
 
-def _dump(obj, skip=()):
-    """The JSON document of a block: the inverse of _read."""
-    if isinstance(obj, CoefficientTable):
-        if obj.is_constant:
-            return float(obj.values[0])
-        return {"knots": obj.knots.tolist(), "values": obj.values.tolist()}
-    if is_dataclass(obj):
-        return {f.name: _dump(getattr(obj, f.name)) for f in fields(obj) if f.name not in skip}
-    if isinstance(obj, dict):
-        return {k: _dump(v) for k, v in obj.items()}
-    return list(obj) if isinstance(obj, tuple) else obj
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
     """Build and fully validate a Scenario; raises with every error found."""
     errs: list[str] = []
@@ -312,23 +299,6 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(read_scenario_doc(path))
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of scenario_from_dict on semantic content."""
-    doc = {"name": s.name, "description": s.description, "task": s.task, "seed": s.seed,
-           "params": _dump(s.params), "x0": _dump(s.x0), "grid": _dump(s.grid),
-           "observations": _dump(s.observations),
-           "weights": dict(zip(("alpha0", "alpha1"), s.weights)), "penalty": _dump(s.penalty),
-           "synth": _dump(s.synth, skip=("params", "grid", "seed")),
-           "solver": _dump(s.solver), "stability": _dump(s.stability)}
-    return {k: v for k, v in doc.items() if v is not None and v != {}}
-
-
-def write_scenario(s: Scenario, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2)
-        fh.write("\n")
-
-
 def synth_observations(spec: SynthSpec):
     """Forward-solve the planted truth; return (Observations, reference Trajectory).
 
@@ -388,25 +358,15 @@ def read_csv_columns(path):
     return header, [data[:, j] for j in range(data.shape[1])]
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays for JSON export."""
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _json_default(obj):
+    # numpy scalars and arrays as Python values; np.float64 is already a float
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_summary_json(summary: dict, path):
     """Structured solver summary; field order is exactly insertion order."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(jsonable(summary), fh, indent=2)
+        json.dump(summary, fh, indent=2, default=_json_default)
         fh.write("\n")

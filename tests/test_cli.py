@@ -371,3 +371,25 @@ class TestRemovedSolverKeys:
         old = copy.deepcopy(current)
         old.setdefault("solver", {}).update(removed)
         assert self._outputs(tmp_path, "old", old) == self._outputs(tmp_path, "new", current)
+
+
+class TestUsageErrors:
+    """Malformed command lines are malformed input: one error line and exit 1,
+    returned from main(argv) rather than raised."""
+
+    @pytest.mark.parametrize("argv", [
+        ["control"],
+        [],
+        ["bogus"],
+        ["control", "--scenario", CONTROL_BINDING, "--jobs", "2"],
+        ["control", "--scenario", CONTROL_BINDING, "--seed", "abc"],
+    ], ids=["no-scenario", "no-task", "unknown-task", "unknown-flag", "non-integer-seed"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("sailr: error: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["control", "--help"])
+        assert exc.value.code == 0
+        assert "--scenario" in capsys.readouterr().out

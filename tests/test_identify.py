@@ -6,8 +6,8 @@ import pytest
 from sailr import (CoefficientTable, FeasibilityError, Grid, IdentCandidate,
                    IdentConfig, ModelParams, Observations, SynthSpec,
                    ValidationError, adjoint_p0, cost_p0, gradient_p0, n0_of,
-                   optimality_residual_p0, project_k0, project_kplus_grid,
-                   resolve_k0, simulate, solve_p0, synth_observations, trapezoid)
+                   optimality_residual_p0, project_k0, resolve_k0, simulate, solve_p0,
+                   synth_observations, trapezoid)
 from sailr import identify
 from conftest import random_params, random_state
 
@@ -112,17 +112,6 @@ class TestGradientP0:
 
 
 class TestProjections:
-    def test_kplus_all_negative(self):
-        assert np.array_equal(project_kplus_grid([-1.0, -2.0]), [0.0, 0.0])
-
-    def test_kplus_identity_on_nonnegative(self):
-        v = np.array([0.0, 1.0, 2.5])
-        assert np.array_equal(project_kplus_grid(v), v)
-
-    def test_kplus_mixed(self):
-        assert np.array_equal(project_kplus_grid([-1.0, 2.0, -3.0, 4.0]),
-                              [0.0, 2.0, 0.0, 4.0])
-
     def test_triangle_projection_matches_bruteforce(self, rng):
         n0 = 0.9
         z1 = np.linspace(0.0, n0, 801)

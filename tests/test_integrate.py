@@ -1,9 +1,9 @@
-"""Fixed-step RK4: order, conservation, sampling."""
+"""Fixed-step RK4: order, conservation, grid and quadrature."""
 
 import numpy as np
 import pytest
 
-from sailr import (BlowupError, Grid, TimeDomainError, Trajectory, ValidationError,
+from sailr import (BlowupError, Grid, Trajectory, ValidationError,
                    integrate_forward, simulate, total_population, trapezoid)
 from conftest import random_params, random_state
 
@@ -43,29 +43,6 @@ class TestForward:
         tr = simulate(p, x0, Grid(0.0, 100.0, 10_000))
         drift = np.abs(tr.states.sum(axis=1) - total_population(x0))
         assert drift.max() <= 1e-10
-
-
-class TestSample:
-    def _tr(self):
-        g = Grid(0.0, 1.0, 4)
-        states = np.linspace(0.0, 1.0, 5)[:, None] * np.array([1.0, 2.0])
-        return Trajectory(g, states)
-
-    def test_grid_hit_exact(self):
-        tr = self._tr()
-        assert np.array_equal(tr.sample(0.5), tr.states[2])
-
-    def test_constant(self):
-        tr = Trajectory(Grid(0.0, 1.0, 4), np.tile([3.0, 4.0], (5, 1)))
-        assert np.allclose(tr.sample(0.3), [3.0, 4.0])
-
-    def test_midpoint_mean(self):
-        tr = self._tr()
-        assert np.allclose(tr.sample(0.375), 0.5 * (tr.states[1] + tr.states[2]))
-
-    def test_out_of_range(self):
-        with pytest.raises(TimeDomainError):
-            self._tr().sample(1.5)
 
 
 class TestGridAndQuadrature:

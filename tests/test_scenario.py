@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 from sailr import (CoefficientTable, Grid, IdentConfig, ModelParams,
                    Observations, Scenario, StabilityConfig, SynthSpec,
                    ValidationError, adjoint_p0, cost_p0, IdentCandidate, load_scenario,
-                   read_csv_columns, scenario_from_dict, scenario_to_dict, simulate,
-                   synth_observations, Trajectory, write_adjoint_csv, write_scenario,
-                   write_summary_json, write_trajectory_csv)
+                   read_csv_columns, scenario_from_dict, simulate, synth_observations,
+                   Trajectory, write_adjoint_csv, write_summary_json, write_trajectory_csv)
 
 
 def simulate_doc(**over):
@@ -116,16 +115,6 @@ class TestLoadScenario:
             scenario_from_dict(doc)
         assert any("params.N must be 1" in e for e in exc.value.errors)
 
-    def test_round_trip_identity(self, tmp_path):
-        doc = simulate_doc(task="synth")
-        doc["synth"] = {"beta_I_true": 0.4, "A0_true": 0.1, "I0_true": 0.05,
-                        "L0": 0.02, "R0": 0.01, "noise": 0.0}
-        s = scenario_from_dict(doc)
-        path = tmp_path / "rt.json"
-        write_scenario(s, path)
-        s2 = load_scenario(path)
-        assert s2 == s
-
 
 SHIPPED = {path.stem: json.loads(path.read_text())
            for path in sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))}
@@ -146,11 +135,6 @@ NODES = [(name, path) for name, doc in SHIPPED.items() for path in _nodes(doc)]
 
 
 class TestShippedScenarios:
-    @pytest.mark.parametrize("name", sorted(SHIPPED))
-    def test_round_trip(self, name):
-        s = scenario_from_dict(copy.deepcopy(SHIPPED[name]))
-        assert scenario_from_dict(scenario_to_dict(s)) == s
-
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(node=st.sampled_from(NODES), value=st.sampled_from(REPLACEMENTS))
     def test_one_node_mutation_loads_or_is_validation_error(self, node, value):
@@ -308,6 +292,21 @@ class TestExport:
         write_summary_json({"task": "simulate", "cost_history": []}, path)
         doc = json.loads(path.read_text())
         assert doc["cost_history"] == []
+
+    def test_summary_numpy_values_match_python_values(self, tmp_path):
+        as_numpy = {"cost": np.float64(0.1), "iterations": np.int64(7),
+                    "converged": np.bool_(False), "residuals": {"gap": np.float64(np.nan)},
+                    "history": [np.float64(1e-300), (np.int64(-2), np.bool_(True))],
+                    "table": {"rows": np.array([[0.5, np.nan], [-0.0, 3.0]]),
+                              "counts": np.arange(3)}}
+        as_python = {"cost": 0.1, "iterations": 7,
+                     "converged": False, "residuals": {"gap": math.nan},
+                     "history": [1e-300, [-2, True]],
+                     "table": {"rows": [[0.5, math.nan], [-0.0, 3.0]],
+                               "counts": [0, 1, 2]}}
+        write_summary_json(as_numpy, tmp_path / "numpy.json")
+        write_summary_json(as_python, tmp_path / "python.json")
+        assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
 
     def test_summary_preserves_field_order(self, tmp_path):
         path = tmp_path / "summary.json"
