@@ -3,10 +3,11 @@
 The controls are the scalar detection rates (l_A, l_I) in [0,1]^2; the
 isolated fraction must respect L(t) <= Lhat.  The constraint is handled by
 exterior quadratic penalization with weight alpha2/eps and a continuation
-eps -> 0.  Each penalized stage is solved by a damped forward-backward
-fixed-point sweep (forward state solve, backward dual solve, projection
-update), followed by a finite-difference Newton step on the two-control
-fixed-point gap when the sweep stops short of tolerance.
+eps -> 0.  Each penalized stage is solved by at most MAX_SWEEPS damped
+forward-backward fixed-point sweeps (forward state solve, backward dual
+solve, projection update), followed by a finite-difference Newton step on
+the two-control fixed-point gap, from the best sweep, when the sweeps stop
+short of tolerance.
 
 The adapted quadratic terms 0.5*(l - anchor)^2 in the stage cost reference
 an anchor control pair.  The first stage starts from and anchors at the
@@ -82,8 +83,7 @@ class PenaltyConfig:
 
 THETA = 0.5            # relaxation of the fixed-point sweep
 TOL_FP = 1e-9          # stage fixed-point tolerance on controls
-MAX_SWEEPS = 200       # damped sweeps per stage
-OSC_WINDOW = 3         # cost increases that end the sweep phase
+MAX_SWEEPS = 26        # damped sweeps per stage before FD Newton
 TOL_CONSTRAINT = 1e-4  # on sup (L - Lhat)^+
 TOL_RESIDUAL = 1e-3    # on the limit fixed-point residual
 POLISH_MAX = 200       # extra self-anchored stages at final eps
@@ -95,7 +95,7 @@ class StageResult:
     controls: ControlPair
     cost_eps: float
     fp_residual: float
-    #: the oscillation detector ended the sweep phase (OSC_WINDOW cost rises)
+    #: the sweep phase ended above tolerance, so the FD-Newton phase ran
     used_fallback: bool
     trajectory: Trajectory
     adjoint: AdjointTrajectory
@@ -198,48 +198,28 @@ def _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl):
 def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: Grid,
                 init: ControlPair, anchor: ControlPair | None = None,
                 tol_fp: float = TOL_FP) -> StageResult:
-    """Solve one penalized stage by damped fixed-point sweeps.
+    """Solve one penalized stage by damped fixed-point sweeps, then FD Newton.
 
     Relaxation new = THETA*update + (1-THETA)*old.  The sweep phase ends at
-    tol_fp, after OSC_WINDOW consecutive cost increases, on a plateau, or
-    after MAX_SWEEPS; a finite-difference Newton step on the fixed-point gap
-    then starts from the best sweep.  If that does not reach tol_fp, its
-    iterate with the smallest fixed-point residual is returned with
+    tol_fp or after MAX_SWEEPS sweeps; a finite-difference Newton step on
+    the fixed-point gap then starts from the best sweep (and returns at once
+    if that sweep already meets tol_fp).  If Newton does not reach tol_fp,
+    its iterate with the smallest fixed-point residual is returned with
     converged=False.
     """
     anchor = anchor if anchor is not None else pcfg.anchor
     x0 = _x0_array(x0)
     ctrl = init
     nsolves = 0
-    costs = []
-    res_hist = []
-    bad = 0
     best = None
-    used_fallback = False
     for _ in range(MAX_SWEEPS):
         traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl)
         nsolves += 2
         fp_res = raw.dist(ctrl)
-        cost = _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor)
-        costs.append(cost)
-        res_hist.append(fp_res)
         if best is None or fp_res <= best[3]:
             best = (ctrl, traj, adj, fp_res)
         if fp_res <= tol_fp:
-            return StageResult(eps, ctrl, cost, fp_res, used_fallback, traj, adj,
-                               _penalty_integral(traj, pcfg.Lhat), nsolves, True,
-                               _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
-        # oscillation detector: material cost increases, not float noise
-        if (len(costs) >= 2 and fp_res > 100 * tol_fp
-                and cost > costs[-2] + 1e-12 * abs(costs[-2]) + 1e-300):
-            bad += 1
-        else:
-            bad = 0
-        if bad >= OSC_WINDOW:
-            used_fallback = True
             break
-        if len(res_hist) > 25 and fp_res > 0.8 * res_hist[-25]:
-            break  # plateaued well above tolerance; sweeping further is wasted
         ctrl = ControlPair(THETA * raw.lA + (1 - THETA) * ctrl.lA,
                            THETA * raw.lI + (1 - THETA) * ctrl.lI)
 
@@ -247,10 +227,11 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     # expansive (stiff penalty); quadratic convergence from the sweep's iterate.
     # It only accepts steps that shrink the residual, so it ends at or below
     # the best sweep.
+    used_newton = best[3] > tol_fp
     ctrl, traj, adj, fp_res, cost, n = _stage_newton(pcfg, eps, params, x0, grid,
                                                      anchor, *best[:3], tol_fp)
     nsolves += n
-    return StageResult(eps, ctrl, cost, fp_res, used_fallback, traj, adj,
+    return StageResult(eps, ctrl, cost, fp_res, used_newton, traj, adj,
                        _penalty_integral(traj, pcfg.Lhat), nsolves, fp_res <= tol_fp,
                        _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
 

@@ -83,10 +83,6 @@ class _GridSeries:
             raise ValidationError("states length must be grid.M + 1")
 
     @property
-    def initial(self) -> np.ndarray:
-        return self.states[0].copy()
-
-    @property
     def final(self) -> np.ndarray:
         return self.states[-1].copy()
 

@@ -98,16 +98,21 @@ class TestUpdateControls:
 
 class TestSolvePEps:
     def test_regularizer_only_stage(self):
-        # no infected mass: the stage minimizer is the scaled anchor exactly
+        # no infected mass: the stage minimizer is the scaled anchor exactly,
+        # and each damped sweep halves the distance to it.  From the anchor
+        # that takes more than MAX_SWEEPS sweeps, so Newton finishes the
+        # stage; from near the minimizer the sweeps meet TOL_FP on their own.
         p = epidemic_params(beta_I=0.0, beta_A=0.0)
         x0 = (0.97, 0.0, 0.0, 0.02, 0.01)
         g = Grid(0.0, 2.0, 100)
         anchor = ControlPair(0.6, 0.4)
         pcfg = PenaltyConfig(alpha0=1.0, alpha1=1.0, alpha2=1.0, Lhat=5.0, anchor=anchor)
-        st = solve_p_eps(pcfg, 0.05, p, x0, g, anchor)
-        assert st.converged
-        assert st.controls.lA == pytest.approx(0.3, abs=1e-9)
-        assert st.controls.lI == pytest.approx(0.2, abs=1e-9)
+        for init, newton in ((anchor, True), (ControlPair(0.3 + 1e-4, 0.2 - 1e-4), False)):
+            st = solve_p_eps(pcfg, 0.05, p, x0, g, init)
+            assert st.converged
+            assert st.used_fallback is newton
+            assert st.controls.lA == pytest.approx(0.3, abs=1e-9)
+            assert st.controls.lI == pytest.approx(0.2, abs=1e-9)
 
     def test_stage_certificate(self):
         p = epidemic_params()
@@ -128,6 +133,7 @@ class TestSolvePEps:
                              eps_schedule=(1e-4,))
         st = solve_p_eps(pcfg, 1e-4, p, X0, g, pcfg.anchor)
         assert st.converged is False
+        assert st.used_fallback is True
         assert st.fp_residual > 1e-7
         raw = update_controls_eps(st.trajectory, st.adjoint, pcfg.alpha1, pcfg.anchor)
         assert raw.dist(st.controls) == st.fp_residual
@@ -135,6 +141,28 @@ class TestSolvePEps:
         assert res.converged is False
         assert res.per_eps_history[0].fp_residual == st.fp_residual
         assert f"stage eps=0.0001 stalled at residual {st.fp_residual:.3e}" in res.notes
+
+    def test_sweep_phase_ends_only_at_tolerance_or_budget(self, monkeypatch):
+        # the stiff binding stage stays above TOL_FP for all its sweeps, so
+        # the sweep phase must spend the whole budget before Newton starts
+        monkeypatch.setattr(control, "MAX_SWEEPS", 40)
+        newton_solves = []
+        stage_newton = control._stage_newton
+
+        def counting_newton(*args):
+            out = stage_newton(*args)
+            newton_solves.append(out[-1])
+            return out
+
+        monkeypatch.setattr(control, "_stage_newton", counting_newton)
+        p = epidemic_params()
+        g = Grid(0.0, 8.0, 100)
+        pcfg = PenaltyConfig(alpha0=5.0, alpha1=0.02, alpha2=5.0, Lhat=0.04,
+                             eps_schedule=(1e-4,))
+        st = solve_p_eps(pcfg, 1e-4, p, X0, g, pcfg.anchor)
+        assert len(newton_solves) == 1
+        assert st.forward_solves - newton_solves[0] == 2 * 40
+        assert st.used_fallback is True
 
     def test_gradient_matches_finite_differences(self):
         p = epidemic_params()

@@ -17,7 +17,6 @@ class TestForward:
         x0 = np.array([1.0, -2.0, 3.0])
         tr = integrate_forward(lambda t, x: np.zeros(3), x0, Grid(0.0, 1.0, 10))
         assert np.array_equal(tr.states, np.tile(x0, (11, 1)))
-        assert np.array_equal(tr.initial, x0)
 
     def test_exponential_oracle(self):
         tr = integrate_forward(exp_decay, [1.0], Grid(0.0, 1.0, 1000))

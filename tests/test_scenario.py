@@ -188,7 +188,7 @@ class TestSynthObservations:
         spec = self._spec()
         obs, ref = synth_observations(spec)
         resim = simulate(spec.params.replace(beta_I=spec.beta_I_true),
-                         ref.initial, spec.grid)
+                         ref.states[0], spec.grid)
         assert abs(resim.L[-1] - obs.LT) <= 1e-12
         assert abs(resim.R[-1] - obs.RT) <= 1e-12
 
