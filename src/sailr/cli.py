@@ -27,7 +27,7 @@ from . import stability as stab
 from .errors import SailrError, ValidationError
 from .integrate import trapezoid
 from .model import simulate, total_population
-from .scenario import (Scenario, read_scenario_doc, scenario_from_dict,
+from .scenario import (Scenario, TrajectoryCsvWriter, read_scenario_doc, scenario_from_dict,
                        synth_observations, write_adjoint_csv, write_series_csv,
                        write_summary_json, write_trajectory_csv)
 
@@ -70,8 +70,9 @@ def _try_r0(summary: dict, params):
 
 
 def _run_simulate(s: Scenario, outdir: Path, summary: dict):
-    traj = simulate(s.params, s.x0, s.grid)
-    write_trajectory_csv(traj, outdir / "trajectory.csv")
+    # trajectory.csv is rendered block by block while the solve goes on
+    with TrajectoryCsvWriter(outdir / "trajectory.csv", s.grid) as csv_out:
+        traj = simulate(s.params, s.x0, s.grid, block_done=csv_out.send)
     drift = float(np.max(np.abs(traj.states.sum(axis=1) - total_population(s.x0))))
     summary["residuals"] = {"conservation_drift": drift}
     summary["runtime"] = 1

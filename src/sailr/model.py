@@ -308,7 +308,7 @@ def _rk4_block(sigma, muA, muI, muL, lA, lI, h, bI, bA, xi, x):
     return rows
 
 
-def simulate(p: ModelParams, x0, grid: Grid) -> Trajectory:
+def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
     """Forward RK4 solve of the model on the grid (same discrete map as
     integrate_forward with rhs, specialized for speed).
 
@@ -316,6 +316,12 @@ def simulate(p: ModelParams, x0, grid: Grid) -> Trajectory:
     coefficients on its own stage times, so the memory beyond the (M + 1, 5)
     output is one block's.  Raises BlowupError at the first step whose
     S + A + I + L + R is non-finite or beyond 1e100 in magnitude.
+
+    block_done(lo, hi, rows), if given, receives the stored states as they
+    are made, as the (hi - lo, 5) view rows of the states lo..hi-1: once for
+    the x0 row (0, 1), then once per block after its blow-up check, so that
+    the calls cover rows 0..M once each, in order.  The CLI streams
+    trajectory.csv out through it while the solve goes on.
     """
     validate_params(p, t_max=grid.T)
     x0 = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
@@ -323,6 +329,8 @@ def simulate(p: ModelParams, x0, grid: Grid) -> Trajectory:
     out = np.empty((M + 1, 5))
     x = tuple(float(v) for v in x0)
     out[0] = x
+    if block_done is not None:
+        block_done(0, 1, out[:1])
     rates = (p.sigma, p.mu_A, p.mu_I, p.mu_L, p.l_A, p.l_I, grid.h)
     for lo in range(0, M, SWEEP_BLOCK):
         hi = min(lo + SWEEP_BLOCK, M)
@@ -336,6 +344,8 @@ def simulate(p: ModelParams, x0, grid: Grid) -> Trajectory:
         bad = np.flatnonzero(~((-1e100 < tot) & (tot < 1e100)))
         if bad.size:
             raise BlowupError(lo + int(bad[0]) + 1)
+        if block_done is not None:
+            block_done(lo + 1, hi + 1, block)
     return Trajectory(grid, out)
 
 

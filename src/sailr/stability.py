@@ -141,11 +141,17 @@ def simulate_extinction(params: ModelParams, x0,
                         config: StabilityConfig | None = None) -> StabilityReport:
     """Finite-horizon certificate of asymptotic extinction under xi = 0.
 
-    Integrates forward, doubling the horizon until max(A, I, L) at the end
-    drops below tol, the total would pass HORIZON_CAP or the next segment
-    would take more than MAX_STEPS steps; checks that S is nonincreasing
-    and that the simulated limit sits below the threshold S_bar.  Reaching
-    a cap yields an inconclusive report (extinction=False), not an error.
+    Integrates forward, doubling the horizon until the state is extinct,
+    the total would pass HORIZON_CAP or the next segment would take more
+    than MAX_STEPS steps; checks that S is nonincreasing and that the
+    simulated limit sits below the threshold S_bar.  Reaching a cap yields
+    an inconclusive report (extinction=False), not an error.
+
+    A state is extinct when max(A, I, L) < tol and the infection cannot
+    grow back: A = I = 0 exactly (an invariant set), or the infected
+    subsystem is stable at the current S (hurwitz_check).  With xi = 0, S
+    only falls, and the (A, I, L) subsystem x' = M(S) x has M Metzler and
+    nondecreasing in S, so by comparison its mass decays from then on.
     """
     cfg = config or StabilityConfig()
     if float(np.max(np.abs(params.xi.values))) != 0.0:
@@ -161,7 +167,12 @@ def simulate_extinction(params: ModelParams, x0,
     seg = float(cfg.horizon)
     segments = 0
     first = None
-    extinct = bool(max(x[1], x[2], x[3]) < cfg.tol)
+
+    def is_extinct(x):
+        return bool(max(x[1], x[2], x[3]) < cfg.tol and (
+            x[1] == x[2] == 0.0 or hurwitz_check(float(x[0]), params).hurwitz))
+
+    extinct = is_extinct(x)
     while not extinct and total + seg <= HORIZON_CAP and seg / cfg.h <= MAX_STEPS:
         traj = simulate(params, x, cfg.grid(seg))
         segments += 1
@@ -172,7 +183,7 @@ def simulate_extinction(params: ModelParams, x0,
         x = traj.final
         total += seg
         seg = total  # doubling: next segment doubles the total horizon
-        extinct = bool(max(x[1], x[2], x[3]) < cfg.tol)
+        extinct = is_extinct(x)
 
     s_tilde = float(x[0])
     check = hurwitz_check(s_tilde, params)

@@ -219,6 +219,21 @@ class TestStability:
         assert len(cols[0]) == 201
         assert json.loads((out / "summary.json").read_text())["runtime"] == 1
 
+    def test_small_mass_above_threshold_is_not_extinct(self, tmp_path):
+        # max(A, I, L) starts below tol, but S = 0.95 is above S_bar = 0.75:
+        # the infection first grows, and extinction is certified only once
+        # S has fallen below S_bar
+        out = tmp_path / "out"
+        assert main(["stability", "--scenario", STABILITY_EXTINCTION, "--out", str(out),
+                     "--set", "x0.S=0.95", "--set", "x0.A=1e-9", "--set", "x0.I=0",
+                     "--set", "x0.R=0.049999999", "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        st = summary["stability"]
+        assert st["extinction"] is True and st["hurwitz"] is True
+        assert st["horizon"] == 800.0
+        assert st["S_tilde_inf"] == pytest.approx(0.5803, abs=1e-4)
+        assert st["S_tilde_inf"] < summary["S_bar"] == 0.75
+
     def test_segments_stop_at_step_cap(self, tmp_path, monkeypatch):
         # mu_L = 0: L never decays, so the doubling runs until a cap stops it
         steps = []
