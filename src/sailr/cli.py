@@ -27,9 +27,9 @@ from . import stability as stab
 from .errors import SailrError, ValidationError
 from .integrate import trapezoid
 from .model import simulate, total_population
-from .scenario import (Scenario, TrajectoryCsvWriter, read_scenario_doc, scenario_from_dict,
-                       synth_observations, write_adjoint_csv, write_series_csv,
-                       write_summary_json, write_trajectory_csv)
+from .scenario import (ADJOINT_HEADER, TRAJECTORY_HEADER, GridCsvWriter, Scenario,
+                       read_scenario_doc, scenario_from_dict, synth_observations,
+                       write_series_csv, write_summary_json, write_trajectory_csv)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +71,7 @@ def _try_r0(summary: dict, params):
 
 def _run_simulate(s: Scenario, outdir: Path, summary: dict):
     # trajectory.csv is rendered block by block while the solve goes on
-    with TrajectoryCsvWriter(outdir / "trajectory.csv", s.grid) as csv_out:
+    with GridCsvWriter(outdir / "trajectory.csv", TRAJECTORY_HEADER, s.grid) as csv_out:
         traj = simulate(s.params, s.x0, s.grid, block_done=csv_out.send)
     drift = float(np.max(np.abs(traj.states.sum(axis=1) - total_population(s.x0))))
     summary["residuals"] = {"conservation_drift": drift}
@@ -80,15 +80,23 @@ def _run_simulate(s: Scenario, outdir: Path, summary: dict):
     return 0
 
 
+def _write_solution(outdir: Path, res, series_file: str, name: str, values):
+    # adjoint.csv is rendered, in a forked child where it can be, while
+    # trajectory.csv and the series file are written here
+    grid = res.trajectory.grid
+    with GridCsvWriter(outdir / "adjoint.csv", ADJOINT_HEADER, grid) as adj_out:
+        adj_out.send(0, grid.M + 1, res.adjoint.states)
+        write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
+        write_series_csv(outdir / series_file, name, grid, values)
+
+
 def _run_identify(s: Scenario, outdir: Path, summary: dict):
     alpha0, alpha1 = s.weights
     res = idf.solve_p0(s.observations, s.params, s.grid, alpha0, alpha1, s.solver)
     if res.notes:
         summary["notes"] = list(res.notes)
-    write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
-    write_adjoint_csv(res.adjoint, outdir / "adjoint.csv")
-    write_series_csv(outdir / "beta_I.csv", "beta_I", s.grid,
-                     res.candidate.beta_I(s.grid.points()))
+    _write_solution(outdir, res, "beta_I.csv", "beta_I",
+                    res.candidate.beta_I(s.grid.points()))
     n0 = idf.n0_of(s.params, s.observations)
     mis = ((res.trajectory.L[-1] - s.observations.LT) ** 2
            + (res.trajectory.R[-1] - s.observations.RT) ** 2)
@@ -109,9 +117,7 @@ def _run_identify(s: Scenario, outdir: Path, summary: dict):
 
 def _run_control(s: Scenario, outdir: Path, summary: dict):
     res = ctl.solve_p(s.penalty, s.params, s.x0, s.grid)
-    write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
-    write_adjoint_csv(res.adjoint, outdir / "adjoint.csv")
-    write_series_csv(outdir / "multiplier.csv", "nu", s.grid, res.multiplier_diag)
+    _write_solution(outdir, res, "multiplier.csv", "nu", res.multiplier_diag)
     summary["cost"] = res.cost
     summary["cost_history"] = [st.cost_eps for st in res.per_eps_history]
     summary["residuals"] = {"limit_fixed_point": res.limit_residual,
@@ -178,6 +184,9 @@ def run(args) -> int:
         msgs = getattr(err, "errors", [str(err)])
         for m in msgs:
             print(f"sailr {stage}: error: {m}", file=sys.stderr)
+        return 1
+    except OSError as err:  # an output file that cannot be written
+        print(f"sailr export: error: {err.filename}: {err.strerror}", file=sys.stderr)
         return 1
     if not args.quiet:
         _print_summary(s, summary, status, time.perf_counter() - t_start, outdir)

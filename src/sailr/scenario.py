@@ -4,9 +4,10 @@ A scenario is one self-contained JSON document per experiment (see
 docs/scenario-schema.md for the schema and the table of defaults).
 Loading validates everything and reports the complete list of problems,
 not just the first.  Trajectories are exported as CSV with 17-significant-
-digit floats so re-parsing reproduces samples bit-exactly.  A forward
-solve's trajectory can also be written while the solve runs, from the
-blocks of states it streams out (TrajectoryCsvWriter).
+digit floats so re-parsing reproduces samples bit-exactly.  GridCsvWriter
+writes the same bytes from blocks of rows, in a forked child where it can:
+a forward solve's trajectory while the solve runs, or an adjoint while
+the caller writes its other files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import json
 import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -284,6 +286,8 @@ def read_scenario_doc(path, task: str | None = None, seed: int | None = None,
             doc = json.load(fh)
     except FileNotFoundError:
         raise ValidationError([f"scenario file not found: {path}"])
+    except OSError as err:  # a directory, say, or no permission
+        raise ValidationError([f"cannot read scenario file {path}: {err.strerror}"])
     except json.JSONDecodeError as err:
         raise ValidationError([f"parse error at line {err.lineno}, column {err.colno}: {err.msg}"])
     if not isinstance(doc, dict):
@@ -325,24 +329,35 @@ def synth_observations(spec: SynthSpec):
 
 _CSV_BLOCK = 1024  # rows formatted per write; bounds the writer's memory whatever M is
 
+TRAJECTORY_HEADER = "t,S,A,I,L,R"
+ADJOINT_HEADER = "t,p,q,d,e,f"
 
-def _render(cols) -> str:
-    # The CSV rows of a block given as one list of floats per column.  One
-    # "%.17g" row template: byte-identical to format(x, ".17g") per value
-    # (also for -0, nan, inf and subnormals).
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
-    return "".join([row % r for r in zip(*cols)])
+
+def _csv_rows(t, cols):
+    # The CSV rows of the samples t and the equal-length columns cols,
+    # _CSV_BLOCK rows per string.  One "%.17g" row template: byte-identical
+    # to format(x, ".17g") per value (also for -0, nan, inf and subnormals).
+    row = ",".join(["%.17g"] * (1 + len(cols))) + "\n"
+    for lo in range(0, len(t), _CSV_BLOCK):
+        block = [c[lo:lo + _CSV_BLOCK].tolist() for c in (t, *cols)]
+        yield "".join([row % r for r in zip(*block)])
+
+
+@contextmanager
+def _naming(path):
+    # an OSError from writing an open file names no file: name path
+    try:
+        yield
+    except OSError as err:
+        if err.filename is None:
+            err.filename = os.fspath(path)
+        raise
 
 
 def _write_csv(path, header, t, columns):
-    cols = [t, *columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _naming(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for lo in range(0, t.size, _CSV_BLOCK):
-            fh.write(_render([c[lo:lo + _CSV_BLOCK].tolist() for c in cols]))
-
-
-_TRAJECTORY_HEADER = "t,S,A,I,L,R"
+        fh.writelines(_csv_rows(t, columns))
 
 
 def _cores() -> int:
@@ -352,41 +367,47 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-class TrajectoryCsvWriter:
-    """trajectory.csv written from the blocks of states a forward solve
-    streams out, with the same bytes as write_trajectory_csv:
+class GridCsvWriter:
+    """A CSV file of grid samples, header then one row per grid point (t
+    and one value per further header field), written from blocks of rows
+    sent in order, with the same bytes as write_trajectory_csv and the other
+    write_*_csv functions:
 
-        with TrajectoryCsvWriter(path, grid) as out:
+        with GridCsvWriter(path, TRAJECTORY_HEADER, grid) as out:
             traj = simulate(params, x0, grid, block_done=out.send)
 
-    send(lo, hi, rows) takes the states lo..hi-1 of the grid, in order.
-    Where os.fork exists and the process may run on more than one CPU, a
-    child process renders them while the caller goes on: each block goes
-    to it down a pipe as one frame, (lo, hi) as two int64 then the raw
-    float64 rows, and a send waits only while the pipe is full.  The child
-    uses no BLAS and ends by os._exit, so it flushes none of the parent's
-    buffers.  Otherwise (on one CPU the fork and the pipe cost more than
-    they overlap), or when the pipe or the fork fails, send only keeps the
-    rows, which must not change afterwards, and close renders them all
-    in-process: rendered between the solve's blocks, the same rows took
-    about 5% longer in all (one CPU of a 2-vCPU Xeon VM, Python 3.11).
+    send(lo, hi, rows) takes the rows lo..hi-1 of the grid; a caller that
+    has every row already sends them as one block.  Where os.fork exists
+    and the process may run on more than one CPU, a child process renders
+    them while the caller goes on: each block goes to it down a pipe as
+    one frame, (lo, hi) as two int64 then the raw float64 rows, and a send
+    waits only while the pipe is full, not while the child renders.  The
+    child uses no BLAS and ends by os._exit, so it flushes none of the
+    parent's buffers.  Otherwise (on one CPU the fork and the pipe cost
+    more than they overlap), or when the pipe or the fork fails, send only
+    keeps the rows, which must not change afterwards, and close renders
+    them all in-process: for simulate's trajectory, rendered between the
+    solve's blocks, the same rows took about 5% longer in all (one CPU of
+    a 2-vCPU Xeon VM, Python 3.11).
 
     Leaving the with-block closes the writer, waiting for the child.  An
     error inside it, or a writer that failed, leaves no file and no child;
     a writer failure is an OSError naming the file.
     """
 
-    def __init__(self, path, grid: Grid):
+    def __init__(self, path, header: str, grid: Grid):
         self.path = path
+        self._header = header
+        self._width = header.count(",")  # values per row after t
         self._t = grid.points()
         self._pid = self._pipe = None
         self._held = []  # blocks sent, when they are rendered in-process
-        # opened here, so that an unwritable path fails as in write_trajectory_csv
+        # opened here, so that an unwritable path fails as in _write_csv
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
         if hasattr(os, "fork") and _cores() > 1:
             self._start_child()
         if self._pid is None:  # render in-process
-            self._fh.write(_TRAJECTORY_HEADER + "\n")
+            self._fh.write(header + "\n")
 
     def _start_child(self):
         try:
@@ -410,8 +431,8 @@ class TrajectoryCsvWriter:
         self._fh.close()  # the child writes through its own copy
         self._pid, self._pipe = pid, os.fdopen(w, "wb")
 
-    def _render_rows(self, lo, hi, rows) -> str:
-        return _render([self._t[lo:hi].tolist(), *rows.T.tolist()])
+    def _write_rows(self, lo, hi, rows):
+        self._fh.writelines(_csv_rows(self._t[lo:hi], rows.T))
 
     def _serve(self, fd) -> int:
         # The child: render frames until the parent closes the pipe.  Its
@@ -420,17 +441,17 @@ class TrajectoryCsvWriter:
         gc.disable()  # collecting the parent's garbage here could flush its files
         try:
             with os.fdopen(fd, "rb") as pipe, self._fh:
-                self._fh.write(_TRAJECTORY_HEADER + "\n")
+                self._fh.write(self._header + "\n")
                 while head := pipe.read(16):
                     lo, hi = np.frombuffer(head, dtype=np.int64).tolist()
-                    rows = np.frombuffer(pipe.read(40 * (hi - lo))).reshape(hi - lo, 5)
-                    self._fh.write(self._render_rows(lo, hi, rows))
+                    rows = np.frombuffer(pipe.read(8 * self._width * (hi - lo)))
+                    self._write_rows(lo, hi, rows.reshape(hi - lo, self._width))
         except OSError as err:
             return err.errno or 255
         return 0
 
     def send(self, lo: int, hi: int, rows):
-        """Write the states lo..hi-1, the (hi - lo, 5) array rows, which
+        """Write the rows lo..hi-1, the (hi - lo, width) array rows, which
         must not change until the writer is closed."""
         if self._pid is None:
             self._held.append((lo, hi, rows))
@@ -447,10 +468,9 @@ class TrajectoryCsvWriter:
         OSError naming the file if the writer failed."""
         if self._pid is None:
             if not self._fh.closed:  # in-process, and not closed yet
-                try:
-                    self._fh.writelines(self._render_rows(*block) for block in self._held)
-                finally:
-                    self._fh.close()
+                with _naming(self.path), self._fh:
+                    for block in self._held:
+                        self._write_rows(*block)
             return
         try:
             self._pipe.close()
@@ -461,7 +481,7 @@ class TrajectoryCsvWriter:
         code = os.waitstatus_to_exitcode(status)
         if code:
             msg = os.strerror(code) if 0 < code < 255 else f"writer exited with status {code}"
-            raise OSError(code, msg, str(self.path))
+            raise OSError(code, msg, os.fspath(self.path))
 
     def __enter__(self):
         return self
@@ -484,12 +504,12 @@ class TrajectoryCsvWriter:
 
 def write_trajectory_csv(traj: Trajectory, path):
     t = traj.grid.points()
-    _write_csv(path, _TRAJECTORY_HEADER, t, [traj.S, traj.A, traj.I, traj.L, traj.R])
+    _write_csv(path, TRAJECTORY_HEADER, t, [traj.S, traj.A, traj.I, traj.L, traj.R])
 
 
 def write_adjoint_csv(adj: AdjointTrajectory, path):
     t = adj.grid.points()
-    _write_csv(path, "t,p,q,d,e,f", t, [adj.p, adj.q, adj.d, adj.e, adj.f])
+    _write_csv(path, ADJOINT_HEADER, t, [adj.p, adj.q, adj.d, adj.e, adj.f])
 
 
 def write_series_csv(path, name: str, grid: Grid, values):
@@ -514,6 +534,6 @@ def _json_default(obj):
 
 def write_summary_json(summary: dict, path):
     """Structured solver summary; field order is exactly insertion order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _naming(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, default=_json_default)
         fh.write("\n")

@@ -1,6 +1,7 @@
 """Command-line entry point: tasks, overrides, exit codes, outputs."""
 
 import copy
+import errno
 import json
 import os
 import subprocess
@@ -84,6 +85,14 @@ class TestSimulate:
                      "--out", str(tmp_path), "--quiet"])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_unreadable_scenario_is_error(self, tmp_path, capsys):
+        # a directory opens with IsADirectoryError: a load error, not an export one
+        code = main(["simulate", "--scenario", str(tmp_path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"sailr load: error: cannot read scenario file "
+                                           f"{tmp_path}: {os.strerror(errno.EISDIR)}\n")
 
 
 class TestIdentify:

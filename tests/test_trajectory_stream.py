@@ -1,5 +1,7 @@
-"""`sailr simulate` streams trajectory.csv out while it solves: same bytes as
-write_trajectory_csv, and no file or child process left behind on an error."""
+"""`sailr simulate` streams trajectory.csv out while it solves, and `sailr
+identify` and `sailr control` hand adjoint.csv to the same writer while they
+write their other files: same bytes as write_trajectory_csv and
+write_adjoint_csv, and no file or child process left behind on an error."""
 
 import errno
 import json
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sailr import (ValidationError, model, scenario_from_dict, simulate,
-                   write_trajectory_csv)
+from sailr import (ValidationError, model, scenario_from_dict, simulate, solve_p, solve_p0,
+                   write_adjoint_csv, write_trajectory_csv)
 from sailr.cli import main
+from sailr.scenario import write_series_csv
 
-SIMULATE_BASELINE = Path(__file__).parent.parent / "scenarios" / "simulate_baseline.json"
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+SIMULATE_BASELINE = SCENARIOS / "simulate_baseline.json"
 
 
 @pytest.fixture(autouse=True)
@@ -47,11 +51,15 @@ def knotted_doc(M, T=3.0):
     }
 
 
-def run_simulate(tmp_path, doc):
+def run_task(tmp_path, doc):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    return main(["simulate", "--scenario", str(path), "--out", str(out), "--quiet"]), out
+    return main([doc["task"], "--scenario", str(path), "--out", str(out), "--quiet"]), out
+
+
+def run_simulate(tmp_path, doc):
+    return run_task(tmp_path, dict(doc, task="simulate"))
 
 
 def assert_same_bytes(tmp_path, doc, out):
@@ -174,26 +182,128 @@ class TestFailures:
         assert_no_outputs(out)
         assert_no_child()
 
-    def test_unopenable_file(self, tmp_path, fork_calls):
+    def test_unopenable_file(self, tmp_path, capsys, fork_calls):
         (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
-        with pytest.raises(IsADirectoryError, match="trajectory.csv"):
-            run_simulate(tmp_path, knotted_doc(1025))
+        code, out = run_simulate(tmp_path, knotted_doc(1025))
+        assert code == 1
+        assert capsys.readouterr().err == (f"sailr export: error: {out / 'trajectory.csv'}: "
+                                           f"{os.strerror(errno.EISDIR)}\n")
         assert fork_calls == []
         assert list((tmp_path / "out" / "trajectory.csv").iterdir()) == []
         assert_no_outputs(tmp_path / "out")
         assert_no_child()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_child_cannot_write(self, tmp_path, fork_calls):
+    def test_child_cannot_write(self, tmp_path, capsys, fork_calls):
         # every write to /dev/full fails with ENOSPC, inside the child
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "trajectory.csv").symlink_to("/dev/full")
-        with pytest.raises(OSError, match="trajectory.csv") as info:
-            run_simulate(tmp_path, knotted_doc(10_000))
-        assert info.value.errno == errno.ENOSPC
+        code, out = run_simulate(tmp_path, knotted_doc(10_000))
+        assert code == 1
+        assert capsys.readouterr().err == (f"sailr export: error: {out / 'trajectory.csv'}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
         assert len(fork_calls) == 1
         assert not os.path.lexists(tmp_path / "out" / "trajectory.csv")
         assert_no_outputs(tmp_path / "out")
+        assert_no_child()
+
+
+# ------------------------------------------- identify and control: adjoint.csv
+
+_SERIES = {"identify": "beta_I.csv", "control": "multiplier.csv"}
+
+
+def solution_doc(task):
+    """identify_synthetic (M = 1000), or control_binding at M = 100 with a loose cap."""
+    if task == "identify":
+        return json.loads((SCENARIOS / "identify_synthetic.json").read_text())
+    doc = json.loads((SCENARIOS / "control_binding.json").read_text())
+    doc["grid"]["M"] = 100
+    doc["penalty"]["Lhat"] = 0.2
+    return doc
+
+
+@pytest.fixture(scope="module", params=["identify", "control"])
+def solution(request, tmp_path_factory):
+    """(task, scenario doc, directory of the files write_*_csv make of its solve)."""
+    task = request.param
+    doc = solution_doc(task)
+    s = scenario_from_dict(doc)
+    if task == "identify":
+        res = solve_p0(s.observations, s.params, s.grid, *s.weights, s.solver)
+        name, values = "beta_I", res.candidate.beta_I(s.grid.points())
+    else:
+        res = solve_p(s.penalty, s.params, s.x0, s.grid)
+        name, values = "nu", res.multiplier_diag
+    ref = tmp_path_factory.mktemp(f"{task}_ref")
+    write_trajectory_csv(res.trajectory, ref / "trajectory.csv")
+    write_adjoint_csv(res.adjoint, ref / "adjoint.csv")
+    write_series_csv(ref / _SERIES[task], name, s.grid, values)
+    return task, doc, ref
+
+
+def assert_same_solution(solution, out):
+    task, _, ref = solution
+    for name in ("adjoint.csv", "trajectory.csv", _SERIES[task]):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    assert json.loads((out / "summary.json").read_text())["task"] == task
+
+
+class TestAdjointExport:
+    def test_forked_writer(self, tmp_path, solution, fork_calls):
+        code, out = run_task(tmp_path, solution[1])
+        assert code == 0
+        assert len(fork_calls) == 1
+        assert_same_solution(solution, out)
+        assert_no_child()
+
+    def test_in_process_without_fork(self, tmp_path, solution, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        code, out = run_task(tmp_path, solution[1])
+        assert code == 0
+        assert_same_solution(solution, out)
+
+    def test_in_process_on_one_cpu(self, tmp_path, solution, one_cpu, fork_calls):
+        code, out = run_task(tmp_path, solution[1])
+        assert code == 0
+        assert fork_calls == []
+        assert_same_solution(solution, out)
+
+    def test_in_process_when_fork_fails(self, tmp_path, solution, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out = run_task(tmp_path, solution[1])
+        assert code == 0
+        assert_same_solution(solution, out)
+        assert_no_child()
+
+    def test_in_process_when_pipe_fails(self, tmp_path, solution, monkeypatch, fork_calls):
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", no_pipe)
+        code, out = run_task(tmp_path, solution[1])
+        assert code == 0
+        assert fork_calls == []
+        assert_same_solution(solution, out)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_cannot_write(self, tmp_path, capsys, request, solution, fork_calls, forked):
+        # every write to /dev/full fails with ENOSPC, in the child or in close
+        if not forked:
+            request.getfixturevalue("one_cpu")
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "adjoint.csv").symlink_to("/dev/full")
+        code, out = run_task(tmp_path, solution[1])
+        assert code == 1
+        assert capsys.readouterr().err == (f"sailr export: error: {out / 'adjoint.csv'}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert len(fork_calls) == forked
+        assert not os.path.lexists(out / "adjoint.csv")
+        assert not (out / "summary.json").exists()
         assert_no_child()
 
 
