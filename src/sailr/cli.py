@@ -3,7 +3,8 @@
 Reads one scenario JSON, applies --set overrides, runs the task and writes
 a trajectory CSV plus a summary JSON into the output directory.  Exit
 codes: 0 converged/ok, 2 finished but not converged, 1 hard error (a
-malformed command line included).
+malformed command line included).  A failed run leaves none of the files
+it opened.
 
 The summary's "runtime" field is a deterministic work measure (number of
 five-component ODE sweeps performed), so identical invocations with the
@@ -17,6 +18,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +71,9 @@ def _try_r0(summary: dict, params):
         pass  # time-varying coefficients: no scalar reproduction number
 
 
-def _run_simulate(s: Scenario, outdir: Path, summary: dict):
+def _run_simulate(s: Scenario, out, summary: dict):
     # trajectory.csv is rendered block by block while the solve goes on
-    with GridCsvWriter(outdir / "trajectory.csv", TRAJECTORY_HEADER, s.grid) as csv_out:
+    with GridCsvWriter(out("trajectory.csv"), TRAJECTORY_HEADER, s.grid) as csv_out:
         traj = simulate(s.params, s.x0, s.grid, block_done=csv_out.send)
     drift = float(np.max(np.abs(traj.states.sum(axis=1) - total_population(s.x0))))
     summary["residuals"] = {"conservation_drift": drift}
@@ -80,22 +82,22 @@ def _run_simulate(s: Scenario, outdir: Path, summary: dict):
     return 0
 
 
-def _write_solution(outdir: Path, res, series_file: str, name: str, values):
+def _write_solution(out, res, series_file: str, name: str, values):
     # adjoint.csv is rendered, in a forked child where it can be, while
     # trajectory.csv and the series file are written here
     grid = res.trajectory.grid
-    with GridCsvWriter(outdir / "adjoint.csv", ADJOINT_HEADER, grid) as adj_out:
+    with GridCsvWriter(out("adjoint.csv"), ADJOINT_HEADER, grid) as adj_out:
         adj_out.send(0, grid.M + 1, res.adjoint.states)
-        write_trajectory_csv(res.trajectory, outdir / "trajectory.csv")
-        write_series_csv(outdir / series_file, name, grid, values)
+        write_trajectory_csv(res.trajectory, out("trajectory.csv"))
+        write_series_csv(out(series_file), name, grid, values)
 
 
-def _run_identify(s: Scenario, outdir: Path, summary: dict):
+def _run_identify(s: Scenario, out, summary: dict):
     alpha0, alpha1 = s.weights
     res = idf.solve_p0(s.observations, s.params, s.grid, alpha0, alpha1, s.solver)
     if res.notes:
         summary["notes"] = list(res.notes)
-    _write_solution(outdir, res, "beta_I.csv", "beta_I",
+    _write_solution(out, res, "beta_I.csv", "beta_I",
                     res.candidate.beta_I(s.grid.points()))
     n0 = idf.n0_of(s.params, s.observations)
     mis = ((res.trajectory.L[-1] - s.observations.LT) ** 2
@@ -115,9 +117,9 @@ def _run_identify(s: Scenario, outdir: Path, summary: dict):
     return 0 if res.converged else 2
 
 
-def _run_control(s: Scenario, outdir: Path, summary: dict):
+def _run_control(s: Scenario, out, summary: dict):
     res = ctl.solve_p(s.penalty, s.params, s.x0, s.grid)
-    _write_solution(outdir, res, "multiplier.csv", "nu", res.multiplier_diag)
+    _write_solution(out, res, "multiplier.csv", "nu", res.multiplier_diag)
     summary["cost"] = res.cost
     summary["cost_history"] = [st.cost_eps for st in res.per_eps_history]
     summary["residuals"] = {"limit_fixed_point": res.limit_residual,
@@ -132,12 +134,12 @@ def _run_control(s: Scenario, outdir: Path, summary: dict):
     return 0 if res.converged else 2
 
 
-def _run_stability(s: Scenario, outdir: Path, summary: dict):
+def _run_stability(s: Scenario, out, summary: dict):
     report = stab.simulate_extinction(s.params, s.x0, s.stability)
     first = report.first_segment
     if first is None:  # x0 already extinct: no segment was integrated
         first = simulate(s.params, s.x0, s.stability.grid(s.stability.horizon))
-    write_trajectory_csv(first, outdir / "trajectory.csv")
+    write_trajectory_csv(first, out("trajectory.csv"))
     summary["R0"] = report.R0
     summary["S_bar"] = report.S_bar
     summary["residuals"] = {"infected_mass": float(sum(report.final_state[1:4]))}
@@ -151,9 +153,9 @@ def _run_stability(s: Scenario, outdir: Path, summary: dict):
     return 0 if report.extinction else 2
 
 
-def _run_synth(s: Scenario, outdir: Path, summary: dict):
+def _run_synth(s: Scenario, out, summary: dict):
     obs, traj = synth_observations(s.synth)
-    write_trajectory_csv(traj, outdir / "trajectory.csv")
+    write_trajectory_csv(traj, out("trajectory.csv"))
     summary["observations"] = {"L0": obs.L0, "R0": obs.R0, "LT": obs.LT,
                                "RT": obs.RT, "T": obs.T}
     summary["residuals"] = {}
@@ -169,6 +171,12 @@ _RUNNERS = {"simulate": _run_simulate, "identify": _run_identify,
 def run(args) -> int:
     t_start = time.perf_counter()
     stage = "load"
+    opened: list[Path] = []  # every output file the run opens, summary.json last
+
+    def out(name: str) -> Path:
+        opened.append(outdir / name)
+        return opened[-1]
+
     try:
         # load_scenario in two calls: perfbench traces cli.scenario_from_dict
         s = scenario_from_dict(read_scenario_doc(args.scenario, args.task, args.seed,
@@ -177,16 +185,20 @@ def run(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         stage = s.task
         summary = _summary_skeleton(s.task, s.seed)
-        status = _RUNNERS[s.task](s, outdir, summary)
+        status = _RUNNERS[s.task](s, out, summary)
         stage = "export"
-        write_summary_json(summary, outdir / "summary.json")
-    except SailrError as err:
-        msgs = getattr(err, "errors", [str(err)])
+        write_summary_json(summary, out("summary.json"))
+    except (SailrError, OSError) as err:
+        for path in opened:  # a failed run leaves none of its files; a directory is not one
+            if path.is_symlink() or path.is_file():
+                with suppress(OSError):
+                    path.unlink()
+        if isinstance(err, OSError):  # an output file that cannot be written
+            stage, msgs = "export", [f"{err.filename}: {err.strerror}"]
+        else:
+            msgs = getattr(err, "errors", [str(err)])
         for m in msgs:
             print(f"sailr {stage}: error: {m}", file=sys.stderr)
-        return 1
-    except OSError as err:  # an output file that cannot be written
-        print(f"sailr export: error: {err.filename}: {err.strerror}", file=sys.stderr)
         return 1
     if not args.quiet:
         _print_summary(s, summary, status, time.perf_counter() - t_start, outdir)

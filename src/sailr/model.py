@@ -320,8 +320,9 @@ def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
     block_done(lo, hi, rows), if given, receives the stored states as they
     are made, as the (hi - lo, 5) view rows of the states lo..hi-1: once for
     the x0 row (0, 1), then once per block after its blow-up check, so that
-    the calls cover rows 0..M once each, in order.  The CLI streams
-    trajectory.csv out through it while the solve goes on.
+    the calls cover rows 0..M once each, in order.  The CLI passes
+    GridCsvWriter.send, which hands each block to its child, or renders it,
+    before it returns: trajectory.csv is written while the solve goes on.
     """
     validate_params(p, t_max=grid.T)
     x0 = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)

@@ -5,9 +5,9 @@ docs/scenario-schema.md for the schema and the table of defaults).
 Loading validates everything and reports the complete list of problems,
 not just the first.  Trajectories are exported as CSV with 17-significant-
 digit floats so re-parsing reproduces samples bit-exactly.  GridCsvWriter
-writes the same bytes from blocks of rows, in a forked child where it can:
-a forward solve's trajectory while the solve runs, or an adjoint while
-the caller writes its other files.
+writes the same bytes from blocks of rows, in a forked child wherever
+os.fork exists: a forward solve's trajectory while the solve runs, or an
+adjoint while the caller writes its other files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import csv
 import json
 import numbers
 import os
-from contextlib import contextmanager
+import signal
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -66,8 +67,8 @@ class SynthSpec:
             errs.append("synth.L0 and synth.R0 must be >= 0")
         if self.A0_true < 0 or self.I0_true < 0 or self.A0_true + self.I0_true > n0 + 1e-12:
             errs.append("planted (A0, I0) must lie in K0")
-        if self.noise < 0:
-            errs.append("synth.noise must be >= 0")
+        if not 0 <= self.noise <= 1:  # beyond 1 the clamped observations carry no signal
+            errs.append("synth.noise must be in [0, 1]")
         if errs:
             raise ValidationError(errs)
 
@@ -360,13 +361,6 @@ def _write_csv(path, header, t, columns):
         fh.writelines(_csv_rows(t, columns))
 
 
-def _cores() -> int:
-    # the CPUs this process may run on
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class GridCsvWriter:
     """A CSV file of grid samples, header then one row per grid point (t
     and one value per further header field), written from blocks of rows
@@ -377,22 +371,18 @@ class GridCsvWriter:
             traj = simulate(params, x0, grid, block_done=out.send)
 
     send(lo, hi, rows) takes the rows lo..hi-1 of the grid; a caller that
-    has every row already sends them as one block.  Where os.fork exists
-    and the process may run on more than one CPU, a child process renders
-    them while the caller goes on: each block goes to it down a pipe as
-    one frame, (lo, hi) as two int64 then the raw float64 rows, and a send
-    waits only while the pipe is full, not while the child renders.  The
-    child uses no BLAS and ends by os._exit, so it flushes none of the
-    parent's buffers.  Otherwise (on one CPU the fork and the pipe cost
-    more than they overlap), or when the pipe or the fork fails, send only
-    keeps the rows, which must not change afterwards, and close renders
-    them all in-process: for simulate's trajectory, rendered between the
-    solve's blocks, the same rows took about 5% longer in all (one CPU of
-    a 2-vCPU Xeon VM, Python 3.11).
+    has every row already sends them as one block.  Where os.fork exists, a
+    child process renders them while the caller goes on: each block goes to
+    it down a pipe as one frame, (lo, hi) as two int64 then the raw float64
+    rows, and a send waits only while the pipe is full, not while the child
+    renders.  The child uses no BLAS and ends by os._exit, so it flushes
+    none of the parent's buffers.  Without os.fork, or when the pipe or the
+    fork fails, send renders the block in-process before it returns.
 
-    Leaving the with-block closes the writer, waiting for the child.  An
-    error inside it, or a writer that failed, leaves no file and no child;
-    a writer failure is an OSError naming the file.
+    Leaving the with-block closes the writer, waiting for the child; a
+    writer failure is an OSError naming the file.  An error inside the
+    block kills the child instead of waiting for it.  Either way no child
+    is left, and the file is the caller's to remove.
     """
 
     def __init__(self, path, header: str, grid: Grid):
@@ -401,10 +391,9 @@ class GridCsvWriter:
         self._width = header.count(",")  # values per row after t
         self._t = grid.points()
         self._pid = self._pipe = None
-        self._held = []  # blocks sent, when they are rendered in-process
         # opened here, so that an unwritable path fails as in _write_csv
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        if hasattr(os, "fork") and _cores() > 1:
+        if hasattr(os, "fork"):
             self._start_child()
         if self._pid is None:  # render in-process
             self._fh.write(header + "\n")
@@ -451,10 +440,10 @@ class GridCsvWriter:
         return 0
 
     def send(self, lo: int, hi: int, rows):
-        """Write the rows lo..hi-1, the (hi - lo, width) array rows, which
-        must not change until the writer is closed."""
+        """Write the rows lo..hi-1, the (hi - lo, width) array rows."""
         if self._pid is None:
-            self._held.append((lo, hi, rows))
+            with _naming(self.path):
+                self._write_rows(lo, hi, rows)
             return
         try:
             self._pipe.write(np.array([lo, hi], dtype=np.int64).tobytes()
@@ -467,10 +456,8 @@ class GridCsvWriter:
         """Finish the file: every row sent is written once this returns;
         OSError naming the file if the writer failed."""
         if self._pid is None:
-            if not self._fh.closed:  # in-process, and not closed yet
-                with _naming(self.path), self._fh:
-                    for block in self._held:
-                        self._write_rows(*block)
+            with _naming(self.path):
+                self._fh.close()
             return
         try:
             self._pipe.close()
@@ -487,19 +474,17 @@ class GridCsvWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        # an error raised inside the block takes precedence over the writer's
-        failed = exc_type is not None
-        if failed:
-            self._held.clear()  # not worth rendering
-        try:
+        if exc_type is None:
             self.close()
-        except OSError:
-            failed = True
-            if exc_type is None:
-                raise
-        finally:
-            if failed:
-                os.unlink(self.path)
+        elif self._pid is None:
+            with suppress(OSError):  # the error raised inside the block takes precedence
+                self._fh.close()
+        else:  # its rows are not worth rendering
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+            with suppress(OSError):  # the pipe has no reader left
+                self._pipe.close()
 
 
 def write_trajectory_csv(traj: Trajectory, path):

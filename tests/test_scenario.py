@@ -205,6 +205,13 @@ class TestSynthObservations:
         assert a == b
         assert a != c
 
+    @pytest.mark.parametrize("noise", [-1e-300, 1.5, 1e308])
+    def test_noise_outside_unit_interval_rejected(self, noise):
+        # 1e308 used to reach the generator and end in an OverflowError
+        with pytest.raises(ValidationError) as exc:
+            self._spec(noise=noise)
+        assert exc.value.errors == ["synth.noise must be in [0, 1]"]
+
     def test_infeasible_truth_rejected(self):
         with pytest.raises(ValidationError):
             p = ModelParams(sigma=0.2, mu_A=0.1, mu_I=0.1, mu_L=0.1, l_A=0.1,

@@ -1,8 +1,10 @@
 """`sailr simulate` streams trajectory.csv out while it solves, and `sailr
 identify` and `sailr control` hand adjoint.csv to the same writer while they
 write their other files: same bytes as write_trajectory_csv and
-write_adjoint_csv, and no file or child process left behind on an error."""
+write_adjoint_csv.  A failed run leaves no output file and no child process;
+the CLI runners are fuzzed for tracebacks."""
 
+import copy
 import errno
 import json
 import math
@@ -21,7 +23,6 @@ from sailr.cli import main
 from sailr.scenario import write_series_csv
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
-SIMULATE_BASELINE = SCENARIOS / "simulate_baseline.json"
 
 
 @pytest.fixture(autouse=True)
@@ -75,8 +76,8 @@ def assert_no_child():
 
 
 def assert_no_outputs(out):
-    assert not (out / "trajectory.csv").is_file()
-    assert not (out / "summary.json").exists()
+    """out holds no file (a directory that was there stays)."""
+    assert [p.name for p in out.glob("*") if p.is_file() or p.is_symlink()] == []
 
 
 @pytest.fixture
@@ -93,13 +94,6 @@ def fork_calls(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return calls
-
-
-@pytest.fixture
-def one_cpu(monkeypatch):
-    """The process may run on one CPU only."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
 
 class TestByteIdentity:
@@ -130,13 +124,6 @@ class TestByteIdentity:
         assert code == 0
         assert_same_bytes(tmp_path, doc, out)
 
-    def test_in_process_on_one_cpu(self, tmp_path, one_cpu, fork_calls):
-        doc = knotted_doc(1025)
-        code, out = run_simulate(tmp_path, doc)
-        assert code == 0
-        assert fork_calls == []
-        assert_same_bytes(tmp_path, doc, out)
-
     def test_in_process_when_pipe_fails(self, tmp_path, monkeypatch, fork_calls):
         def no_pipe():
             raise OSError(errno.EMFILE, "Too many open files")
@@ -151,13 +138,13 @@ class TestByteIdentity:
 
 class TestFailures:
     @pytest.mark.parametrize("forked", [True, False])
-    def test_blowup_after_first_block(self, tmp_path, capsys, request, fork_calls,
+    def test_blowup_after_first_block(self, tmp_path, capsys, monkeypatch, fork_calls,
                                       forked):
         # h * mu_L = 2.8 lies just outside RK4's stability interval (2.785):
         # L oscillates with growing amplitude until the sum passes 1e100
         # at step 720, after the first block was sent
         if not forked:
-            request.getfixturevalue("one_cpu")
+            monkeypatch.delattr(os, "fork")
         doc = knotted_doc(1000, T=100.0)
         doc["params"]["mu_L"] = 28.0
         code, out = run_simulate(tmp_path, doc)
@@ -263,12 +250,6 @@ class TestAdjointExport:
         assert code == 0
         assert_same_solution(solution, out)
 
-    def test_in_process_on_one_cpu(self, tmp_path, solution, one_cpu, fork_calls):
-        code, out = run_task(tmp_path, solution[1])
-        assert code == 0
-        assert fork_calls == []
-        assert_same_solution(solution, out)
-
     def test_in_process_when_fork_fails(self, tmp_path, solution, monkeypatch):
         def no_fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
@@ -291,10 +272,11 @@ class TestAdjointExport:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("forked", [True, False])
-    def test_cannot_write(self, tmp_path, capsys, request, solution, fork_calls, forked):
-        # every write to /dev/full fails with ENOSPC, in the child or in close
+    def test_cannot_write(self, tmp_path, capsys, monkeypatch, solution, fork_calls, forked):
+        # every write to /dev/full fails with ENOSPC, in the child or in send;
+        # the files written meanwhile go too
         if not forked:
-            request.getfixturevalue("one_cpu")
+            monkeypatch.delattr(os, "fork")
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "adjoint.csv").symlink_to("/dev/full")
         code, out = run_task(tmp_path, solution[1])
@@ -302,9 +284,69 @@ class TestAdjointExport:
         assert capsys.readouterr().err == (f"sailr export: error: {out / 'adjoint.csv'}: "
                                            f"{os.strerror(errno.ENOSPC)}\n")
         assert len(fork_calls) == forked
-        assert not os.path.lexists(out / "adjoint.csv")
-        assert not (out / "summary.json").exists()
+        assert_no_outputs(out)
         assert_no_child()
+
+    def test_child_killed_on_failure(self, tmp_path, capsys, monkeypatch, solution,
+                                     fork_calls):
+        # trajectory.csv cannot be opened while the child renders adjoint.csv:
+        # the child is killed instead of finishing a file that goes anyway
+        kills = []
+        kill = os.kill
+
+        def spy(pid, sig):
+            kills.append((pid, sig))
+            kill(pid, sig)
+
+        monkeypatch.setattr(os, "kill", spy)
+        (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
+        code, out = run_task(tmp_path, solution[1])
+        assert code == 1
+        assert capsys.readouterr().err == (f"sailr export: error: {out / 'trajectory.csv'}: "
+                                           f"{os.strerror(errno.EISDIR)}\n")
+        assert kills == [(fork_calls[0], signal.SIGKILL)]
+        assert (out / "trajectory.csv").is_dir()
+        assert_no_outputs(out)
+        assert_no_child()
+
+
+def task_doc(task):
+    """A short run of each task: a shipped scenario, or solution_doc's."""
+    if task in _SERIES:
+        return solution_doc(task)
+    name = {"simulate": "simulate_baseline", "stability": "stability_extinction",
+            "synth": "synth_truth"}[task]
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+@pytest.mark.parametrize("task", ["simulate", "identify"])
+def test_one_cpu_run_forks(tmp_path, fork_calls, task):
+    # the writer forks whatever number of CPUs the process may use
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        code, out = run_task(tmp_path, task_doc(task))
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert code == 0
+    assert len(fork_calls) == 1
+    assert (out / "summary.json").is_file()
+    assert_no_child()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("task", ["simulate", "identify", "stability", "synth"])
+def test_summary_cannot_write(tmp_path, capsys, task):
+    # the CSV files were written before summary.json failed: they go too
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "summary.json").symlink_to("/dev/full")
+    code, out = run_task(tmp_path, task_doc(task))
+    assert code == 1
+    assert capsys.readouterr().err == (f"sailr export: error: {out / 'summary.json'}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert_no_outputs(out)
+    assert_no_child()
 
 
 # ------------------------------------------------------------------ CLI fuzz
@@ -321,22 +363,29 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-def _baseline():
-    # M = 100 keeps each run short; a mutation that deletes grid.M gets the
-    # default 10^4, still a fraction of a second
-    doc = json.loads(SIMULATE_BASELINE.read_text())
-    doc["grid"]["M"] = 100
-    return doc
+def _baselines():
+    """The shipped scenario of each fuzzed task, shortened: M = 100, and a
+    stability segment of 40 steps (a mutation that deletes grid.M gets the
+    default 10^4 and one that deletes stability.h 200 steps a segment,
+    still a fraction of a second)."""
+    docs = {task: task_doc(task) for task in ("simulate", "stability", "synth")}
+    docs["simulate"]["grid"]["M"] = docs["synth"]["grid"]["M"] = 100
+    docs["stability"]["stability"].update(horizon=2.0, h=0.05)
+    return docs
 
 
-_PATHS = list(_paths(_baseline()))
+_BASELINES = _baselines()
 
-_mutation = st.one_of(
-    st.tuples(st.just("set"), st.sampled_from(_PATHS), st.sampled_from(_BAD_VALUES)),
-    st.tuples(st.just("delete"), st.sampled_from(_PATHS), st.none()),
-    st.tuples(st.just("extra"), st.sampled_from([()] + _PATHS),
-              st.sampled_from(_BAD_VALUES)),
-)
+
+def _mutations(task):
+    """Lists of one to three mutations of the baseline of task."""
+    paths = list(_paths(_BASELINES[task]))
+    return st.lists(st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(paths), st.sampled_from(_BAD_VALUES)),
+        st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
+        st.tuples(st.just("extra"), st.sampled_from([()] + paths),
+                  st.sampled_from(_BAD_VALUES)),
+    ), min_size=1, max_size=3)
 
 
 def _mutate(doc, kind, path, value):
@@ -345,6 +394,7 @@ def _mutate(doc, kind, path, value):
         node = node.get(key) if isinstance(node, dict) else None
     if not isinstance(node, dict):
         return
+    value = copy.deepcopy(value)  # [] and {} are shared by every example
     if kind == "set":
         node[path[-1]] = value
     elif kind == "delete":
@@ -353,34 +403,56 @@ def _mutate(doc, kind, path, value):
         node["unexpected_key"] = value
 
 
-@settings(max_examples=40, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(_mutation, min_size=1, max_size=3))
-def test_fuzz_simulate(capsys, mutations):
-    # Each mutated baseline either runs (exit 0, outputs that parse) or is
-    # refused with only `sailr load:` / `sailr simulate:` error lines
-    doc = _baseline()
+def check_fuzz_run(capsys, task, mutations):
+    """A mutated baseline either runs (exit 0, or 2 for an inconclusive
+    stability run, with outputs that parse) or is refused with only `sailr load:` / `sailr <task>:` error lines and no
+    output file."""
+    doc = copy.deepcopy(_BASELINES[task])
     for kind, path, value in mutations:
         _mutate(doc, kind, path, value)
+    doc["task"] = task
     capsys.readouterr()
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        code, out = run_simulate(tmp, doc)
+        code, out = run_task(Path(tmp), doc)
         err = capsys.readouterr().err
-        assert code in (0, 1)
-        if code == 0:
+        assert code in ((0, 1, 2) if task == "stability" else (0, 1))
+        if code == 1:
+            lines = err.splitlines()
+            assert lines
+            assert all(ln.startswith(("sailr load: error: ", f"sailr {task}: error: "))
+                       for ln in lines), err
+            assert_no_outputs(out)
+        else:
             assert err == ""
             summary = json.loads((out / "summary.json").read_text())
-            assert summary["task"] == "simulate"
+            assert summary["task"] == task
             lines = (out / "trajectory.csv").read_text().splitlines()
             assert lines[0] == "t,S,A,I,L,R"
             rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-            assert rows.shape == (scenario_from_dict(dict(doc, task="simulate")).grid.M + 1, 6)
+            assert rows.shape[1] == 6 and rows.shape[0] >= 2
             assert np.all(np.isfinite(rows))
-        else:
-            lines = err.splitlines()
-            assert lines
-            assert all(ln.startswith(("sailr load: error: ", "sailr simulate: error: "))
-                       for ln in lines), err
-            assert_no_outputs(out)
+            if task != "stability":  # its file is the first segment's
+                assert rows.shape[0] == scenario_from_dict(doc).grid.M + 1
         assert_no_child()
+
+
+_FUZZ = settings(max_examples=40, derandomize=True, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FUZZ
+@given(_mutations("simulate"))
+def test_fuzz_simulate(capsys, mutations):
+    check_fuzz_run(capsys, "simulate", mutations)
+
+
+@_FUZZ
+@given(_mutations("stability"))
+def test_fuzz_stability(capsys, mutations):
+    check_fuzz_run(capsys, "stability", mutations)
+
+
+@_FUZZ
+@given(_mutations("synth"))
+def test_fuzz_synth(capsys, mutations):
+    check_fuzz_run(capsys, "synth", mutations)
