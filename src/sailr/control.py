@@ -186,38 +186,39 @@ def update_controls_eps(traj: Trajectory, adjoint: AdjointTrajectory,
                        _clamp01((ii + anchor.lI) / (alpha1 + 1.0)))
 
 
-def _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl):
-    """One (traj, adjoint, raw update) evaluation at the current controls."""
-    traj = simulate(params.with_controls(ctrl.lA, ctrl.lI), x0, grid)
-    adj = adjoint_p_eps(traj, params, ctrl.lA, ctrl.lI, eps,
-                        pcfg.alpha0, pcfg.alpha2, pcfg.Lhat)
-    raw = update_controls_eps(traj, adj, pcfg.alpha1, anchor)
-    return traj, adj, raw
-
-
 def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: Grid,
                 init: ControlPair, anchor: ControlPair | None = None,
                 tol_fp: float = TOL_FP) -> StageResult:
     """Solve one penalized stage by damped fixed-point sweeps, then FD Newton.
 
-    Relaxation new = THETA*update + (1-THETA)*old.  The sweep phase ends at
-    tol_fp or after MAX_SWEEPS sweeps; a finite-difference Newton step on
-    the fixed-point gap then starts from the best sweep (and returns at once
-    if that sweep already meets tol_fp).  If Newton does not reach tol_fp,
-    its iterate with the smallest fixed-point residual is returned with
-    converged=False.
+    Both phases call one local F(l): forward solve, dual solve and projection
+    update at l (two sweeps), giving (update, update - l, trajectory,
+    adjoint).  Relaxation new = THETA*update + (1-THETA)*old.  The sweep
+    phase ends at tol_fp or after MAX_SWEEPS sweeps; FD Newton on the gap
+    then starts from the best sweep's evaluation (and returns at once if it
+    already meets tol_fp).  If Newton does not reach tol_fp, its iterate with
+    the smallest fixed-point residual is returned with converged=False.
     """
     anchor = anchor if anchor is not None else pcfg.anchor
     x0 = _x0_array(x0)
-    ctrl = init
     nsolves = 0
+
+    def F(l):
+        nonlocal nsolves
+        traj = simulate(params.with_controls(l.lA, l.lI), x0, grid)
+        adj = adjoint_p_eps(traj, params, l.lA, l.lI, eps,
+                            pcfg.alpha0, pcfg.alpha2, pcfg.Lhat)
+        raw = update_controls_eps(traj, adj, pcfg.alpha1, anchor)
+        nsolves += 2
+        return raw, np.array([raw.lA - l.lA, raw.lI - l.lI]), traj, adj
+
+    ctrl = init
     best = None
     for _ in range(MAX_SWEEPS):
-        traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, ctrl)
-        nsolves += 2
+        raw, Fv, traj, adj = F(ctrl)
         fp_res = raw.dist(ctrl)
-        if best is None or fp_res <= best[3]:
-            best = (ctrl, traj, adj, fp_res)
+        if best is None or fp_res <= best[4]:
+            best = (ctrl, Fv, traj, adj, fp_res)
         if fp_res <= tol_fp:
             break
         ctrl = ControlPair(THETA * raw.lA + (1 - THETA) * ctrl.lA,
@@ -227,32 +228,22 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     # expansive (stiff penalty); quadratic convergence from the sweep's iterate.
     # It only accepts steps that shrink the residual, so it ends at or below
     # the best sweep.
-    used_newton = best[3] > tol_fp
-    ctrl, traj, adj, fp_res, cost, n = _stage_newton(pcfg, eps, params, x0, grid,
-                                                     anchor, *best[:3], tol_fp)
-    nsolves += n
-    return StageResult(eps, ctrl, cost, fp_res, used_newton, traj, adj,
+    used_newton = best[4] > tol_fp
+    ctrl, traj, adj, fp_res = _stage_newton(F, *best[:4], tol_fp)
+    return StageResult(eps, ctrl, _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor),
+                       fp_res, used_newton, traj, adj,
                        _penalty_integral(traj, pcfg.Lhat), nsolves, fp_res <= tol_fp,
                        _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
 
 
-def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, traj, adj, tol):
-    """Damped finite-difference Newton on F(l) = update(l) - l.
+def _stage_newton(F, ctrl, Fv, traj, adj, tol):
+    """Damped finite-difference Newton on the gap F(l)[1] = update(l) - l.
 
-    Starts from ctrl with its trajectory and adjoint already solved.  Each
-    further evaluation is one forward/backward sweep; steps are accepted only
-    if they shrink |F|, so the phase cannot wander.
+    Starts from ctrl with its gap Fv, trajectory and adjoint already
+    evaluated.  Each further evaluation is one call of F; steps are accepted
+    only if they shrink |gap|, so the phase cannot wander.  Returns the
+    accepted (ctrl, traj, adj, residual).
     """
-    nsolves = 0
-
-    def F(l):
-        nonlocal nsolves
-        traj, adj, raw = _stage_sweep(pcfg, eps, params, x0, grid, anchor, l)
-        nsolves += 2
-        return np.array([raw.lA - l.lA, raw.lI - l.lI]), traj, adj
-
-    raw = update_controls_eps(traj, adj, pcfg.alpha1, anchor)
-    Fv = np.array([raw.lA - ctrl.lA, raw.lI - ctrl.lI])
     fp = float(np.max(np.abs(Fv)))
     for _ in range(30):
         if fp <= tol:
@@ -263,7 +254,7 @@ def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, traj, adj, tol):
             lp = ControlPair(_clamp01(ctrl.lA + e[0]), _clamp01(ctrl.lI + e[1]))
             if lp.dist(ctrl) == 0.0:  # pinned at the boundary; probe inward
                 lp = ControlPair(_clamp01(ctrl.lA - e[0]), _clamp01(ctrl.lI - e[1]))
-            Fp, _, _ = F(lp)
+            Fp = F(lp)[1]
             scale = lp.lA - ctrl.lA if i == 0 else lp.lI - ctrl.lI
             Jm[:, i] = (Fp - Fv) / scale
         try:
@@ -277,7 +268,7 @@ def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, traj, adj, tol):
                                _clamp01(ctrl.lI + t * step[1]))
             if cand.dist(ctrl) == 0.0:
                 break
-            Fc, tc, ac = F(cand)
+            _, Fc, tc, ac = F(cand)
             fc = float(np.max(np.abs(Fc)))
             if fc < fp:
                 ctrl, Fv, traj, adj, fp = cand, Fc, tc, ac, fc
@@ -286,8 +277,7 @@ def _stage_newton(pcfg, eps, params, x0, grid, anchor, ctrl, traj, adj, tol):
             t *= 0.5
         if not improved:
             break
-    cost = _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor)
-    return ctrl, traj, adj, fp, cost, nsolves
+    return ctrl, traj, adj, fp
 
 
 def _limit_residual(traj, adj, ctrl, alpha1) -> float:

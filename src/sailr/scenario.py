@@ -209,8 +209,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if params is not None and params.N != 1.0:
         errs.append("params.N must be 1 (normalized model)")
         params = None
-    elif params is not None:
-        errs.extend(f"params: {m}" for m in param_errors(params))
 
     if x0 is not None:
         if min(x0.as_array()) < 0:
@@ -249,9 +247,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if stability is not None and stability.horizon / stability.h > MAX_STEPS:
         errs.append(f"stability.horizon / stability.h must be <= {MAX_STEPS} steps")
 
-    if params is not None and grid is not None:
-        errs.extend(f"params: {m}" for m in param_errors(params, t_max=grid.T)
-                    if "cover" in m)
+    if params is not None:
+        t_max = grid.T if grid is not None else None
+        errs.extend(f"params: {m}" for m in param_errors(params, t_max=t_max))
 
     if errs:
         raise ValidationError(errs)

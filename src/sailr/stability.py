@@ -145,7 +145,9 @@ def simulate_extinction(params: ModelParams, x0,
     the total would pass HORIZON_CAP or the next segment would take more
     than MAX_STEPS steps; checks that S is nonincreasing and that the
     simulated limit sits below the threshold S_bar.  Reaching a cap yields
-    an inconclusive report (extinction=False), not an error.
+    an inconclusive report (extinction=False), not an error.  So does
+    mu_L = 0 once L >= tol: then L' = l_A*A + l_I*I >= 0, L never falls
+    back below tol, and the doubling stops at once.
 
     A state is extinct when max(A, I, L) < tol and the infection cannot
     grow back: A = I = 0 exactly (an invariant set), or the infected
@@ -172,8 +174,12 @@ def simulate_extinction(params: ModelParams, x0,
         return bool(max(x[1], x[2], x[3]) < cfg.tol and (
             x[1] == x[2] == 0.0 or hurwitz_check(float(x[0]), params).hurwitz))
 
+    def never_extinct(x):
+        return params.mu_L == 0.0 and x[3] >= cfg.tol
+
     extinct = is_extinct(x)
-    while not extinct and total + seg <= HORIZON_CAP and seg / cfg.h <= MAX_STEPS:
+    while (not extinct and not never_extinct(x) and total + seg <= HORIZON_CAP
+           and seg / cfg.h <= MAX_STEPS):
         traj = simulate(params, x, cfg.grid(seg))
         segments += 1
         if first is None:

@@ -243,8 +243,7 @@ class TestStability:
         assert st["S_tilde_inf"] == pytest.approx(0.5803, abs=1e-4)
         assert st["S_tilde_inf"] < summary["S_bar"] == 0.75
 
-    def test_segments_stop_at_step_cap(self, tmp_path, monkeypatch):
-        # mu_L = 0: L never decays, so the doubling runs until a cap stops it
+    def _recorded_steps(self, tmp_path, monkeypatch, *overrides):
         steps = []
         simulate = stability.simulate
 
@@ -256,11 +255,24 @@ class TestStability:
         monkeypatch.setattr(stability, "simulate", recording_simulate)
         out = tmp_path / "out"
         code = main(["stability", "--scenario", STABILITY_EXTINCTION, "--out", str(out),
-                     "--set", "params.mu_L=0", "--set", "stability.h=1.0", "--quiet"])
+                     "--set", "stability.h=1.0", "--quiet",
+                     *(a for o in overrides for a in ("--set", o))])
         assert code == 2
         summary = json.loads((out / "summary.json").read_text())
         assert summary["stability"]["extinction"] is False
+        return steps, out
+
+    def test_segments_stop_at_step_cap(self, tmp_path, monkeypatch):
+        # the decay cannot reach this tol before the doubling meets the cap
+        steps, _ = self._recorded_steps(tmp_path, monkeypatch, "stability.tol=1e-100")
         assert steps == [100, 100, 200, 400, 800]
+
+    def test_no_isolation_decay_stops_after_first_segment(self, tmp_path, monkeypatch):
+        # mu_L = 0: L' = l_A A + l_I I >= 0, so once L >= tol it never falls back
+        steps, out = self._recorded_steps(tmp_path, monkeypatch, "params.mu_L=0")
+        assert steps == [100]
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert len(rows) == 1 + 101
 
 
 CONTROL_BINDING = str(Path(__file__).parent.parent / "scenarios" / "control_binding.json")

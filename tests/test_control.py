@@ -144,24 +144,31 @@ class TestSolvePEps:
 
     def test_sweep_phase_ends_only_at_tolerance_or_budget(self, monkeypatch):
         # the stiff binding stage stays above TOL_FP for all its sweeps, so
-        # the sweep phase must spend the whole budget before Newton starts
+        # the sweep phase must spend the whole budget before Newton starts;
+        # each stage evaluation runs one forward simulate
         monkeypatch.setattr(control, "MAX_SWEEPS", 40)
-        newton_solves = []
-        stage_newton = control._stage_newton
+        calls = []
+        simulate_, stage_newton = control.simulate, control._stage_newton
+
+        def counting_simulate(*args):
+            calls.append("F")
+            return simulate_(*args)
 
         def counting_newton(*args):
-            out = stage_newton(*args)
-            newton_solves.append(out[-1])
-            return out
+            calls.append("newton")
+            return stage_newton(*args)
 
+        monkeypatch.setattr(control, "simulate", counting_simulate)
         monkeypatch.setattr(control, "_stage_newton", counting_newton)
         p = epidemic_params()
         g = Grid(0.0, 8.0, 100)
         pcfg = PenaltyConfig(alpha0=5.0, alpha1=0.02, alpha2=5.0, Lhat=0.04,
                              eps_schedule=(1e-4,))
         st = solve_p_eps(pcfg, 1e-4, p, X0, g, pcfg.anchor)
-        assert len(newton_solves) == 1
-        assert st.forward_solves - newton_solves[0] == 2 * 40
+        assert calls.count("newton") == 1
+        assert calls.index("newton") == 40
+        newton_solves = 2 * calls[calls.index("newton"):].count("F")
+        assert st.forward_solves - newton_solves == 2 * 40
         assert st.used_fallback is True
 
     def test_gradient_matches_finite_differences(self):

@@ -368,8 +368,9 @@ def _baselines():
     stability segment of 40 steps (a mutation that deletes grid.M gets the
     default 10^4 and one that deletes stability.h 200 steps a segment,
     still a fraction of a second)."""
-    docs = {task: task_doc(task) for task in ("simulate", "stability", "synth")}
-    docs["simulate"]["grid"]["M"] = docs["synth"]["grid"]["M"] = 100
+    docs = {task: task_doc(task) for task in ("simulate", "identify", "stability", "synth")}
+    for task in ("simulate", "identify", "synth"):
+        docs[task]["grid"]["M"] = 100
     docs["stability"]["stability"].update(horizon=2.0, h=0.05)
     return docs
 
@@ -405,8 +406,9 @@ def _mutate(doc, kind, path, value):
 
 def check_fuzz_run(capsys, task, mutations):
     """A mutated baseline either runs (exit 0, or 2 for an inconclusive
-    stability run, with outputs that parse) or is refused with only `sailr load:` / `sailr <task>:` error lines and no
-    output file."""
+    stability run or an unconverged identify run, with outputs that parse)
+    or is refused with only `sailr load:` / `sailr <task>:` error lines and
+    no output file."""
     doc = copy.deepcopy(_BASELINES[task])
     for kind, path, value in mutations:
         _mutate(doc, kind, path, value)
@@ -415,7 +417,7 @@ def check_fuzz_run(capsys, task, mutations):
     with tempfile.TemporaryDirectory() as tmp:
         code, out = run_task(Path(tmp), doc)
         err = capsys.readouterr().err
-        assert code in ((0, 1, 2) if task == "stability" else (0, 1))
+        assert code in ((0, 1, 2) if task in ("stability", "identify") else (0, 1))
         if code == 1:
             lines = err.splitlines()
             assert lines
@@ -426,14 +428,23 @@ def check_fuzz_run(capsys, task, mutations):
             assert err == ""
             summary = json.loads((out / "summary.json").read_text())
             assert summary["task"] == task
-            lines = (out / "trajectory.csv").read_text().splitlines()
-            assert lines[0] == "t,S,A,I,L,R"
-            rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+            header, rows = _read_csv(out / "trajectory.csv")
+            assert header == "t,S,A,I,L,R"
             assert rows.shape[1] == 6 and rows.shape[0] >= 2
-            assert np.all(np.isfinite(rows))
             if task != "stability":  # its file is the first segment's
                 assert rows.shape[0] == scenario_from_dict(doc).grid.M + 1
+            if task in _SERIES:
+                for name in ("adjoint.csv", _SERIES[task]):
+                    assert _read_csv(out / name)[1].shape[0] == rows.shape[0]
         assert_no_child()
+
+
+def _read_csv(path):
+    """(header, rows) of an output CSV file whose every number is finite."""
+    lines = path.read_text().splitlines()
+    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert np.all(np.isfinite(rows))
+    return lines[0], rows
 
 
 _FUZZ = settings(max_examples=40, derandomize=True, deadline=None,
@@ -444,6 +455,12 @@ _FUZZ = settings(max_examples=40, derandomize=True, deadline=None,
 @given(_mutations("simulate"))
 def test_fuzz_simulate(capsys, mutations):
     check_fuzz_run(capsys, "simulate", mutations)
+
+
+@_FUZZ
+@given(_mutations("identify"))
+def test_fuzz_identify(capsys, mutations):
+    check_fuzz_run(capsys, "identify", mutations)
 
 
 @_FUZZ
