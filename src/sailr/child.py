@@ -1,0 +1,77 @@
+"""A forked child process that serves its parent over pipes.
+
+`scenario.GridCsvWriter` renders CSV rows in one, and `identify.solve_p0`
+builds its reverse sweeps' step maps in another.  Both do the same work
+in-process when there is no child: without os.fork, or when the pipe or
+the fork fails.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+from contextlib import suppress
+
+
+class Child:
+    """Forks a child that runs serve(*fds) and exits with its return value.
+
+    The first pipe carries the parent's frames to the child; with pipes=2 a
+    second one carries the child's replies back.  serve gets the child's
+    ends (read, then write) and files holds the parent's (a binary writer,
+    then a reader).  The child runs with garbage collection off, since
+    collecting the parent's garbage could flush its files, and ends by
+    os._exit, so it flushes none of the parent's buffers.  pid is None when
+    no child was forked.
+    """
+
+    def __init__(self, serve, pipes: int = 1):
+        self.pid, self.files = None, []
+        if not hasattr(os, "fork"):
+            return
+        ends = []
+        try:
+            for _ in range(pipes):
+                ends.append(os.pipe())
+            pid = os.fork()
+        except OSError:  # no file descriptor or no process to spare
+            _close(fd for pair in ends for fd in pair)
+            return
+        # the parent writes pipe 0 and reads pipe 1; the child the reverse
+        mine = [w if i == 0 else r for i, (r, w) in enumerate(ends)]
+        theirs = [r if i == 0 else w for i, (r, w) in enumerate(ends)]
+        if pid == 0:
+            status = 255
+            try:
+                import gc
+                gc.disable()
+                _close(mine)
+                status = serve(*theirs)
+            finally:
+                os._exit(status)
+        _close(theirs)
+        self.pid = pid
+        self.files = [os.fdopen(fd, "wb" if i == 0 else "rb") for i, fd in enumerate(mine)]
+
+    def wait(self) -> int:
+        """Close the pipes, wait for the child to exit, and return its exit code."""
+        for f in self.files:
+            with suppress(BrokenPipeError):  # the exit status says why
+                f.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+    def kill(self):
+        """Kill the child, whatever it is doing, and reap it."""
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+        for f in self.files:
+            with suppress(OSError):  # the pipe has no reader left
+                f.close()
+
+
+def _close(fds):
+    for fd in fds:
+        os.close(fd)

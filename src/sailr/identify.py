@@ -12,25 +12,41 @@ pointwise and (A0, I0) onto the triangle K0 = {y, z >= 0, y + z <= N0}.
 The first-order conditions of that discrete problem (positive-part
 projection for beta_I and the Gamma-resolvent for (A0, I0), both read from
 the exact gradient) certify convergence.
+
+solve_p0 forks one helper per call, which builds each reverse sweep's step
+maps while the forward solve streams its states to it (`_ReverseHelper`,
+at most PREFETCH_BLOCKS blocks of maps ahead, about 5 MB).  The results are
+the same bits as with every sweep in-process, which is what runs without
+os.fork, when the fork or its pipes fail, or when the helper dies or
+reports an error.  No child outlives the call.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .child import Child
 from .errors import FeasibilityError, ValidationError
-from .integrate import Grid, Trajectory, trapezoid
+from .integrate import SWEEP_BLOCK, Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, simulate,
-                    stage_to_knot_gradient)
+                    stage_to_knot_gradient, vjp_step_maps, vjp_sweep)
 
 #: resolvent matrix coupling (A0, I0) in the initial-data optimality condition
 GAMMA = np.array([[2.0, 1.0], [1.0, 2.0]])
 ARMIJO_C = 1e-4      # arc search: sufficient-decrease constant
 MAX_BACKTRACKS = 60  # arc search: backtracks per step
 BETA_INIT = 0.1      # constant initial guess for beta_I
+
+#: reverse blocks whose step maps solve_p0's helper builds ahead of a sweep,
+#: at most: every block up to M = 20 SWEEP_BLOCK (M = 10^4 has 20), about
+#: 5.2 MB of maps; the sweep builds the others when it reaches them
+PREFETCH_BLOCKS = 20
+
+_ENDS = np.eye(5)[:, 3:]  # cotangent columns e_L, e_R of the reverse sweep
 
 
 @dataclass(frozen=True)
@@ -117,21 +133,38 @@ def _check_grid(grid: Grid, obs: Observations):
 
 
 def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
-             grid: Grid) -> Trajectory:
+             grid: Grid, helper=None) -> Trajectory:
+    # with a _ReverseHelper, the solve streams to it for the reverse sweep
     n0 = n0_of(params, obs)
     x0 = (c.s0(n0), c.A0, c.I0, obs.L0, obs.R0)
-    return simulate(params.replace(beta_I=c.beta_I), x0, grid)
+    if helper is not None:
+        helper.candidate(c.beta_I.values)
+    return simulate(params.replace(beta_I=c.beta_I), x0, grid,
+                    block_done=None if helper is None else helper.send)
 
 
 def _cost_terms(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
                 params: ModelParams, grid: Grid, traj: Trajectory):
+    """The cost at c, and the parts it squares: the terminal residuals
+    (L, R), beta_I on the grid and (A0, I0, S0)."""
     n0 = n0_of(params, obs)
-    mis = 0.5 * (traj.L[-1] - obs.LT) ** 2 + 0.5 * (traj.R[-1] - obs.RT) ** 2
+    r = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT])
     bg = np.asarray(c.beta_I(grid.points()), dtype=float)
+    z = np.array([c.A0, c.I0, c.s0(n0)])
+    mis = 0.5 * r[0] ** 2 + 0.5 * r[1] ** 2
     reg_b = 0.5 * alpha1 * trapezoid(bg * bg, grid.h)
-    s0 = c.s0(n0)
-    reg_0 = 0.5 * alpha0 * (c.A0 ** 2 + c.I0 ** 2 + s0 ** 2)
-    return mis, reg_b, reg_0
+    reg_0 = 0.5 * alpha0 * (z[0] ** 2 + z[1] ** 2 + z[2] ** 2)
+    return mis + reg_b + reg_0, (r, bg, z)
+
+
+def _cost_change(parts, new_parts, alpha0: float, alpha1: float, h: float) -> float:
+    """Jn - J from the parts of the two costs (as _cost_terms returns them),
+    each square's change taken as (u' - u)(u' + u): a change far below the
+    rounding of J keeps its sign and size instead of cancelling to 0."""
+    (r, bg, z), (rn, bgn, zn) = parts, new_parts
+    return (0.5 * float(np.sum((rn - r) * (rn + r)))
+            + 0.5 * alpha1 * trapezoid((bgn - bg) * (bgn + bg), h)
+            + 0.5 * alpha0 * float(np.sum((zn - z) * (zn + z))))
 
 
 def cost_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
@@ -140,8 +173,7 @@ def cost_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
     _check_grid(grid, obs)
     _check_feasible(c, n0_of(params, obs))
     traj = _forward(c, obs, params, grid)
-    mis, reg_b, reg_0 = _cost_terms(c, obs, alpha0, alpha1, params, grid, traj)
-    return mis + reg_b + reg_0
+    return _cost_terms(c, obs, alpha0, alpha1, params, grid, traj)[0]
 
 
 def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
@@ -239,7 +271,7 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
 
 
 def _exact_gradient(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
-                    params: ModelParams, traj: Trajectory, wq, n0: float):
+                    params: ModelParams, traj: Trajectory, wq, n0: float, helper=None):
     """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, the Jacobian
     rows and blocks of the terminal (L, R) it is assembled from, and the adjoint.
 
@@ -247,10 +279,13 @@ def _exact_gradient(c: IdentCandidate, obs: Observations, alpha0: float, alpha1:
     rows come back as their weighted-inner-product representers (so
     row . direction integrates with the trapezoid weights wq), blocks as
     the (A0, I0) partials with the S0 = N0 - A0 - I0 dependence folded in.
-    The adjoint d(mismatch)/d x_k is the exact discrete counterpart of `adjoint_p0`.
+    The adjoint d(mismatch)/d x_k is the exact discrete counterpart of
+    `adjoint_p0`.  A _ReverseHelper that was streamed traj's solve does the
+    sweep, with the same bits.
     """
     r = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT])
-    v, bbar = _rk4_model_vjp(params.replace(beta_I=c.beta_I), traj, np.eye(5)[:, 3:])
+    p = params.replace(beta_I=c.beta_I)
+    v, bbar = _rk4_model_vjp(p, traj, _ENDS) if helper is None else helper.vjp(p, traj)
     rows = (stage_to_knot_gradient(bbar) / wq[:, None]).T
     blocks = (v[0, 1:3] - v[0, 0]).T
     gb = alpha1 * np.asarray(c.beta_I(traj.grid.points())) + r @ rows
@@ -295,6 +330,117 @@ def _gn_direction(gbeta, gblock, rows, blocks, alpha0, alpha1, wq, free, free_bl
     return dbeta, dblock
 
 
+class _ReverseHelper:
+    """The reverse sweeps of one solve_p0, their step maps built in a forked
+    child (`child.Child`) while the forward solves run.
+
+    Per candidate, `_forward` sends a frame of its beta_I knot values, then
+    the solve's states block by block (send is simulate's block_done).  Each
+    frame is (lo, hi) as two int64 and its float64 payload; lo < 0 marks a
+    candidate (hi values) or a sweep request (no payload).  The child builds
+    each reverse block's step maps (`model.vjp_step_maps`) as soon as the
+    block's states are there, PREFETCH_BLOCKS of them at most, and a new
+    candidate drops them.  vjp asks for the candidate's (v, bbar): the child
+    builds the blocks left, runs `model.vjp_sweep` and sends both back,
+    which are then the bits `_rk4_model_vjp` gives.  That runs in-process
+    instead when there is no child (no os.fork, or the pipe or the fork
+    failed), when the child has died, or when it reports an error (a
+    BlowupError, say, which the in-process sweep then raises).  The child
+    multiplies matrices with NumPy after the fork; OpenBLAS rebuilds its
+    thread pool in a forked child.
+
+    Leaving the with-block closes the child and waits for it; an error
+    inside the block kills it.  Either way no child is left.
+    """
+
+    _CANDIDATE, _SWEEP = -1, -2  # the lo of the two frames that carry no states
+
+    def __init__(self, params: ModelParams, grid: Grid):
+        self._params, self._grid = params, grid
+        self._child = Child(self._serve, pipes=2)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._child.pid is None:
+            return
+        if exc_type is None:
+            self._child.wait()
+        else:  # its maps are not worth finishing
+            self._child.kill()
+
+    def _frame(self, lo: int, hi: int, payload=b""):
+        if self._child.pid is not None:
+            try:
+                self._child.files[0].write(np.array([lo, hi], dtype=np.int64).tobytes()
+                                           + payload)
+            except OSError:  # the child has died
+                self._child.kill()
+
+    def candidate(self, values):
+        self._frame(self._CANDIDATE, len(values), np.asarray(values, dtype=float).tobytes())
+
+    def send(self, lo: int, hi: int, rows):
+        self._frame(lo, hi, rows.tobytes())
+
+    def vjp(self, p: ModelParams, traj: Trajectory):
+        """(v, bbar) of `_rk4_model_vjp` for the candidate last streamed."""
+        self._frame(self._SWEEP, 0)
+        if self._child.pid is not None:
+            M = self._grid.M
+            try:
+                self._child.files[0].flush()
+                if self._receive(np.empty(1, dtype=np.int64))[0] == 0:
+                    ys = self._receive(np.empty((M + 1,) + _ENDS.shape))
+                    return ys[::-1], self._receive(np.empty((2 * M + 1, _ENDS.shape[1])))
+            except (OSError, EOFError):  # the child has died
+                self._child.kill()
+        return _rk4_model_vjp(p, traj, _ENDS)
+
+    def _receive(self, out):
+        if self._child.files[1].readinto(out) < out.nbytes:
+            raise EOFError
+        return out
+
+    def _serve(self, frames_fd, replies_fd) -> int:
+        # The child: serve frames until the parent closes the pipe.
+        g, M = self._grid, self._grid.M
+        states = np.empty((M + 1, 5))
+        with os.fdopen(frames_fd, "rb") as frames, os.fdopen(replies_fd, "wb") as replies:
+            while head := frames.read(16):
+                lo, hi = np.frombuffer(head, dtype=np.int64).tolist()
+                if lo == self._CANDIDATE:
+                    values = np.frombuffer(frames.read(8 * hi))
+                    maps = vjp_step_maps(self._params.replace(beta_I=_beta_table(g, values)),
+                                         g, states)
+                    built, todo = {}, list(range(0, M, SWEEP_BLOCK))
+                elif lo == self._SWEEP:
+                    self._reply(replies, maps, built)
+                else:
+                    frames.readinto(states[lo:hi])
+                    # reverse steps r.. are the forward steps ..M-r-1, from states ..M-r-1
+                    while todo and len(built) < PREFETCH_BLOCKS and M - todo[-1] <= hi:
+                        r = todo.pop()
+                        built[r] = maps(r, min(r + SWEEP_BLOCK, M))
+        return 0
+
+    def _reply(self, replies, maps, built):
+        def prefetched(lo, hi):
+            D = built.pop(lo, None)
+            return maps(lo, hi) if D is None else D
+
+        try:
+            v, bbar = vjp_sweep(prefetched, self._grid.M, _ENDS)
+        except Exception:  # the parent's in-process sweep raises it again
+            replies.write(np.ones(1, dtype=np.int64))
+        else:
+            replies.write(np.zeros(1, dtype=np.int64))
+            replies.write(v[::-1])
+            replies.write(bbar)
+        replies.flush()
+
+
 def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
              alpha0: float = 1e-6, alpha1: float = 1e-6,
              config: IdentConfig | None = None) -> IdentResult:
@@ -308,9 +454,19 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     (pointwise clamp for beta_I, Euclidean triangle projection for
     (A0, I0)); cost_history is nonincreasing; terminates when the
     optimality residual of the discrete problem drops below config.tol or
-    max_iters is reached.  When the arc search finds no decrease the current
-    iterate is returned with converged=False and a note saying so; an Armijo
-    step never raises the cost, so it is also the best iterate seen.
+    max_iters is reached.  The Armijo test reads the cost change from the
+    terms' changes (`_cost_change`), which do not cancel where J's rounding
+    would.  A step that passes it but leaves J unchanged is taken only at
+    the full Gauss-Newton step.  When the arc search finds no decrease, or
+    only such a step after a backtrack, the current iterate is returned with
+    converged=False and the note "line search stalled before reaching
+    tolerance"; an Armijo step never raises the cost, so it is also the
+    best iterate seen.
+
+    Each reverse sweep's step maps are built in a forked helper while the
+    forward solve runs (`_ReverseHelper`, one fork per call): the results
+    are the same bits as without os.fork, and no child is left on return
+    or on an error.
     """
     cfg = config or IdentConfig()
     _check_grid(grid, obs)
@@ -319,7 +475,13 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
         raise ValidationError("N0 = N - (L0 + R0) must be > 0")
     if not (alpha0 > 0 and alpha1 > 0):
         raise ValidationError("weights alpha0 and alpha1 must be > 0")
+    with _ReverseHelper(params, grid) as helper:
+        return _solve(obs, params, grid, alpha0, alpha1, cfg, n0, helper)
 
+
+def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
+           alpha1: float, cfg: IdentConfig, n0: float, helper) -> IdentResult:
+    # solve_p0's iteration, on checked arguments
     tg = grid.points()
     wq = _trapezoid_weights(grid)
 
@@ -338,22 +500,21 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
         # from one reverse sweep; counted as one sweep per cotangent.
         nonlocal nsolves
         gb, gA, gI, rows, blocks, adj = _exact_gradient(cand, obs, alpha0, alpha1, params,
-                                                        traj, wq, n0)
+                                                        traj, wq, n0, helper)
         nsolves += 2
         residual = optimality_residual_p0(cand, grid, (gb, gA, gI), alpha0, alpha1, n0)
         return gb, gA, gI, rows, blocks, adj, residual
 
     cand = make(bg, A0, I0)
-    traj = _forward(cand, obs, params, grid)
+    traj = _forward(cand, obs, params, grid, helper)
     nsolves += 1
-    mis, reg_b, reg_0 = _cost_terms(cand, obs, alpha0, alpha1, params, grid, traj)
-    J = mis + reg_b + reg_0
+    J, parts = _cost_terms(cand, obs, alpha0, alpha1, params, grid, traj)
     gbeta, gA0, gI0, rows, blocks, adj, residual = exact_state(cand, traj)
     history = [J]
     converged = residual <= cfg.tol
     notes = []
 
-    def arc_search(db, dA, dI, J):
+    def arc_search(db, dA, dI):
         # Armijo along the projected arc x + t*(direction) from t = 1; None if no luck.
         nonlocal nsolves
         t = 1.0
@@ -365,12 +526,14 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
                 t *= 0.5
                 continue
             ncand = make(nb, nA, nI)
-            ntraj = _forward(ncand, obs, params, grid)
+            ntraj = _forward(ncand, obs, params, grid, helper)
             nsolves += 1
-            mis, reg_b, reg_0 = _cost_terms(ncand, obs, alpha0, alpha1, params, grid, ntraj)
-            Jn = mis + reg_b + reg_0
-            if Jn <= J + ARMIJO_C * dpred:
-                return nb, nA, nI, ncand, ntraj, Jn
+            Jn, nparts = _cost_terms(ncand, obs, alpha0, alpha1, params, grid, ntraj)
+            if _cost_change(parts, nparts, alpha0, alpha1, grid.h) <= ARMIJO_C * dpred:
+                # a decrease below the rounding of J is taken only as the full
+                # Gauss-Newton step; after a backtrack, what let it through
+                # is rounding noise of the forward solve
+                return (nb, nA, nI, ncand, ntraj, Jn, nparts) if Jn < J or t == 1.0 else None
             t *= 0.5
         return None
 
@@ -383,12 +546,12 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
                                (I0 > 0.0 or gI0 < 0.0) and not (edge and gI0 > gA0)])
         db, dblock = _gn_direction(gbeta, np.array([gA0, gI0]), rows, blocks,
                                    alpha0, alpha1, wq, free, free_block)
-        move = arc_search(db, dblock[0], dblock[1], J)
+        move = arc_search(db, dblock[0], dblock[1])
         if move is None:
             notes.append("line search stalled before reaching tolerance")
             break
 
-        bg, A0, I0, cand, traj, J = move
+        bg, A0, I0, cand, traj, J, parts = move
         gbeta, gA0, gI0, rows, blocks, adj, residual = exact_state(cand, traj)
         history.append(J)
         converged = residual <= cfg.tol

@@ -5,6 +5,12 @@ symptomatic infected I, confirmed-and-isolated L, recovered R, all expressed
 as fractions of a fixed total population N.  Transmission rates beta_I and
 beta_A, and the immunity-loss rate xi, may vary in time; all other rates are
 constants.  The flow conserves S + A + I + L + R exactly.
+
+The forward RK4 solve is `simulate`.  The discrete reverse-mode sweep of
+its map is `vjp_sweep` over the step maps of `vjp_step_maps`, which read
+only forward states, block by block: `_rk4_model_vjp` runs the two in one
+process, and `identify.solve_p0` builds the maps in a forked helper while
+the forward solve runs, with the same bits.
 """
 
 from __future__ import annotations
@@ -350,33 +356,30 @@ def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
     return Trajectory(grid, out)
 
 
-def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
-    # Exact reverse-mode sweep of the discrete RK4 map: for the scalar
-    # phi = cotangent . x_M, returns (v[k] = d phi/d x_k on the grid,
-    # d phi/d beta_I at the 2M+1 stage samples); a (5, K) cotangent gives K
-    # such columns in one sweep.  Stage states are recomputed from the stored
-    # grid states, so the result is exact for the discrete flow: v_k =
-    # P_k^T v_{k+1} with P_k built from the stage Jacobians, whose three
-    # extra columns give d x_{k+1}/d beta_I at the samples 2k, 2k+1, 2k+2.
-    # The sweep streams: each block evaluates its coefficients on its own
-    # stage times, and its sensitivities are contracted into bbar as soon as
-    # the block's states exist.  One stage buffer G, its constant Jacobian
-    # entries written once, serves every block: per block only the entries
-    # that vary are rewritten.
-    g = traj.grid
-    M, h = g.M, g.h
-    bbar = np.zeros((2 * M + 1,) + np.shape(cotangent)[1:])
+def vjp_step_maps(p: ModelParams, grid: Grid, states: np.ndarray):
+    """Step-map builder of the reverse sweep of the discrete RK4 map:
+    maps(lo, hi) gives, for the reverse steps lo..hi-1, which are the
+    forward steps k = M-hi..M-lo-1, the (hi - lo, 8, 8) increments D = P - I
+    of the augmented forward step maps in forward order.  D[:, :5, :5] is
+    the state Jacobian minus I and D[:, :5, 5:] the sensitivities
+    d x_{k+1}/d beta_I at the stage samples 2k, 2k+1, 2k+2.
+
+    maps(lo, hi) reads only the rows M-hi..M-lo-1 of the (M + 1, 5) states,
+    so a caller may build a block as soon as those exist.  Stage states are
+    recomputed from them, and each call evaluates the coefficients on its own
+    stage times.  One stage buffer G, its constant Jacobian entries written
+    once, serves every call: per block only the entries that vary are
+    rewritten, and each D is a fresh array.
+    """
+    M, h = grid.M, grid.h
     G = np.zeros((4, min(M, SWEEP_BLOCK), 8, 8))
     jacobian_constants(G[:, :, :5, :5], p)
     dbuf = np.empty((min(M, SWEEP_BLOCK), 5))  # stage derivative, reused per stage
-    sens = None  # d x_{k+1}/d beta_I at the samples of the block last built
 
-    def step_maps(lo, hi):
-        # reverse-sweep steps lo..hi-1 are the forward steps M-hi..M-lo-1,
-        # whose stage r reads the samples 2k + c, c = 0, 1, 1, 2
-        nonlocal sens
-        x = traj.states[M - hi:M - lo]
-        th = g.half_points(M - hi, M - lo)
+    def maps(lo, hi):
+        # forward step k's stage r reads the samples 2k + c, c = 0, 1, 1, 2
+        x = states[M - hi:M - lo]
+        th = grid.half_points(M - hi, M - lo)
         coeffs = [c(th) for c in (p.beta_I, p.beta_A, p.xi)]
         Gb = G[:, :hi - lo]
         d = 0.0
@@ -390,7 +393,27 @@ def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
             # d rhs/d beta_I = S I (-1, 1, 0, 0, 0)
             np.multiply(S, I, out=Gb[r, :, 1, 5 + c])
             np.negative(Gb[r, :, 1, 5 + c], out=Gb[r, :, 0, 5 + c])
-        D = rk4_step_maps(Gb, h)
+        return rk4_step_maps(Gb, h)
+
+    return maps
+
+
+def vjp_sweep(maps, M: int, cotangent):
+    """Reverse scan and contraction of the discrete RK4 map's VJP, from the
+    step maps maps(lo, hi) of `vjp_step_maps`: for the scalar phi =
+    cotangent . x_M, returns (v[k] = d phi/d x_k on the grid, d phi/d beta_I
+    at the 2M+1 stage samples); a (5, K) cotangent gives K such columns.
+
+    v_k = P_k^T v_{k+1}.  The sweep streams: each block's sensitivities are
+    contracted into bbar as soon as its states exist.  The result depends
+    only on the bits maps returns, not on when or where they were built.
+    """
+    bbar = np.zeros((2 * M + 1,) + np.shape(cotangent)[1:])
+    sens = None  # d x_{k+1}/d beta_I at the samples of the block last built
+
+    def step_maps(lo, hi):
+        nonlocal sens
+        D = maps(lo, hi)
         sens = D[:, :5, 5:]
         return D[::-1, :5, :5].transpose(0, 2, 1)
 
@@ -409,6 +432,13 @@ def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
 
     v = linear_sweep(step_maps, cotangent, M, contract)[::-1]
     return v, bbar
+
+
+def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
+    # Exact reverse-mode sweep of the discrete RK4 map (see vjp_sweep), with
+    # each block's step maps built in the scan.  identify builds the same
+    # maps ahead in a forked helper while the forward solve runs.
+    return vjp_sweep(vjp_step_maps(p, traj.grid, traj.states), traj.grid.M, cotangent)
 
 
 def stage_to_knot_gradient(bbar: np.ndarray) -> np.ndarray:

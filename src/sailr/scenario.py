@@ -16,12 +16,12 @@ import csv
 import json
 import numbers
 import os
-import signal
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .child import Child
 from .control import ControlPair, PenaltyConfig
 from .errors import ValidationError
 from .identify import IdentConfig, Observations, n0_of
@@ -370,12 +370,12 @@ class GridCsvWriter:
 
     send(lo, hi, rows) takes the rows lo..hi-1 of the grid; a caller that
     has every row already sends them as one block.  Where os.fork exists, a
-    child process renders them while the caller goes on: each block goes to
-    it down a pipe as one frame, (lo, hi) as two int64 then the raw float64
-    rows, and a send waits only while the pipe is full, not while the child
-    renders.  The child uses no BLAS and ends by os._exit, so it flushes
-    none of the parent's buffers.  Without os.fork, or when the pipe or the
-    fork fails, send renders the block in-process before it returns.
+    child process (`child.Child`) renders them while the caller goes on:
+    each block goes to it down a pipe as one frame, (lo, hi) as two int64
+    then the raw float64 rows, and a send waits only while the pipe is full,
+    not while the child renders.  The child uses no BLAS.  Without os.fork,
+    or when the pipe or the fork fails, send renders the block in-process
+    before it returns.
 
     Leaving the with-block closes the writer, waiting for the child; a
     writer failure is an OSError naming the file.  An error inside the
@@ -388,35 +388,14 @@ class GridCsvWriter:
         self._header = header
         self._width = header.count(",")  # values per row after t
         self._t = grid.points()
-        self._pid = self._pipe = None
         # opened here, so that an unwritable path fails as in _write_csv
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        if hasattr(os, "fork"):
-            self._start_child()
-        if self._pid is None:  # render in-process
+        self._child = Child(self._serve)
+        if self._child.pid is None:  # render in-process
             self._fh.write(header + "\n")
-
-    def _start_child(self):
-        try:
-            r, w = os.pipe()
-        except OSError:  # no file descriptor to spare
-            return
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare
-            os.close(r)
-            os.close(w)
-            return
-        if pid == 0:
-            status = 255
-            try:
-                os.close(w)
-                status = self._serve(r)
-            finally:
-                os._exit(status)
-        os.close(r)
-        self._fh.close()  # the child writes through its own copy
-        self._pid, self._pipe = pid, os.fdopen(w, "wb")
+        else:
+            self._fh.close()  # the child writes through its own copy
+            self._pipe = self._child.files[0]
 
     def _write_rows(self, lo, hi, rows):
         self._fh.writelines(_csv_rows(self._t[lo:hi], rows.T))
@@ -424,8 +403,6 @@ class GridCsvWriter:
     def _serve(self, fd) -> int:
         # The child: render frames until the parent closes the pipe.  Its
         # exit status is 0, or the errno of the OSError that stopped it.
-        import gc
-        gc.disable()  # collecting the parent's garbage here could flush its files
         try:
             with os.fdopen(fd, "rb") as pipe, self._fh:
                 self._fh.write(self._header + "\n")
@@ -439,7 +416,7 @@ class GridCsvWriter:
 
     def send(self, lo: int, hi: int, rows):
         """Write the rows lo..hi-1, the (hi - lo, width) array rows."""
-        if self._pid is None:
+        if self._child.pid is None:
             with _naming(self.path):
                 self._write_rows(lo, hi, rows)
             return
@@ -453,17 +430,11 @@ class GridCsvWriter:
     def close(self):
         """Finish the file: every row sent is written once this returns;
         OSError naming the file if the writer failed."""
-        if self._pid is None:
+        if self._child.pid is None:
             with _naming(self.path):
                 self._fh.close()
             return
-        try:
-            self._pipe.close()
-        except BrokenPipeError:
-            pass  # the child's exit status says why
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        code = os.waitstatus_to_exitcode(status)
+        code = self._child.wait()
         if code:
             msg = os.strerror(code) if 0 < code < 255 else f"writer exited with status {code}"
             raise OSError(code, msg, os.fspath(self.path))
@@ -474,15 +445,11 @@ class GridCsvWriter:
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None:
             self.close()
-        elif self._pid is None:
+        elif self._child.pid is None:
             with suppress(OSError):  # the error raised inside the block takes precedence
                 self._fh.close()
         else:  # its rows are not worth rendering
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-            with suppress(OSError):  # the pipe has no reader left
-                self._pipe.close()
+            self._child.kill()
 
 
 def write_trajectory_csv(traj: Trajectory, path):

@@ -8,13 +8,21 @@ warm-up) and stores `us_per_step` = fastest round / M in its extra_info,
 also written by `--benchmark-json=FILE`.  The problem is identify's: a
 beta_I table knotted on the grid and the two-column cotangent (e_L, e_R)
 for the reverse sweep.
+
+`test_forward_and_reverse` times what one identify gradient costs: a
+forward solve and the reverse sweep, either in-process or with the solve
+streamed to `identify._ReverseHelper`, which builds the step maps in a
+forked child meanwhile and sends back the sweep's result.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from sailr import (CoefficientTable, Grid, Observations, adjoint_p0, adjoint_p_eps,
-                   simulate, tangent_p)
+from sailr import (CoefficientTable, Grid, IdentCandidate, Observations, adjoint_p0,
+                   adjoint_p_eps, simulate, tangent_p)
+from sailr.identify import _ENDS, _ReverseHelper, _forward
 from sailr.model import _rk4_model_vjp
 from conftest import random_params, random_state
 
@@ -50,4 +58,20 @@ def test_kernel(benchmark, kernel, M):
     benchmark.group = f"M={M}"
     benchmark.pedantic(KERNELS[kernel], args, rounds=max(5, 400_000 // M), warmup_rounds=1)
     if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_step"] = benchmark.stats.stats.min * 1e6 / M
+
+
+@pytest.mark.parametrize("M", SIZES[1:])
+@pytest.mark.parametrize("streamed", [False, True], ids=["in_process", "helper"])
+def test_forward_and_reverse(benchmark, streamed, M):
+    p, x0, g, traj, obs = _problem(M)
+    cand = IdentCandidate(p.beta_I, x0[1], x0[2])
+    benchmark.group = f"forward+reverse M={M}"
+    with _ReverseHelper(p, g) if streamed else nullcontext() as helper:
+        def gradient_sweeps():
+            traj = _forward(cand, obs, p, g, helper)
+            return helper.vjp(p, traj) if streamed else _rk4_model_vjp(p, traj, _ENDS)
+
+        benchmark.pedantic(gradient_sweeps, rounds=max(5, 400_000 // M), warmup_rounds=1)
+    if benchmark.stats is not None:
         benchmark.extra_info["us_per_step"] = benchmark.stats.stats.min * 1e6 / M

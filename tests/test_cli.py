@@ -145,7 +145,7 @@ class TestIdentify:
         assert code == 2
 
     def test_stalled_line_search_exit_2_with_note(self, tmp_path):
-        # a planted truth whose arc search finds no decrease after 16 iterations
+        # a planted truth whose arc search finds no decrease after 8 iterations
         doc = json.loads(Path(IDENTIFY_SYNTHETIC).read_text())
         doc["grid"]["M"] = 1000
         doc["solver"]["max_iters"] = 40

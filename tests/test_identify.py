@@ -1,5 +1,7 @@
 """Inverse problem: cost, adjoint gradient, projections, resolvent, solver."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,52 @@ class TestSolveP0:
         assert res.converged
         assert res.iterations <= 6
         assert res.forward_solves <= 20
+
+    def test_no_step_leaves_cost_unchanged(self):
+        # survey draw 70: from the 5th iteration on, c dpred is below the
+        # rounding of J, where an Armijo test on Jn <= J + c dpred accepted
+        # steps with Jn == J (32 of 40 iterations, 906 sweeps); on the terms'
+        # changes it stops with a note after 6 iterations, 36 sweeps
+        p, g, obs, ref = planted(T=2.0, M=1000, beta=0.4441, A0=0.1389, I0=0.0969)
+        res = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=40))
+        assert np.all(np.diff(res.cost_history) < 0)
+        assert res.forward_solves <= 36
+        assert res.converged is False
+        assert res.notes == ["line search stalled before reaching tolerance"]
+
+    def test_full_step_below_rounding_is_taken(self):
+        # survey draw 55: the 5th Gauss-Newton step lowers J by 3.7e-23, below
+        # its rounding, and takes the residual from 1.0e-7 to 2e-11
+        p, g, obs, ref = planted(T=2.0, M=1000, beta=0.39910315035268673,
+                                 A0=0.1318004407682042, I0=0.06416065527676815)
+        res = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=40))
+        assert res.converged
+        assert res.iterations == 5
+        assert list(np.diff(res.cost_history) < 0) == [True] * 4 + [False]
+
+    def test_cost_change_does_not_cancel(self, rng):
+        # every term of a cost moved up by one ulp: the change read from the
+        # terms' changes matches exact rational arithmetic on the same
+        # floats, while the difference of the two rounded costs is lost in
+        # the rounding of J (its ulp is about 1e-19, the change 2e-19)
+        h, a0, a1 = 0.01, 1e-3, 1e-3
+        parts = (np.array([0.03, 0.02]), rng.uniform(0.2, 0.5, 201), rng.uniform(0.05, 0.3, 3))
+        nparts = tuple(np.nextafter(u, np.inf) for u in parts)
+
+        def cost(r, b, z):  # as _cost_terms sums it
+            return (0.5 * r[0] ** 2 + 0.5 * r[1] ** 2 + 0.5 * a1 * trapezoid(b * b, h)
+                    + 0.5 * a0 * (z[0] ** 2 + z[1] ** 2 + z[2] ** 2))
+
+        def exact(r, b, z):
+            sq = [Fraction(float(x)) ** 2 for x in b]
+            trap = Fraction(h) * (sum(sq) - (sq[0] + sq[-1]) / 2)
+            return (sum(Fraction(float(x)) ** 2 for x in r) / 2 + Fraction(a1) * trap / 2
+                    + Fraction(a0) * sum(Fraction(float(x)) ** 2 for x in z) / 2)
+
+        change = float(exact(*nparts) - exact(*parts))
+        assert change > 0.0
+        assert abs(identify._cost_change(parts, nparts, a0, a1, h) - change) <= 1e-9 * change
+        assert abs((cost(*nparts) - cost(*parts)) - change) > 1e-3 * change
 
     @pytest.mark.parametrize("alpha0, alpha1", [(0.0, 1e-6), (1e-6, 0.0), (-1.0, 1e-6)])
     def test_rejects_nonpositive_weights(self, alpha0, alpha1):

@@ -1,8 +1,10 @@
 """`sailr simulate` streams trajectory.csv out while it solves, and `sailr
 identify` and `sailr control` hand adjoint.csv to the same writer while they
 write their other files: same bytes as write_trajectory_csv and
-write_adjoint_csv.  A failed run leaves no output file and no child process;
-the CLI runners are fuzzed for tracebacks."""
+write_adjoint_csv.  identify's solve streams each forward solve to a forked
+helper that builds the reverse sweep's step maps: same bits as the sweep
+in-process.  A failed run leaves no output file and no child process; the
+CLI runners are fuzzed for tracebacks."""
 
 import copy
 import errno
@@ -17,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sailr import (ValidationError, model, scenario_from_dict, simulate, solve_p, solve_p0,
-                   write_adjoint_csv, write_trajectory_csv)
+from sailr import (ValidationError, identify, model, scenario_from_dict, simulate, solve_p,
+                   solve_p0, write_adjoint_csv, write_trajectory_csv)
 from sailr.cli import main
 from sailr.scenario import write_series_csv
 
@@ -199,6 +201,10 @@ class TestFailures:
 
 _SERIES = {"identify": "beta_I.csv", "control": "multiplier.csv"}
 
+#: forks per run: identify forks its reverse-sweep helper inside solve_p0,
+#: then the writer, so the writer's fork is the last one of each task
+FORKS = {"simulate": 1, "identify": 2, "control": 1}
+
 
 def solution_doc(task):
     """identify_synthetic (M = 1000), or control_binding at M = 100 with a loose cap."""
@@ -240,7 +246,7 @@ class TestAdjointExport:
     def test_forked_writer(self, tmp_path, solution, fork_calls):
         code, out = run_task(tmp_path, solution[1])
         assert code == 0
-        assert len(fork_calls) == 1
+        assert len(fork_calls) == FORKS[solution[0]]
         assert_same_solution(solution, out)
         assert_no_child()
 
@@ -283,7 +289,7 @@ class TestAdjointExport:
         assert code == 1
         assert capsys.readouterr().err == (f"sailr export: error: {out / 'adjoint.csv'}: "
                                            f"{os.strerror(errno.ENOSPC)}\n")
-        assert len(fork_calls) == forked
+        assert len(fork_calls) == forked * FORKS[solution[0]]
         assert_no_outputs(out)
         assert_no_child()
 
@@ -304,7 +310,8 @@ class TestAdjointExport:
         assert code == 1
         assert capsys.readouterr().err == (f"sailr export: error: {out / 'trajectory.csv'}: "
                                            f"{os.strerror(errno.EISDIR)}\n")
-        assert kills == [(fork_calls[0], signal.SIGKILL)]
+        assert len(fork_calls) == FORKS[solution[0]]
+        assert kills == [(fork_calls[-1], signal.SIGKILL)]  # the writer's, not the helper's
         assert (out / "trajectory.csv").is_dir()
         assert_no_outputs(out)
         assert_no_child()
@@ -322,7 +329,8 @@ def task_doc(task):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 @pytest.mark.parametrize("task", ["simulate", "identify"])
 def test_one_cpu_run_forks(tmp_path, fork_calls, task):
-    # the writer forks whatever number of CPUs the process may use
+    # the writer, and identify's reverse-sweep helper, fork whatever number
+    # of CPUs the process may use
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
@@ -330,7 +338,7 @@ def test_one_cpu_run_forks(tmp_path, fork_calls, task):
     finally:
         os.sched_setaffinity(0, cpus)
     assert code == 0
-    assert len(fork_calls) == 1
+    assert len(fork_calls) == FORKS[task]
     assert (out / "summary.json").is_file()
     assert_no_child()
 
@@ -347,6 +355,175 @@ def test_summary_cannot_write(tmp_path, capsys, task):
                                        f"{os.strerror(errno.ENOSPC)}\n")
     assert_no_outputs(out)
     assert_no_child()
+
+
+# ------------------------------------- identify's reverse-sweep helper
+
+def identify_problem(M):
+    """identify_synthetic's problem on a grid of M steps."""
+    doc = solution_doc("identify")
+    doc["grid"]["M"] = M
+    s = scenario_from_dict(doc)
+    return s.observations, s.params, s.grid, s.weights, s.solver
+
+
+def helper_sweep(rng, M):
+    """(v, bbar) of one candidate's reverse sweep from the helper, and the
+    in-process sweep of the same solve; the helper must not fall back."""
+    obs, params, grid, _, _ = identify_problem(M)
+    cand = identify.IdentCandidate(identify._beta_table(grid, rng.uniform(0.2, 0.5, M + 1)),
+                                   0.1, 0.07)
+    p = params.replace(beta_I=cand.beta_I)
+    with identify._ReverseHelper(params, grid) as helper:
+        # a candidate whose maps are dropped, then the one swept
+        identify._forward(identify.IdentCandidate(cand.beta_I, 0.12, 0.05), obs, params,
+                          grid, helper)
+        traj = identify._forward(cand, obs, params, grid, helper)
+        streamed = helper.vjp(p, traj)
+    return streamed, model._rk4_model_vjp(p, traj, identify._ENDS)
+
+
+@pytest.fixture
+def no_in_process_vjp(monkeypatch):
+    """identify's in-process sweep fails the test."""
+    def refuse(*args):
+        raise AssertionError("the reverse sweep ran in-process")
+
+    monkeypatch.setattr(identify, "_rk4_model_vjp", refuse)
+
+
+def same_sweep(a, b):
+    """Two (v, bbar) pairs hold the same bits in the same layout."""
+    return all(x.shape == y.shape and x.strides == y.strides and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+def result_bytes(res):
+    """Everything solve_p0 returns, as bytes to compare."""
+    return (res.candidate.beta_I.values.tobytes(), res.candidate.A0, res.candidate.I0,
+            res.cost, res.cost_history.tobytes(), res.optimality_residual,
+            res.trajectory.states.tobytes(), res.adjoint.states.tobytes(), res.iterations,
+            res.converged, res.forward_solves, res.notes)
+
+
+@pytest.fixture(scope="module")
+def identify_reference():
+    """solve_p0 on identify_synthetic without os.fork: every sweep in-process."""
+    obs, params, grid, weights, solver = identify_problem(1000)
+    fork = os.fork
+    del os.fork
+    try:
+        return result_bytes(solve_p0(obs, params, grid, *weights, solver))
+    finally:
+        os.fork = fork
+
+
+class TestReverseHelper:
+    @pytest.mark.parametrize("M", [511, 512, 513, 1000, 10_000])
+    def test_same_bits_as_in_process(self, rng, no_in_process_vjp, M):
+        streamed, in_process = helper_sweep(rng, M)
+        assert same_sweep(streamed, in_process)
+        assert_no_child()
+
+    def test_blocks_past_the_prefetch_bound(self, rng, monkeypatch, no_in_process_vjp):
+        # 20 blocks, 3 built ahead: the sweep builds the other 17
+        monkeypatch.setattr(identify, "PREFETCH_BLOCKS", 3)
+        streamed, in_process = helper_sweep(rng, 10_000)
+        assert same_sweep(streamed, in_process)
+        assert_no_child()
+
+    def test_one_fork_per_solve(self, identify_reference, fork_calls, no_in_process_vjp):
+        obs, params, grid, weights, solver = identify_problem(1000)
+        res = solve_p0(obs, params, grid, *weights, solver)
+        assert len(fork_calls) == 1
+        assert result_bytes(res) == identify_reference
+        assert_no_child()
+
+    @pytest.mark.parametrize("failure", ["no_fork", "fork_eagain", "pipe_emfile"])
+    def test_in_process_fallback(self, identify_reference, monkeypatch, fork_calls, failure):
+        if failure == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        elif failure == "fork_eagain":
+            def no_fork():
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            def no_pipe():
+                raise OSError(errno.EMFILE, "Too many open files")
+
+            monkeypatch.setattr(os, "pipe", no_pipe)
+        obs, params, grid, weights, solver = identify_problem(1000)
+        res = solve_p0(obs, params, grid, *weights, solver)
+        assert fork_calls == []
+        assert result_bytes(res) == identify_reference
+        assert_no_child()
+
+    @pytest.mark.parametrize("where", ["candidate", "send", "vjp"])
+    def test_helper_killed_mid_solve(self, identify_reference, monkeypatch, where):
+        # SIGKILL the helper at the third call of one of its methods: the
+        # solve goes on in-process with the same results and reaps it
+        calls = []
+        method = getattr(identify._ReverseHelper, where)
+
+        def kill_then_call(helper, *args):
+            calls.append(helper._child.pid)
+            if len(calls) == 3:
+                os.kill(helper._child.pid, signal.SIGKILL)
+            return method(helper, *args)
+
+        monkeypatch.setattr(identify._ReverseHelper, where, kill_then_call)
+        obs, params, grid, weights, solver = identify_problem(1000)
+        res = solve_p0(obs, params, grid, *weights, solver)
+        assert calls[2] is not None and calls[-1] is None  # killed, then reaped
+        assert result_bytes(res) == identify_reference
+        assert_no_child()
+
+    def test_parent_error_mid_solve(self, monkeypatch, fork_calls):
+        # the second gradient fails in the parent: the helper is killed
+        kills, calls = [], []
+        kill, residual = os.kill, identify.optimality_residual_p0
+
+        def spy(pid, sig):
+            kills.append((pid, sig))
+            kill(pid, sig)
+
+        def fail_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("error in the parent")
+            return residual(*args)
+
+        monkeypatch.setattr(os, "kill", spy)
+        monkeypatch.setattr(identify, "optimality_residual_p0", fail_second)
+        obs, params, grid, weights, solver = identify_problem(1000)
+        with pytest.raises(RuntimeError, match="error in the parent"):
+            solve_p0(obs, params, grid, *weights, solver)
+        assert kills == [(fork_calls[0], signal.SIGKILL)]
+        assert_no_child()
+
+    def test_unconverged_run(self, tmp_path, fork_calls):
+        doc = solution_doc("identify")
+        doc["solver"]["max_iters"] = 1
+        code, out = run_task(tmp_path, doc)
+        assert code == 2
+        assert len(fork_calls) == FORKS["identify"]
+        assert json.loads((out / "summary.json").read_text())["converged"] is False
+        assert_no_child()
+
+    def test_blowup_in_forward_solve(self, tmp_path, capsys, fork_calls):
+        # h mu_L = 5.6, far outside RK4's stability interval: the first
+        # forward solve of `sailr identify` blows up with the helper running
+        doc = solution_doc("identify")
+        doc["grid"]["M"] = 100
+        doc["params"]["mu_L"] = 280.0
+        code, out = run_task(tmp_path, doc)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "sailr identify: error: integration blow-up at step ")
+        assert len(fork_calls) == 1
+        assert_no_outputs(out)
+        assert_no_child()
 
 
 # ------------------------------------------------------------------ CLI fuzz
@@ -367,11 +544,15 @@ def _baselines():
     """The shipped scenario of each fuzzed task, shortened: M = 100, and a
     stability segment of 40 steps (a mutation that deletes grid.M gets the
     default 10^4 and one that deletes stability.h 200 steps a segment,
-    still a fraction of a second)."""
+    still a fraction of a second).  control runs control_binding at M = 100
+    with the first three eps of its schedule (exit 2, about 0.6 s)."""
     docs = {task: task_doc(task) for task in ("simulate", "identify", "stability", "synth")}
     for task in ("simulate", "identify", "synth"):
         docs[task]["grid"]["M"] = 100
     docs["stability"]["stability"].update(horizon=2.0, h=0.05)
+    docs["control"] = json.loads((SCENARIOS / "control_binding.json").read_text())
+    docs["control"]["grid"]["M"] = 100
+    docs["control"]["penalty"]["eps_schedule"] = [0.1, 0.05, 0.025]
     return docs
 
 
@@ -381,9 +562,11 @@ _BASELINES = _baselines()
 def _mutations(task):
     """Lists of one to three mutations of the baseline of task."""
     paths = list(_paths(_BASELINES[task]))
+    # control at the default grid.M = 10^4 takes minutes, not seconds
+    deletable = [p for p in paths if not (task == "control" and p == ("grid", "M"))]
     return st.lists(st.one_of(
         st.tuples(st.just("set"), st.sampled_from(paths), st.sampled_from(_BAD_VALUES)),
-        st.tuples(st.just("delete"), st.sampled_from(paths), st.none()),
+        st.tuples(st.just("delete"), st.sampled_from(deletable), st.none()),
         st.tuples(st.just("extra"), st.sampled_from([()] + paths),
                   st.sampled_from(_BAD_VALUES)),
     ), min_size=1, max_size=3)
@@ -406,7 +589,8 @@ def _mutate(doc, kind, path, value):
 
 def check_fuzz_run(capsys, task, mutations):
     """A mutated baseline either runs (exit 0, or 2 for an inconclusive
-    stability run or an unconverged identify run, with outputs that parse)
+    stability run or an unconverged identify or control run, with outputs
+    that parse)
     or is refused with only `sailr load:` / `sailr <task>:` error lines and
     no output file."""
     doc = copy.deepcopy(_BASELINES[task])
@@ -417,7 +601,7 @@ def check_fuzz_run(capsys, task, mutations):
     with tempfile.TemporaryDirectory() as tmp:
         code, out = run_task(Path(tmp), doc)
         err = capsys.readouterr().err
-        assert code in ((0, 1, 2) if task in ("stability", "identify") else (0, 1))
+        assert code in ((0, 1, 2) if task in ("stability", "identify", "control") else (0, 1))
         if code == 1:
             lines = err.splitlines()
             assert lines
@@ -461,6 +645,12 @@ def test_fuzz_simulate(capsys, mutations):
 @given(_mutations("identify"))
 def test_fuzz_identify(capsys, mutations):
     check_fuzz_run(capsys, "identify", mutations)
+
+
+@settings(_FUZZ, max_examples=10)
+@given(_mutations("control"))
+def test_fuzz_control(capsys, mutations):
+    check_fuzz_run(capsys, "control", mutations)
 
 
 @_FUZZ
