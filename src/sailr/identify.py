@@ -16,9 +16,9 @@ the exact gradient) certify convergence.
 solve_p0 forks one helper per call, which builds each reverse sweep's step
 maps while the forward solve streams its states to it (`_ReverseHelper`,
 at most PREFETCH_BLOCKS blocks of maps ahead, about 5 MB).  The results are
-the same bits as with every sweep in-process, which is what runs without
-os.fork, when the fork or its pipes fail, or when the helper dies or
-reports an error.  No child outlives the call.
+the same bits as with every sweep in-process, the one fallback: without
+os.fork, when the fork or its pipes fail, or when the helper dies (an error
+in its sweep ends it).  No child outlives the call.
 """
 
 from __future__ import annotations
@@ -344,10 +344,11 @@ class _ReverseHelper:
     builds the blocks left, runs `model.vjp_sweep` and sends both back,
     which are then the bits `_rk4_model_vjp` gives.  That runs in-process
     instead when there is no child (no os.fork, or the pipe or the fork
-    failed), when the child has died, or when it reports an error (a
-    BlowupError, say, which the in-process sweep then raises).  The child
-    multiplies matrices with NumPy after the fork; OpenBLAS rebuilds its
-    thread pool in a forked child.
+    failed) or when the child has died.  A helper that cannot answer is a
+    dead one: an error in its sweep (a BlowupError, say) ends it, and the
+    in-process sweep then raises the error again or gives the bits.  The
+    child multiplies matrices with NumPy after the fork; OpenBLAS rebuilds
+    its thread pool in a forked child.
 
     Leaving the with-block closes the child and waits for it; an error
     inside the block kills it.  Either way no child is left.
@@ -391,9 +392,8 @@ class _ReverseHelper:
             M = self._grid.M
             try:
                 self._child.files[0].flush()
-                if self._receive(np.empty(1, dtype=np.int64))[0] == 0:
-                    ys = self._receive(np.empty((M + 1,) + _ENDS.shape))
-                    return ys[::-1], self._receive(np.empty((2 * M + 1, _ENDS.shape[1])))
+                ys = self._receive(np.empty((M + 1,) + _ENDS.shape))
+                return ys[::-1], self._receive(np.empty((2 * M + 1, _ENDS.shape[1])))
             except (OSError, EOFError):  # the child has died
                 self._child.kill()
         return _rk4_model_vjp(p, traj, _ENDS)
@@ -430,14 +430,10 @@ class _ReverseHelper:
             D = built.pop(lo, None)
             return maps(lo, hi) if D is None else D
 
-        try:
-            v, bbar = vjp_sweep(prefetched, self._grid.M, _ENDS)
-        except Exception:  # the parent's in-process sweep raises it again
-            replies.write(np.ones(1, dtype=np.int64))
-        else:
-            replies.write(np.zeros(1, dtype=np.int64))
-            replies.write(v[::-1])
-            replies.write(bbar)
+        # an error ends the child; the parent's in-process sweep raises it again
+        v, bbar = vjp_sweep(prefetched, self._grid.M, _ENDS)
+        replies.write(v[::-1])
+        replies.write(bbar)
         replies.flush()
 
 

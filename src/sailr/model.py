@@ -31,21 +31,12 @@ class CoefficientTable:
     """Piecewise-linear nonnegative coefficient over strictly increasing knots.
 
     A single-knot table represents a constant coefficient valid for every t;
-    multi-knot tables are only defined on [knots[0], knots[-1]].
+    multi-knot tables are only defined on [knots[0], knots[-1]].  Equality
+    is identity: two tables with the same knots and values are not equal.
     """
 
     knots: np.ndarray
     values: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, CoefficientTable):
-            return NotImplemented
-        return (self.knots.shape == other.knots.shape
-                and bool(np.all(self.knots == other.knots))
-                and bool(np.all(self.values == other.values)))
-
-    def __hash__(self):
-        return hash((self.knots.tobytes(), self.values.tobytes()))
 
     def __post_init__(self):
         knots = np.array(self.knots, dtype=float, ndmin=1)

@@ -395,7 +395,6 @@ class GridCsvWriter:
             self._fh.write(header + "\n")
         else:
             self._fh.close()  # the child writes through its own copy
-            self._pipe = self._child.files[0]
 
     def _write_rows(self, lo, hi, rows):
         self._fh.writelines(_csv_rows(self._t[lo:hi], rows.T))
@@ -421,8 +420,8 @@ class GridCsvWriter:
                 self._write_rows(lo, hi, rows)
             return
         try:
-            self._pipe.write(np.array([lo, hi], dtype=np.int64).tobytes()
-                             + np.asarray(rows, dtype=float).tobytes())
+            self._child.files[0].write(np.array([lo, hi], dtype=np.int64).tobytes()
+                                       + np.asarray(rows, dtype=float).tobytes())
         except BrokenPipeError:  # the child stopped early: report why
             self.close()
             raise

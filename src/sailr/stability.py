@@ -206,8 +206,7 @@ class TLocInputs:
 
     y1 in (0, L0) and rho in (L0 - y1, Lhat - y1) are free choices;
     F0 = |L0 - y1| must stay below rho.  F1, F2 bundle sup-norms of the
-    infected/isolated components; G bundles the coefficient magnitudes
-    (scaled by a free constant C).
+    infected/isolated components; G bundles the coefficient magnitudes.
     """
 
     y1: float
@@ -229,7 +228,7 @@ class TLocInputs:
 
     @classmethod
     def from_trajectory(cls, params: ModelParams, traj: Trajectory, y1: float,
-                        rho: float, lhat: float, C: float = 1.0) -> "TLocInputs":
+                        rho: float, lhat: float) -> "TLocInputs":
         L0 = float(traj.L[0])
         errs = []
         if not 0.0 < y1 < L0:
@@ -243,9 +242,9 @@ class TLocInputs:
         supL = float(np.max(np.abs(traj.L)))
         F1 = params.l_A * supA + params.l_I * supI + params.mu_L * supL + params.mu_L * y1
         F2 = supA + supI
-        G = C * (float(np.max(params.beta_A.values)) + float(np.max(params.beta_I.values))
-                 + params.sigma + params.mu_A + params.l_A + params.mu_I + params.l_I
-                 + float(np.max(params.xi.values)) + params.l_A ** 2 + params.l_I ** 2)
+        G = (float(np.max(params.beta_A.values)) + float(np.max(params.beta_I.values))
+             + params.sigma + params.mu_A + params.l_A + params.mu_I + params.l_I
+             + float(np.max(params.xi.values)) + params.l_A ** 2 + params.l_I ** 2)
         return cls(y1=y1, rho=rho, F0=abs(L0 - y1), F1=F1, F2=F2, G=G)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sailr import CoefficientTable, Grid, ModelParams
+from sailr import (CoefficientTable, Grid, ModelParams, PenaltyConfig, default_eps_schedule,
+                   solve_p)
 
 
 def random_params(rng, t_max=50.0, varying=False, xi_zero=False):
@@ -43,3 +44,16 @@ def rng():
 
 def small_grid(T=2.0, M=400):
     return Grid(0.0, T, M)
+
+
+@pytest.fixture(scope="session")
+def control_binding():
+    """(pcfg, params, x0, grid, solve_p's result) of control_binding's
+    problem (scenarios/control_binding.json), solved once per session."""
+    p = ModelParams(sigma=0.25, mu_A=0.12, mu_I=0.15, mu_L=0.2, l_A=0.0, l_I=0.0,
+                    beta_I=0.45, beta_A=0.25, xi=0.02)
+    g = Grid(0.0, 8.0, 400)
+    x0 = np.array([0.9, 0.05, 0.03, 0.01, 0.01])
+    pcfg = PenaltyConfig(alpha0=5.0, alpha1=0.02, alpha2=5.0, Lhat=0.04,
+                         eps_schedule=default_eps_schedule(17))
+    return pcfg, p, x0, g, solve_p(pcfg, p, x0, g)

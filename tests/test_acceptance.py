@@ -15,7 +15,7 @@ import sailr as sl
 from sailr import (CoefficientTable, ControlPair, Grid, IdentCandidate, IdentConfig,
                    ModelParams, Observations, PenaltyConfig, StabilityConfig, SynthSpec,
                    adjoint_p_eps, adjoint_p0, cost_p, cost_p_eps, cost_p0,
-                   default_eps_schedule, duality_residual_p, duality_residual_p0,
+                   duality_residual_p, duality_residual_p0,
                    gradient_p0, hurwitz_check, integrate_forward, n0_of, r0,
                    resolve_k0, s_threshold, simulate, simulate_extinction, solve_p,
                    solve_p0, synth_observations, tangent_p, tangent_p0, trapezoid)
@@ -322,15 +322,9 @@ def test_c09_unconstrained_equivalence():
 
 @criterion(10, "binding control: sup(L-Lhat)^+ <= 1e-4, limit residual <= 1e-3, "
                "multiplier supported on the contact set")
-def test_c10_constraint_satisfaction():
-    p = ModelParams(sigma=0.25, mu_A=0.12, mu_I=0.15, mu_L=0.2, l_A=0.0, l_I=0.0,
-                    beta_I=0.45, beta_A=0.25, xi=0.02)
-    g = Grid(0.0, 8.0, 400)
-    x0 = np.array([0.9, 0.05, 0.03, 0.01, 0.01])
-    lhat = 0.04
-    pcfg = PenaltyConfig(alpha0=5.0, alpha1=0.02, alpha2=5.0, Lhat=lhat,
-                         eps_schedule=default_eps_schedule(17))
-    res = solve_p(pcfg, p, x0, g)
+def test_c10_constraint_satisfaction(control_binding):
+    pcfg, _, _, _, res = control_binding
+    lhat = pcfg.Lhat
     assert res.forward_solves <= 6_851  # control_binding's problem: 6228 sweeps
     assert res.constraint_violation <= 1e-4
     assert res.limit_residual <= 1e-3

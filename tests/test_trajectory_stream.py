@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sailr import (ValidationError, identify, model, scenario_from_dict, simulate, solve_p,
-                   solve_p0, write_adjoint_csv, write_trajectory_csv)
+from sailr import (BlowupError, ValidationError, identify, model, scenario_from_dict,
+                   simulate, solve_p, solve_p0, write_adjoint_csv, write_trajectory_csv)
 from sailr.cli import main
 from sailr.scenario import write_series_csv
 
@@ -98,8 +98,35 @@ def fork_calls(monkeypatch):
     return calls
 
 
+#: the system call that fails, and its errno, in each refusal but "no_fork"
+_REFUSED = {"fork_eagain": ("fork", errno.EAGAIN), "pipe_emfile": ("pipe", errno.EMFILE)}
+
+
+def refuse_fork(monkeypatch, failure="no_fork"):
+    """Leave no child to fork: os.fork deleted ("no_fork"), os.fork failing
+    with EAGAIN, or os.pipe failing with EMFILE, before any fork."""
+    if failure == "no_fork":
+        monkeypatch.delattr(os, "fork")
+        return
+    name, code = _REFUSED[failure]
+
+    def fail():
+        raise OSError(code, os.strerror(code))  # EAGAIN gives a BlockingIOError
+
+    monkeypatch.setattr(os, name, fail)
+
+
+@pytest.fixture(params=["no_fork", *_REFUSED])
+def fork_failure(request, monkeypatch, fork_calls):
+    """Each refusal of refuse_fork, made after fork_calls starts counting."""
+    refuse_fork(monkeypatch, request.param)
+
+
+GRID_SIZES = [1, 511, 512, 513, 1025, 10_000]
+
+
 class TestByteIdentity:
-    @pytest.mark.parametrize("M", [1, 511, 512, 513, 1025, 10_000])
+    @pytest.mark.parametrize("M", GRID_SIZES)
     def test_forked_writer(self, tmp_path, fork_calls, M):
         doc = knotted_doc(M)
         code, out = run_simulate(tmp_path, doc)
@@ -108,34 +135,14 @@ class TestByteIdentity:
         assert_same_bytes(tmp_path, doc, out)
         assert_no_child()
 
-    @pytest.mark.parametrize("M", [1, 511, 512, 513, 1025, 10_000])
-    def test_in_process_without_fork(self, tmp_path, monkeypatch, M):
-        monkeypatch.delattr(os, "fork", raising=False)
+    @pytest.mark.parametrize("M", GRID_SIZES)
+    def test_in_process_fallback(self, tmp_path, fork_calls, fork_failure, M):
         doc = knotted_doc(M)
-        code, out = run_simulate(tmp_path, doc)
-        assert code == 0
-        assert_same_bytes(tmp_path, doc, out)
-
-    def test_in_process_when_fork_fails(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        doc = knotted_doc(1025)
-        code, out = run_simulate(tmp_path, doc)
-        assert code == 0
-        assert_same_bytes(tmp_path, doc, out)
-
-    def test_in_process_when_pipe_fails(self, tmp_path, monkeypatch, fork_calls):
-        def no_pipe():
-            raise OSError(errno.EMFILE, "Too many open files")
-
-        monkeypatch.setattr(os, "pipe", no_pipe)
-        doc = knotted_doc(1025)
         code, out = run_simulate(tmp_path, doc)
         assert code == 0
         assert fork_calls == []
         assert_same_bytes(tmp_path, doc, out)
+        assert_no_child()
 
 
 class TestFailures:
@@ -146,7 +153,7 @@ class TestFailures:
         # L oscillates with growing amplitude until the sum passes 1e100
         # at step 720, after the first block was sent
         if not forked:
-            monkeypatch.delattr(os, "fork")
+            refuse_fork(monkeypatch)
         doc = knotted_doc(1000, T=100.0)
         doc["params"]["mu_L"] = 28.0
         code, out = run_simulate(tmp_path, doc)
@@ -250,31 +257,12 @@ class TestAdjointExport:
         assert_same_solution(solution, out)
         assert_no_child()
 
-    def test_in_process_without_fork(self, tmp_path, solution, monkeypatch):
-        monkeypatch.delattr(os, "fork", raising=False)
-        code, out = run_task(tmp_path, solution[1])
-        assert code == 0
-        assert_same_solution(solution, out)
-
-    def test_in_process_when_fork_fails(self, tmp_path, solution, monkeypatch):
-        def no_fork():
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        code, out = run_task(tmp_path, solution[1])
-        assert code == 0
-        assert_same_solution(solution, out)
-        assert_no_child()
-
-    def test_in_process_when_pipe_fails(self, tmp_path, solution, monkeypatch, fork_calls):
-        def no_pipe():
-            raise OSError(errno.EMFILE, "Too many open files")
-
-        monkeypatch.setattr(os, "pipe", no_pipe)
+    def test_in_process_fallback(self, tmp_path, solution, fork_calls, fork_failure):
         code, out = run_task(tmp_path, solution[1])
         assert code == 0
         assert fork_calls == []
         assert_same_solution(solution, out)
+        assert_no_child()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("forked", [True, False])
@@ -282,7 +270,7 @@ class TestAdjointExport:
         # every write to /dev/full fails with ENOSPC, in the child or in send;
         # the files written meanwhile go too
         if not forked:
-            monkeypatch.delattr(os, "fork")
+            refuse_fork(monkeypatch)
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "adjoint.csv").symlink_to("/dev/full")
         code, out = run_task(tmp_path, solution[1])
@@ -410,12 +398,9 @@ def result_bytes(res):
 def identify_reference():
     """solve_p0 on identify_synthetic without os.fork: every sweep in-process."""
     obs, params, grid, weights, solver = identify_problem(1000)
-    fork = os.fork
-    del os.fork
-    try:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        refuse_fork(monkeypatch)
         return result_bytes(solve_p0(obs, params, grid, *weights, solver))
-    finally:
-        os.fork = fork
 
 
 class TestReverseHelper:
@@ -439,24 +424,42 @@ class TestReverseHelper:
         assert result_bytes(res) == identify_reference
         assert_no_child()
 
-    @pytest.mark.parametrize("failure", ["no_fork", "fork_eagain", "pipe_emfile"])
-    def test_in_process_fallback(self, identify_reference, monkeypatch, fork_calls, failure):
-        if failure == "no_fork":
-            monkeypatch.delattr(os, "fork")
-        elif failure == "fork_eagain":
-            def no_fork():
-                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-            monkeypatch.setattr(os, "fork", no_fork)
-        else:
-            def no_pipe():
-                raise OSError(errno.EMFILE, "Too many open files")
-
-            monkeypatch.setattr(os, "pipe", no_pipe)
+    def test_in_process_fallback(self, identify_reference, fork_calls, fork_failure):
         obs, params, grid, weights, solver = identify_problem(1000)
         res = solve_p0(obs, params, grid, *weights, solver)
         assert fork_calls == []
         assert result_bytes(res) == identify_reference
+        assert_no_child()
+
+    @pytest.mark.parametrize("in_process_too", [False, True])
+    def test_error_in_helper_sweep(self, identify_reference, monkeypatch, fork_calls,
+                                   in_process_too):
+        # the helper's first sweep raises and ends it: the solve reruns that
+        # sweep, and every later one, in-process, with the same bits; an
+        # error the in-process sweep raises too reaches the caller
+        def blowup(*args):
+            raise BlowupError(7)
+
+        in_process = []
+        vjp = identify._rk4_model_vjp
+
+        def counting_vjp(*args):
+            in_process.append(1)
+            return vjp(*args)
+
+        monkeypatch.setattr(identify, "vjp_sweep", blowup)  # the helper's sweep
+        monkeypatch.setattr(identify, "_rk4_model_vjp", counting_vjp)
+        if in_process_too:
+            monkeypatch.setattr(model, "vjp_sweep", blowup)
+        obs, params, grid, weights, solver = identify_problem(1000)
+        if in_process_too:
+            with pytest.raises(BlowupError, match="at step 7"):
+                solve_p0(obs, params, grid, *weights, solver)
+        else:
+            res = solve_p0(obs, params, grid, *weights, solver)
+            assert result_bytes(res) == identify_reference
+            assert len(in_process) == res.iterations + 1  # every sweep
+        assert len(fork_calls) == 1
         assert_no_child()
 
     @pytest.mark.parametrize("where", ["candidate", "send", "vjp"])
