@@ -24,8 +24,8 @@ from .model import (CoefficientTable, ModelParams, State, TOL_NEG, param_errors,
 from .scenario import (Scenario, SynthSpec, load_scenario, read_csv_columns,
                        scenario_from_dict, synth_observations, write_adjoint_csv,
                        write_summary_json, write_trajectory_csv)
-from .stability import (HurwitzCheck, StabilityConfig, StabilityReport, TLocInputs,
-                        compute_t_loc, hurwitz_check, infected_jacobian, r0, s_threshold,
+from .stability import (HurwitzCheck, StabilityConfig, StabilityReport, compute_t_loc,
+                        hurwitz_check, infected_jacobian, r0, s_threshold,
                         simulate_extinction)
 
 __version__ = "0.1.0"

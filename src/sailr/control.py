@@ -28,6 +28,7 @@ from .errors import FeasibilityError, ValidationError
 from .integrate import Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory, adjoint_p_eps
 from .model import ModelParams, State, TOL_NEG, simulate
+from .stability import compute_t_loc
 
 
 def default_eps_schedule(n: int = 13, first: float = 0.1) -> tuple:
@@ -91,7 +92,6 @@ POLISH_MAX = 200       # extra self-anchored stages at final eps
 
 @dataclass
 class StageResult:
-    eps: float
     controls: ControlPair
     cost_eps: float
     fp_residual: float
@@ -230,7 +230,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     # the best sweep.
     used_newton = best[4] > tol_fp
     ctrl, traj, adj, fp_res = _stage_newton(F, *best[:4], tol_fp)
-    return StageResult(eps, ctrl, _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor),
+    return StageResult(ctrl, _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor),
                        fp_res, used_newton, traj, adj,
                        _penalty_integral(traj, pcfg.Lhat), nsolves, fp_res <= tol_fp,
                        _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
@@ -371,15 +371,13 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid) -> Control
 
 def _tloc_note(params, pcfg, L0, traj, ctrl, grid, notes):
     # Horizon diagnostic only; the bound is sufficient, not necessary.
-    from .stability import TLocInputs, compute_t_loc
     if not 0.0 < L0 < pcfg.Lhat:
         return
     try:
         y1 = 0.5 * L0
         rho = 0.5 * ((L0 - y1) + (pcfg.Lhat - y1))
-        inputs = TLocInputs.from_trajectory(params.with_controls(ctrl.lA, ctrl.lI),
-                                            traj, y1, rho, pcfg.Lhat)
-        _, _, tloc = compute_t_loc(params, inputs, pcfg.alpha0)
+        _, _, tloc = compute_t_loc(params.with_controls(ctrl.lA, ctrl.lI), traj, y1, rho,
+                                   pcfg.Lhat, pcfg.alpha0)
         if grid.T >= tloc:
             notes.append(f"horizon T={grid.T:g} is not below the local bound "
                          f"T_loc={tloc:g}; limit conditions are proven only below it")

@@ -64,11 +64,11 @@ class Observations:
         for name in ("L0", "R0", "LT", "RT"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                errs.append(f"observations.{name} out of [0,1]")
+                errs.append(f"{name} out of [0,1]")
         if self.L0 + self.R0 > 1.0 + 1e-12:
-            errs.append("observations.L0 + R0 exceeds total population")
+            errs.append("L0 + R0 exceeds total population")
         if not self.T > 0:
-            errs.append("observations.T must be > 0")
+            errs.append("T must be > 0")
         if errs:
             raise ValidationError(errs)
 
@@ -123,8 +123,6 @@ def _check_feasible(c: IdentCandidate, n0: float):
     if c.A0 < -tol or c.I0 < -tol or c.A0 + c.I0 > n0 + tol:
         raise FeasibilityError(
             f"(A0, I0)=({c.A0}, {c.I0}) outside K0 with N0={n0}; project first")
-    if np.min(c.beta_I.values) < 0:
-        raise FeasibilityError("beta_I must be nonnegative; project first")
 
 
 def _check_grid(grid: Grid, obs: Observations):

@@ -172,10 +172,7 @@ def param_errors(p: ModelParams, t_max: float | None = None) -> list[str]:
     if not p.N > 0:
         errs.append("N must be > 0")
     for name in ("beta_I", "beta_A", "xi"):
-        table = getattr(p, name)
-        if np.min(table.values) < 0:
-            errs.append(f"{name}: negative coefficient")
-        if t_max is not None and not table.covers(0.0, t_max):
+        if t_max is not None and not getattr(p, name).covers(0.0, t_max):
             errs.append(f"{name}: table does not cover [0, {t_max}]")
     return errs
 

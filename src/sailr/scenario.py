@@ -64,11 +64,11 @@ class SynthSpec:
         n0 = self.params.N - (self.L0 + self.R0)
         errs = []
         if self.L0 < 0 or self.R0 < 0:
-            errs.append("synth.L0 and synth.R0 must be >= 0")
+            errs.append("L0 and R0 must be >= 0")
         if self.A0_true < 0 or self.I0_true < 0 or self.A0_true + self.I0_true > n0 + 1e-12:
             errs.append("planted (A0, I0) must lie in K0")
         if not 0 <= self.noise <= 1:  # beyond 1 the clamped observations carry no signal
-            errs.append("synth.noise must be in [0, 1]")
+            errs.append("noise must be in [0, 1]")
         if errs:
             raise ValidationError(errs)
 
@@ -76,7 +76,6 @@ class SynthSpec:
 @dataclass
 class Scenario:
     name: str
-    description: str
     task: str
     params: ModelParams
     x0: State | None = None
@@ -253,10 +252,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     if errs:
         raise ValidationError(errs)
-    return Scenario(name=str(doc.get("name", "")), description=str(doc.get("description", "")),
-                    task=task, params=params, x0=x0, grid=grid, observations=observations,
-                    weights=weights, penalty=penalty, solver=solver,
-                    synth=synth, stability=stability, seed=seed)
+    return Scenario(name=str(doc.get("name", "")), task=task, params=params, x0=x0,
+                    grid=grid, observations=observations, weights=weights, penalty=penalty,
+                    solver=solver, synth=synth, stability=stability, seed=seed)
 
 
 def _apply_override(doc: dict, item: str):

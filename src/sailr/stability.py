@@ -68,33 +68,24 @@ def infected_jacobian(s_inf: float, params: ModelParams) -> np.ndarray:
 class HurwitzCheck:
     hurwitz: bool                # all three eigenvalues have negative real part
     eigenvalues: np.ndarray      # quadratic pair then -mu_L
-    marginal: bool               # mu_L == 0 with the quadratic pair stable
 
 
 def hurwitz_check(s_inf: float, params: ModelParams) -> HurwitzCheck:
-    """Closed-form stability test of the infected subsystem at level s_inf.
+    """Closed-form stability test of the infected subsystem at level s_inf >= 0.
 
-    The quadratic factor is stable iff k1 + k2 - beta_A*s_inf > 0 and
-    k1*k2 - beta*s_inf > 0 (equivalently s_inf < S_bar); the third
-    eigenvalue is -mu_L.
+    The quadratic factor is stable iff b = k1 + k2 - beta_A*s_inf > 0 and
+    c = k1*k2 - beta*s_inf > 0 (equivalently s_inf < S_bar); the third
+    eigenvalue is -mu_L.  The (A, I) block is Metzler, so its pair is real:
+    b^2 - 4c = (beta_A*s_inf - k1 + k2)^2 + 4*sigma*beta_I*s_inf >= 0, and
+    the max with 0 only absorbs rounding.
     """
     bA = _constant_value(params, "beta_A")
     beta = _beta_bar(params)
     b = params.k1 + params.k2 - bA * s_inf
     c = params.k1 * params.k2 - beta * s_inf
-    disc = b * b - 4.0 * c
-    if disc >= 0:
-        root = math.sqrt(disc)
-        lam = np.array([(-b - root) / 2.0, (-b + root) / 2.0, -params.mu_L],
-                       dtype=complex)
-    else:
-        root = math.sqrt(-disc)
-        lam = np.array([complex(-b / 2.0, -root / 2.0),
-                        complex(-b / 2.0, root / 2.0), -params.mu_L])
-    quad_ok = b > 0 and c > 0
-    return HurwitzCheck(hurwitz=quad_ok and params.mu_L > 0,
-                        eigenvalues=lam,
-                        marginal=quad_ok and params.mu_L == 0)
+    root = math.sqrt(max(b * b - 4.0 * c, 0.0))
+    lam = np.array([(-b - root) / 2.0, (-b + root) / 2.0, -params.mu_L], dtype=complex)
+    return HurwitzCheck(hurwitz=b > 0 and c > 0 and params.mu_L > 0, eigenvalues=lam)
 
 
 @dataclass
@@ -200,54 +191,6 @@ def simulate_extinction(params: ModelParams, x0,
         final_state=x, segments=segments, first_segment=first)
 
 
-@dataclass(frozen=True)
-class TLocInputs:
-    """Ingredients of the local horizon bound.
-
-    y1 in (0, L0) and rho in (L0 - y1, Lhat - y1) are free choices;
-    F0 = |L0 - y1| must stay below rho.  F1, F2 bundle sup-norms of the
-    infected/isolated components; G bundles the coefficient magnitudes.
-    """
-
-    y1: float
-    rho: float
-    F0: float
-    F1: float
-    F2: float
-    G: float
-
-    def __post_init__(self):
-        errs = []
-        if not self.F0 < self.rho:
-            errs.append("need F0 = |L0 - y1| < rho")
-        for name in ("F1", "F2", "G"):
-            if getattr(self, name) < 0:
-                errs.append(f"{name} must be >= 0")
-        if errs:
-            raise ValidationError(errs)
-
-    @classmethod
-    def from_trajectory(cls, params: ModelParams, traj: Trajectory, y1: float,
-                        rho: float, lhat: float) -> "TLocInputs":
-        L0 = float(traj.L[0])
-        errs = []
-        if not 0.0 < y1 < L0:
-            errs.append("need 0 < y1 < L0")
-        if not L0 - y1 < rho < lhat - y1:
-            errs.append("need rho in (L0 - y1, Lhat - y1)")
-        if errs:
-            raise ValidationError(errs)
-        supA = float(np.max(np.abs(traj.A)))
-        supI = float(np.max(np.abs(traj.I)))
-        supL = float(np.max(np.abs(traj.L)))
-        F1 = params.l_A * supA + params.l_I * supI + params.mu_L * supL + params.mu_L * y1
-        F2 = supA + supI
-        G = (float(np.max(params.beta_A.values)) + float(np.max(params.beta_I.values))
-             + params.sigma + params.mu_A + params.l_A + params.mu_I + params.l_I
-             + float(np.max(params.xi.values)) + params.l_A ** 2 + params.l_I ** 2)
-        return cls(y1=y1, rho=rho, F0=abs(L0 - y1), F1=F1, F2=F2, G=G)
-
-
 def _increasing_root(f, target: float) -> float:
     """Root of f(t) = target for f strictly increasing with f(0) < target."""
     hi = 1.0
@@ -267,26 +210,43 @@ def _increasing_root(f, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def compute_t_loc(params: ModelParams, inputs: TLocInputs, alpha0: float):
+def compute_t_loc(params: ModelParams, traj: Trajectory, y1: float, rho: float,
+                  lhat: float, alpha0: float):
     """Horizon bound (T1, T2, T_loc = min) below which the dual estimates hold.
 
-    T1 solves 4*mu_L*alpha0*e^(G t)*t*sqrt(t) = 1; T2 solves
+    traj is the state under params, controls included.  y1 in (0, L0) and
+    rho in (L0 - y1, lhat - y1) are free choices, with L0 = traj.L[0], so
+    F0 = L0 - y1 < rho.  F1 bundles sup-norms of the infected and isolated
+    components and G the coefficient magnitudes.  T1 solves
+    4*mu_L*alpha0*e^(G t)*t*sqrt(t) = 1; T2 solves
     F0 + 4*alpha0*(F1 + rho*mu_L)*t*sqrt(t)*e^(G t) = rho.  Either side
     that never reaches its target yields +inf.
     """
+    L0 = float(traj.L[0])
+    errs = []
+    if not 0.0 < y1 < L0:
+        errs.append("need 0 < y1 < L0")
+    if not L0 - y1 < rho < lhat - y1:
+        errs.append("need rho in (L0 - y1, Lhat - y1)")
+    if errs:
+        raise ValidationError(errs)
     mu_L = params.mu_L
-    G = inputs.G
+    F0 = L0 - y1
+    supA, supI, supL = (float(np.max(np.abs(v))) for v in (traj.A, traj.I, traj.L))
+    F1 = params.l_A * supA + params.l_I * supI + mu_L * supL + mu_L * y1
+    G = (float(np.max(params.beta_A.values)) + float(np.max(params.beta_I.values))
+         + params.sigma + params.mu_A + params.l_A + params.mu_I + params.l_I
+         + float(np.max(params.xi.values)) + params.l_A ** 2 + params.l_I ** 2)
 
     if mu_L * alpha0 == 0.0:
         t1 = math.inf
     else:
         t1 = _increasing_root(lambda t: 4.0 * mu_L * alpha0 * math.exp(G * t) * t * math.sqrt(t), 1.0)
 
-    coef = 4.0 * alpha0 * (inputs.F1 + inputs.rho * mu_L)
+    coef = 4.0 * alpha0 * (F1 + rho * mu_L)
     if coef == 0.0:
         t2 = math.inf
     else:
-        t2 = _increasing_root(
-            lambda t: inputs.F0 + coef * t * math.sqrt(t) * math.exp(G * t), inputs.rho)
+        t2 = _increasing_root(lambda t: F0 + coef * t * math.sqrt(t) * math.exp(G * t), rho)
 
     return t1, t2, min(t1, t2)

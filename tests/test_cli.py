@@ -4,6 +4,7 @@ import copy
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -429,3 +430,101 @@ class TestUsageErrors:
             main(["control", "--help"])
         assert exc.value.code == 0
         assert "--scenario" in capsys.readouterr().out
+
+
+class TestLoadErrors:
+    """A scenario the loader rejects exits 1 with its error lines, and only
+    those, on stderr: no traceback, nothing on stdout and no output file."""
+
+    @pytest.mark.parametrize("task, scenario, overrides, errors", [
+        ("control", "control_binding", ["x0.S=0.97", "x0.A=-0.02"],
+         ["x0 components must be >= 0"]),
+        ("identify", "identify_synthetic", ["grid.T=3"],
+         ["grid must span [0, observations.T] for task=identify"]),
+        ("identify", "identify_synthetic", ["observations.L0=0.5", "observations.R0=0.5"],
+         ["observations leave no unobserved mass: L0 + R0 >= N"]),
+        ("control", "control_binding", ["foo"], ["override 'foo' is not KEY=VALUE"]),
+        ("control", "control_binding", ["params.sigma=abc"],
+         ["params.sigma must be a finite number"]),
+        ("control", "control_binding", ["params.sigma.x=1"],
+         ["override path 'params.sigma.x' crosses a non-object field"]),
+        ("control", [1, 2], [], ["scenario document must be a JSON object"]),
+        ("control", "control_binding", ['penalty.anchor={"lA": 0.2}'],
+         ["penalty.anchor.lI required for task=control"]),
+        ("control", "control_binding", ['penalty.anchor={"lA": 1.5, "lI": 0.5}'],
+         ["penalty.anchor: controls must lie in [0,1]^2"]),
+        ("synth", "synth_truth", ["synth.L0=-0.1"], ["synth.L0 and R0 must be >= 0"]),
+        # a block's own checks name their field once, under the block's locus
+        ("identify", "identify_synthetic",
+         ["observations.LT=1.5", "observations.L0=0.6", "observations.R0=0.5",
+          "observations.T=0"],
+         ["observations.LT out of [0,1]", "observations.L0 + R0 exceeds total population",
+          "observations.T must be > 0"]),
+        ("synth", "synth_truth", ["synth.L0=-0.1", "synth.noise=2"],
+         ["synth.L0 and R0 must be >= 0", "synth.noise must be in [0, 1]"]),
+    ], ids=["x0-negative", "grid-span", "no-unobserved-mass", "override-no-equals",
+            "override-raw-string", "override-through-number", "document-array",
+            "anchor-one-key", "anchor-out-of-range", "synth-L0-negative",
+            "observations-fields", "synth-fields"])
+    def test_rejected(self, tmp_path, capsys, task, scenario, overrides, errors):
+        path = (str(SCENARIOS / f"{scenario}.json") if isinstance(scenario, str)
+                else write_doc(tmp_path, scenario))
+        out = tmp_path / "out"
+        code = main([task, "--scenario", path, "--out", str(out), "--quiet",
+                     *(a for o in overrides for a in ("--set", o))])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"sailr load: error: {m}" for m in errors]
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestConsoleSummary:
+    """Without --quiet a run prints its summary; <wall> is the one field that
+    differs between runs, and <e> a residual at rounding level."""
+
+    @pytest.mark.parametrize("name, overrides, code, lines", [
+        ("simulate_baseline", ["grid.M=200"], 0, [
+            "task       : simulate  (baseline-epidemic)",
+            "residual   : conservation_drift = <e>"]),
+        ("identify_synthetic", ["grid.M=100"], 0, [
+            "task       : identify  (identify-synthetic)",
+            "cost       : 2.924258e-07",
+            "residual   : optimality = 9.064e-08",
+            "residual   : terminal_mismatch_sq = 5.334e-11",
+            "R0 / S_bar : 0.366667 / 2.72727",
+            "candidate  : A0=0.0854473 I0=0.137088 S0=0.747465"]),
+        ("control_binding", ["grid.M=100", "penalty.Lhat=0.2",
+                             "penalty.eps_schedule=[0.1, 0.05, 0.025, 0.0125]"], 0, [
+            "task       : control  (control-binding)",
+            "cost       : 1.641880e-02",
+            "residual   : limit_fixed_point = 3.467e-04",
+            "residual   : stage_fixed_point = 6.158e-10",
+            "R0 / S_bar : 0.417786 / 2.39357",
+            "controls   : lA=0.63895 lI=0.50588",
+            "violation  : 0.000e+00",
+            "note       : horizon T=8 is not below the local bound T_loc=0.11905; "
+            "limit conditions are proven only below it"]),
+        ("stability_extinction", [], 0, [
+            "task       : stability  (stability-extinction)",
+            "residual   : infected_mass = <e>",
+            "R0 / S_bar : 1.33333 / 0.75",
+            "regime     : subcritical  (S_inf=0.431416, hurwitz=True)"]),
+        ("synth_truth", ["grid.M=50"], 0, [
+            "task       : synth  (synthetic-truth)",
+            "R0 / S_bar : 0.721277 / 1.38643"]),
+    ], ids=["simulate", "identify", "control", "stability", "synth"])
+    def test_printed_lines(self, tmp_path, capsys, name, overrides, code, lines):
+        path = SCENARIOS / f"{name}.json"
+        out = tmp_path / "out"
+        assert main([json.loads(path.read_text())["task"], "--scenario", str(path),
+                     "--out", str(out), *(a for o in overrides for a in ("--set", o))]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed = captured.out.splitlines()
+        expected = lines + [f"exit       : {code}   wall <wall>   outputs in {out}"]
+        assert len(printed) == len(expected), printed
+        for line, want in zip(printed, expected):
+            pattern = (re.escape(want).replace("<e>", r"\d\.\d{3}e-\d\d")
+                       .replace("<wall>", r"\d+\.\d\ds"))
+            assert re.fullmatch(pattern, line), (line, want)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sailr import (ControlPair, FeasibilityError, Grid, ModelParams, PenaltyConfig,
-                   Trajectory, ValidationError, adjoint_p_eps, constraint_violation,
-                   cost_p, cost_p_eps, default_eps_schedule, simulate, solve_p,
-                   solve_p_eps, trapezoid, update_controls_eps)
+                   Trajectory, ValidationError, adjoint_p_eps, compute_t_loc,
+                   constraint_violation, cost_p, cost_p_eps, default_eps_schedule, simulate,
+                   solve_p, solve_p_eps, trapezoid, update_controls_eps)
 from sailr import control
 from sailr.linearize import AdjointTrajectory
 
@@ -256,24 +256,21 @@ class TestTLocNote:
 
     def test_rounding_validation_error_dropped(self):
         # y1 = L0/2 rounds to 0 for the least subnormal L0
-        from sailr.stability import TLocInputs
         p = epidemic_params()
         x0 = X0.copy()
         x0[3] = 5e-324
         traj = simulate(p, x0, self.GRID)
         with pytest.raises(ValidationError, match="0 < y1 < L0"):
-            TLocInputs.from_trajectory(p, traj, 0.5 * 5e-324, 0.025, 0.05)
+            compute_t_loc(p, traj, 0.5 * 5e-324, 0.025, 0.05, 1.0)
         assert self._note(L0=5e-324) == []
 
     def test_overflow_dropped(self):
         # a tiny alpha0 pushes the root of 4 mu_L alpha0 e^(G t) t^1.5 = 1
         # past the range of math.exp
-        from sailr.stability import TLocInputs, compute_t_loc
         p = epidemic_params()
         traj = simulate(p, X0, self.GRID)
-        inputs = TLocInputs.from_trajectory(p.with_controls(0.1, 0.1), traj, 0.005, 0.025, 0.05)
         with pytest.raises(OverflowError):
-            compute_t_loc(p, inputs, 1e-300)
+            compute_t_loc(p.with_controls(0.1, 0.1), traj, 0.005, 0.025, 0.05, 1e-300)
         assert self._note(alpha0=1e-300) == []
 
     def test_other_errors_propagate(self):

@@ -210,7 +210,7 @@ class TestSynthObservations:
         # 1e308 used to reach the generator and end in an OverflowError
         with pytest.raises(ValidationError) as exc:
             self._spec(noise=noise)
-        assert exc.value.errors == ["synth.noise must be in [0, 1]"]
+        assert exc.value.errors == ["noise must be in [0, 1]"]
 
     def test_infeasible_truth_rejected(self):
         with pytest.raises(ValidationError):

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sailr import (CoefficientTable, Grid, ModelParams, StabilityConfig, TLocInputs,
-                   ValidationError, compute_t_loc, hurwitz_check, infected_jacobian, r0,
+from sailr import (CoefficientTable, Grid, ModelParams, StabilityConfig, ValidationError,
+                   compute_t_loc, hurwitz_check, infected_jacobian, r0,
                    s_threshold, simulate, simulate_extinction)
 from conftest import random_params, random_state
 
@@ -105,9 +105,10 @@ class TestHurwitzCheck:
             assert check.hurwitz == all_neg
 
     def test_mu_L_zero_marginal(self):
+        # the quadratic pair is stable, the third eigenvalue -mu_L is 0
         check = hurwitz_check(0.0, const_params(mu_L=0.0))
         assert not check.hurwitz
-        assert check.marginal
+        assert np.all(check.eigenvalues[:2].real < 0) and check.eigenvalues[2] == 0
 
 
 class TestSimulateExtinction:
@@ -149,49 +150,51 @@ class TestSimulateExtinction:
 
 
 class TestComputeTLoc:
-    def _inputs(self, params, lhat=0.5, y1=None, rho=None):
-        g = Grid(0.0, 5.0, 500)
-        traj = simulate(params, (0.85, 0.05, 0.03, 0.04, 0.03), g)
-        L0 = traj.L[0]
-        y1 = y1 if y1 is not None else 0.5 * L0
-        rho = rho if rho is not None else 0.5 * ((L0 - y1) + (lhat - y1))
-        return TLocInputs.from_trajectory(params, traj, y1, rho, lhat)
+    LHAT = 0.5
+
+    def _choices(self, params):
+        # (traj, y1, rho) with y1 = L0/2 and rho mid-interval, as control's note picks them
+        traj = simulate(params, (0.85, 0.05, 0.03, 0.04, 0.03), Grid(0.0, 5.0, 500))
+        y1 = 0.5 * traj.L[0]
+        return traj, y1, 0.5 * ((traj.L[0] - y1) + (self.LHAT - y1))
 
     def test_mu_L_zero_first_root_infinite(self):
         p = const_params(mu_L=0.0)
-        t1, t2, tloc = compute_t_loc(p, self._inputs(p), alpha0=1.0)
+        t1, t2, tloc = compute_t_loc(p, *self._choices(p), self.LHAT, alpha0=1.0)
         assert t1 == math.inf
         assert tloc == t2
 
     def test_monotone_in_G(self):
+        # mu_A enters G alone: F0 and F1 do not read it
         p = const_params()
-        base = self._inputs(p)
-        bumped = TLocInputs(y1=base.y1, rho=base.rho, F0=base.F0, F1=base.F1,
-                            F2=base.F2, G=base.G * 2.0)
-        t1a, t2a, _ = compute_t_loc(p, base, alpha0=1.0)
-        t1b, t2b, _ = compute_t_loc(p, bumped, alpha0=1.0)
+        choices = self._choices(p)
+        t1a, t2a, _ = compute_t_loc(p, *choices, self.LHAT, alpha0=1.0)
+        t1b, t2b, _ = compute_t_loc(p.replace(mu_A=0.6), *choices, self.LHAT, alpha0=1.0)
         assert t1b < t1a and t2b < t2a
 
     def test_roots_satisfy_defining_equations(self):
         p = const_params()
-        inp = self._inputs(p)
+        traj, y1, rho = self._choices(p)
         alpha0 = 1.3
-        t1, t2, tloc = compute_t_loc(p, inp, alpha0)
-        assert abs(4 * p.mu_L * alpha0 * math.exp(inp.G * t1) * t1 * math.sqrt(t1)
+        t1, t2, tloc = compute_t_loc(p, traj, y1, rho, self.LHAT, alpha0)
+        G = (p.beta_A(0.0) + p.beta_I(0.0) + p.sigma + p.mu_A + p.l_A + p.mu_I + p.l_I
+             + p.xi(0.0) + p.l_A ** 2 + p.l_I ** 2)
+        F1 = (p.l_A * np.max(traj.A) + p.l_I * np.max(traj.I) + p.mu_L * np.max(traj.L)
+              + p.mu_L * y1)
+        assert abs(4 * p.mu_L * alpha0 * math.exp(G * t1) * t1 * math.sqrt(t1)
                    - 1.0) <= 1e-10
-        lhs2 = inp.F0 + 4 * alpha0 * (inp.F1 + inp.rho * p.mu_L) \
-            * t2 * math.sqrt(t2) * math.exp(inp.G * t2)
-        assert abs(lhs2 - inp.rho) <= 1e-10
+        lhs2 = (traj.L[0] - y1) + 4 * alpha0 * (F1 + rho * p.mu_L) \
+            * t2 * math.sqrt(t2) * math.exp(G * t2)
+        assert abs(lhs2 - rho) <= 1e-10
         assert tloc == min(t1, t2)
 
     def test_invalid_choices_rejected(self):
         p = const_params()
-        g = Grid(0.0, 5.0, 200)
-        traj = simulate(p, (0.85, 0.05, 0.03, 0.04, 0.03), g)
-        with pytest.raises(ValidationError):
-            TLocInputs.from_trajectory(p, traj, y1=0.2, rho=0.1, lhat=0.5)
-        with pytest.raises(ValidationError):
-            TLocInputs(y1=0.01, rho=0.005, F0=0.01, F1=1.0, F2=1.0, G=1.0)
+        traj = simulate(p, (0.85, 0.05, 0.03, 0.04, 0.03), Grid(0.0, 5.0, 200))
+        with pytest.raises(ValidationError, match="0 < y1 < L0"):
+            compute_t_loc(p, traj, y1=0.2, rho=0.1, lhat=0.5, alpha0=1.0)
+        with pytest.raises(ValidationError, match="rho in"):
+            compute_t_loc(p, traj, y1=0.01, rho=0.005, lhat=0.5, alpha0=1.0)
 
 
 class TestRegimeClassification:
