@@ -1,7 +1,8 @@
 """A forked child process that serves its parent over pipes.
 
-`scenario.GridCsvWriter` renders CSV rows in one, and `identify.solve_p0`
-builds its reverse sweeps' step maps in another.  Both do the same work
+`scenario.GridCsvWriter` renders CSV rows in one, `identify.solve_p0`
+builds its reverse sweeps' step maps in another, and `control.solve_p`
+evaluates stage maps ahead of need in a third.  Each does the same work
 in-process when there is no child: without os.fork, or when the pipe or
 the fork fails.
 """
@@ -22,12 +23,13 @@ class Child:
     then a reader).  The child runs with garbage collection off, since
     collecting the parent's garbage could flush its files, and ends by
     os._exit, so it flushes none of the parent's buffers.  pid is None when
-    no child was forked.
+    no child was forked, as with serve None.  Leaving a with-block waits
+    for the child, or kills it if the block raised.
     """
 
     def __init__(self, serve, pipes: int = 1):
         self.pid, self.files = None, []
-        if not hasattr(os, "fork"):
+        if serve is None or not hasattr(os, "fork"):
             return
         ends = []
         try:
@@ -52,6 +54,39 @@ class Child:
         _close(theirs)
         self.pid = pid
         self.files = [os.fdopen(fd, "wb" if i == 0 else "rb") for i, fd in enumerate(mine)]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pid is None:
+            return
+        if exc_type is None:
+            self.wait()
+        else:
+            self.kill()
+
+    def send(self, data) -> bool:
+        """Write data down the first pipe and flush it; False if there is no
+        child or it has died (then it is reaped)."""
+        if self.pid is not None:
+            try:
+                self.files[0].write(data)
+                self.files[0].flush()
+                return True
+            except OSError:  # the child has died
+                self.kill()
+        return False
+
+    def receive(self, out):
+        """out, filled from the second pipe; None if there is no child or it
+        has died (then it is reaped)."""
+        if self.pid is not None:
+            with suppress(OSError):  # a failed read ends the child too
+                if self.files[1].readinto(out) == out.nbytes:
+                    return out
+            self.kill()  # it has died
+        return None
 
     def wait(self) -> int:
         """Close the pipes, wait for the child to exit, and return its exit code."""

@@ -6,15 +6,17 @@ codes: 0 converged/ok, 2 finished but not converged, 1 hard error (a
 malformed command line included).  A failed run leaves none of the files
 it opened.
 
-The summary's "runtime" field is a deterministic work measure (number of
-five-component ODE sweeps performed), so identical invocations with the
-same seed produce byte-identical output files; wall-clock time is printed
-to the console only.
+The summary's "runtime" field is a deterministic work measure: the number
+of five-component ODE sweeps whose results the solver reads; discarded
+speculative work (control's evaluator, identify's helper) is not counted.
+So identical invocations with the same seed produce byte-identical output
+files; wall-clock time is printed to the console only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -41,7 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser() -> _Parser:
+    # built once: main may be called many times in one process
     parser = _Parser(prog="sailr", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="task", required=True)
     for task in ("simulate", "identify", "control", "stability", "synth"):
@@ -54,7 +58,7 @@ def _parse_args(argv):
                         "(dotted path, e.g. grid.M=2000); repeatable")
         sp.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         sp.add_argument("--quiet", action="store_true", help="suppress the console summary")
-    return parser.parse_args(argv)
+    return parser
 
 
 def _summary_skeleton(task: str, seed: int) -> dict:
@@ -232,7 +236,7 @@ def _print_summary(s: Scenario, summary: dict, status: int, wall: float, outdir:
 
 def main(argv=None) -> int:
     try:
-        args = _parse_args(argv)
+        args = _parser().parse_args(argv)
     except ValidationError as err:
         print(f"sailr: error: {err}", file=sys.stderr)
         code = 1

@@ -16,14 +16,21 @@ stage's solution as the next stage's anchor, so the adaptation penalty
 vanishes along the schedule and the stage fixed point approaches the
 limit optimality conditions (projection with divisor alpha1 instead of
 alpha1 + 1), which are reported as the convergence certificate.
+
+solve_p forks one evaluator per call (`_Evaluator`) that evaluates the
+second point of each of Newton's pairs while the solver evaluates the
+first: the results and sweep count are the same bits as without os.fork.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .child import Child
 from .errors import FeasibilityError, ValidationError
 from .integrate import Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory, adjoint_p_eps
@@ -186,36 +193,107 @@ def update_controls_eps(traj: Trajectory, adjoint: AdjointTrajectory,
                        _clamp01((ii + anchor.lI) / (alpha1 + 1.0)))
 
 
+def _stage_map(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid, eps: float,
+               anchor: ControlPair, l: ControlPair):
+    """F(l) of a stage: forward solve, dual solve, projection update (two sweeps)."""
+    traj = simulate(params.with_controls(l.lA, l.lI), x0, grid)
+    adj = adjoint_p_eps(traj, params, l.lA, l.lI, eps, pcfg.alpha0, pcfg.alpha2, pcfg.Lhat)
+    return update_controls_eps(traj, adj, pcfg.alpha1, anchor), traj, adj
+
+
+class _Evaluator:
+    """The stage maps of one solve_p: F(l) evaluates one here, and ahead(l)
+    queues a point for a forked child (`child.Child`) to evaluate meanwhile.
+
+    stage(eps, anchor) picks the map.  F(l) gives (update, gap update - l,
+    trajectory, adjoint), take() the queued point's (update, gap), states()
+    its trajectory and adjoint, sent only then.  A point never taken is
+    dropped.  Requests are five float64 (lA, lI, eps, anchor), eps = 0
+    asking for the states.  Without a child (no os.fork, a failed pipe or
+    fork, or an error or warning ended it), take and states evaluate here,
+    with the same bits.  sweeps counts the stage's sweeps the solver reads.
+    """
+
+    def __init__(self, pcfg, params, x0, grid, fork=True):
+        self.problem = (pcfg, params, x0, grid)
+        self.child = Child(self._serve if fork else None, pipes=2)
+        self._unread = 0  # replies of dropped points still in the pipe
+
+    def stage(self, eps: float, anchor: ControlPair):
+        self._eps, self._anchor, self.sweeps = eps, anchor, 0
+
+    def F(self, l: ControlPair):
+        raw, traj, adj = _stage_map(*self.problem, self._eps, self._anchor, l)
+        self.sweeps += 2
+        return raw, np.array([raw.lA - l.lA, raw.lI - l.lI]), traj, adj
+
+    def ahead(self, l: ControlPair):
+        self._queued, self._states = l, None
+        self._unread += self.child.send(np.array([l.lA, l.lI, self._eps, self._anchor.lA,
+                                                  self._anchor.lI]).tobytes())
+
+    def take(self):
+        got, self._unread = self.child.receive(np.empty(2 * self._unread)), 0
+        if got is None:
+            raw, gap, *self._states = self.F(self._queued)
+            return raw, gap
+        self.sweeps += 2
+        raw = ControlPair(*got[-2:].tolist())
+        return raw, np.array([raw.lA - self._queued.lA, raw.lI - self._queued.lI])
+
+    def states(self):
+        if self._states is None:
+            grid = self.problem[3]
+            self.child.send(np.zeros(5).tobytes())
+            if (got := self.child.receive(np.empty((2, grid.M + 1, 5)))) is None:
+                _, *self._states = _stage_map(*self.problem, self._eps, self._anchor,
+                                              self._queued)
+            else:
+                self._states = Trajectory(grid, got[0]), AdjointTrajectory(grid, got[1])
+        return self._states
+
+    def _serve(self, requests_fd, replies_fd) -> int:
+        # The child: evaluate points until the parent closes the pipe.  A
+        # warning ends it too, so that it is given where the point is read.
+        warnings.simplefilter("error")
+        with os.fdopen(requests_fd, "rb") as requests, os.fdopen(replies_fd, "wb") as replies:
+            while req := requests.read(40):
+                lA, lI, eps, aA, aI = np.frombuffer(req).tolist()
+                if eps:
+                    raw, traj, adj = _stage_map(*self.problem, eps, ControlPair(aA, aI),
+                                                ControlPair(lA, lI))
+                    replies.write(np.array([raw.lA, raw.lI]).tobytes())
+                else:
+                    replies.write(traj.states.tobytes() + adj.states.tobytes())
+                replies.flush()
+        return 0
+
+
 def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: Grid,
                 init: ControlPair, anchor: ControlPair | None = None,
                 tol_fp: float = TOL_FP) -> StageResult:
     """Solve one penalized stage by damped fixed-point sweeps, then FD Newton.
 
-    Both phases call one local F(l): forward solve, dual solve and projection
-    update at l (two sweeps), giving (update, update - l, trajectory,
-    adjoint).  Relaxation new = THETA*update + (1-THETA)*old.  The sweep
-    phase ends at tol_fp or after MAX_SWEEPS sweeps; FD Newton on the gap
-    then starts from the best sweep's evaluation (and returns at once if it
-    already meets tol_fp).  If Newton does not reach tol_fp, its iterate with
-    the smallest fixed-point residual is returned with converged=False.
+    Both phases evaluate the stage map F(l) (`_stage_map`): forward solve,
+    dual solve and projection update at l (two sweeps), giving the update
+    and the gap update - l.  Relaxation new = THETA*update + (1-THETA)*old.
+    The sweep phase ends at tol_fp or after MAX_SWEEPS sweeps; FD Newton on
+    the gap then starts from the best sweep's evaluation (and returns at
+    once if it already meets tol_fp).  If Newton does not reach tol_fp, its
+    iterate with the smallest fixed-point residual is returned with
+    converged=False.  Here every evaluation runs in-process.
     """
-    anchor = anchor if anchor is not None else pcfg.anchor
-    x0 = _x0_array(x0)
-    nsolves = 0
+    ev = _Evaluator(pcfg, params, _x0_array(x0), grid, fork=False)
+    return _solve_stage(ev, eps, anchor if anchor is not None else pcfg.anchor, init, tol_fp)
 
-    def F(l):
-        nonlocal nsolves
-        traj = simulate(params.with_controls(l.lA, l.lI), x0, grid)
-        adj = adjoint_p_eps(traj, params, l.lA, l.lI, eps,
-                            pcfg.alpha0, pcfg.alpha2, pcfg.Lhat)
-        raw = update_controls_eps(traj, adj, pcfg.alpha1, anchor)
-        nsolves += 2
-        return raw, np.array([raw.lA - l.lA, raw.lI - l.lI]), traj, adj
 
+def _solve_stage(ev: _Evaluator, eps, anchor, init, tol_fp) -> StageResult:
+    pcfg = ev.problem[0]
+    ev.stage(eps, anchor)
     ctrl = init
     best = None
     for _ in range(MAX_SWEEPS):
-        raw, Fv, traj, adj = F(ctrl)
+        raw, Fv, traj, adj = ev.F(ctrl)
         fp_res = raw.dist(ctrl)
         if best is None or fp_res <= best[4]:
             best = (ctrl, Fv, traj, adj, fp_res)
@@ -229,53 +307,65 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     # It only accepts steps that shrink the residual, so it ends at or below
     # the best sweep.
     used_newton = best[4] > tol_fp
-    ctrl, traj, adj, fp_res = _stage_newton(F, *best[:4], tol_fp)
+    ctrl, traj, adj, fp_res = _stage_newton(ev, *best[:4], tol_fp)
     return StageResult(ctrl, _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor),
                        fp_res, used_newton, traj, adj,
-                       _penalty_integral(traj, pcfg.Lhat), nsolves, fp_res <= tol_fp,
+                       _penalty_integral(traj, pcfg.Lhat), ev.sweeps, fp_res <= tol_fp,
                        _multiplier_l1(traj, pcfg.Lhat, pcfg.alpha2, eps))
 
 
-def _stage_newton(F, ctrl, Fv, traj, adj, tol):
+def _in_pairs(ev: _Evaluator, points):
+    # (point, gap, states()) of each point in order, in pairs
+    for k in range(0, len(points), 2):
+        if k + 1 < len(points):
+            ev.ahead(points[k + 1])
+        _, gap, traj, adj = ev.F(points[k])
+        yield points[k], gap, lambda traj=traj, adj=adj: (traj, adj)
+        if k + 1 < len(points):
+            yield points[k + 1], ev.take()[1], ev.states
+
+
+def _stage_newton(ev: _Evaluator, ctrl, Fv, traj, adj, tol):
     """Damped finite-difference Newton on the gap F(l)[1] = update(l) - l.
 
     Starts from ctrl with its gap Fv, trajectory and adjoint already
-    evaluated.  Each further evaluation is one call of F; steps are accepted
-    only if they shrink |gap|, so the phase cannot wander.  Returns the
-    accepted (ctrl, traj, adj, residual).
+    evaluated.  Steps are accepted only if they shrink |gap|, so the phase
+    cannot wander.  The two FD probes are a pair, and so are the backtracking
+    candidates t and t/2 for t = 1, 1/4, 1/16, ...: ev's child evaluates the
+    second while F evaluates the first, and the first candidate that shrinks
+    |gap| is taken, as one at a time would.  Returns the accepted (ctrl,
+    traj, adj, residual).
     """
     fp = float(np.max(np.abs(Fv)))
     for _ in range(30):
         if fp <= tol:
             break
         delta = max(1e-7, 1e-3 * fp)
-        Jm = np.empty((2, 2))
-        for i, e in enumerate(((delta, 0.0), (0.0, delta))):
+        probes = []
+        for e in ((delta, 0.0), (0.0, delta)):
             lp = ControlPair(_clamp01(ctrl.lA + e[0]), _clamp01(ctrl.lI + e[1]))
             if lp.dist(ctrl) == 0.0:  # pinned at the boundary; probe inward
                 lp = ControlPair(_clamp01(ctrl.lA - e[0]), _clamp01(ctrl.lI - e[1]))
-            Fp = F(lp)[1]
-            scale = lp.lA - ctrl.lA if i == 0 else lp.lI - ctrl.lI
-            Jm[:, i] = (Fp - Fv) / scale
+            probes.append(lp)
+        (pA, FA, _), (pI, FI, _) = _in_pairs(ev, probes)
+        Jm = np.column_stack([(FA - Fv) / (pA.lA - ctrl.lA), (FI - Fv) / (pI.lI - ctrl.lI)])
         try:
             step = np.linalg.solve(Jm, -Fv)
         except np.linalg.LinAlgError:
             break
-        improved = False
-        t = 1.0
-        for _ in range(20):
+        cands = []
+        for t in 0.5 ** np.arange(20):
             cand = ControlPair(_clamp01(ctrl.lA + t * step[0]),
                                _clamp01(ctrl.lI + t * step[1]))
             if cand.dist(ctrl) == 0.0:
                 break
-            _, Fc, tc, ac = F(cand)
+            cands.append(cand)
+        for cand, Fc, states in _in_pairs(ev, cands):
             fc = float(np.max(np.abs(Fc)))
             if fc < fp:
-                ctrl, Fv, traj, adj, fp = cand, Fc, tc, ac, fc
-                improved = True
+                ctrl, Fv, fp, (traj, adj) = cand, Fc, fc, states()
                 break
-            t *= 0.5
-        if not improved:
+        else:
             break
     return ctrl, traj, adj, fp
 
@@ -296,7 +386,8 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid) -> Control
     schedule, extra stages at the final eps are run until the limit
     fixed-point residual stops improving or drops below tolerance.  A
     schedule that ends above tolerance yields converged=False, not an
-    error.
+    error.  Newton's pairs go to one forked `_Evaluator`, closed on return
+    and killed on any error; forward_solves counts the sweeps read.
     """
     x0 = _x0_array(x0)
     L0 = float(x0[3])
@@ -305,53 +396,52 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid) -> Control
     ctrl = anchor = pcfg.anchor
     notes = []
     history = []
-    nsolves = 0
+    ev = _Evaluator(pcfg, params, x0, grid)
 
     def run_stage(eps, anchor, ctrl, tol=TOL_FP):
-        nonlocal nsolves
-        st = solve_p_eps(pcfg, eps, params, x0, grid, ctrl, anchor=anchor, tol_fp=tol)
+        st = _solve_stage(ev, eps, anchor, ctrl, tol)
         if not st.converged:
             notes.append(f"stage eps={eps:g} stalled at residual {st.fp_residual:.3e}")
-        nsolves += st.forward_solves
         history.append(st)
         return st
 
-    st = None
-    for i, eps in enumerate(pcfg.eps_schedule):
-        last = i == len(pcfg.eps_schedule) - 1
-        # warm-up stages only seed the next one
-        st = run_stage(eps, anchor, ctrl, tol=TOL_FP if last else 1e-6)
-        ctrl = st.controls
-        anchor = ctrl
-
-    eps_min = pcfg.eps_schedule[-1]
-    limit_res = _limit_residual(st.trajectory, st.adjoint, ctrl, pcfg.alpha1)
-    recent = [ctrl]
-    no_progress = 0
-    for rnd in range(POLISH_MAX):
-        if limit_res <= TOL_RESIDUAL:
-            break
-        st = run_stage(eps_min, anchor, ctrl)
-        new_res = _limit_residual(st.trajectory, st.adjoint, st.controls, pcfg.alpha1)
-        no_progress = no_progress + 1 if new_res >= limit_res * (1 - 1e-12) else 0
-        limit_res = new_res
-        if st.controls.dist(ctrl) == 0.0 or no_progress >= 5:
+    with ev.child:  # closed when the stages are done, killed on an error
+        st = None
+        for i, eps in enumerate(pcfg.eps_schedule):
+            last = i == len(pcfg.eps_schedule) - 1
+            # warm-up stages only seed the next one
+            st = run_stage(eps, anchor, ctrl, tol=TOL_FP if last else 1e-6)
             ctrl = st.controls
-            break
-        ctrl = st.controls
-        recent.append(ctrl)
-        # the anchor chain is a contractive fixed point; Aitken extrapolation
-        # of the last three anchors shortcuts its geometric tail
-        nxt = ctrl
-        if len(recent) >= 3 and rnd % 3 == 2:
-            l0, l1, l2 = recent[-3], recent[-2], recent[-1]
-            acc = []
-            for a, b, c in ((l0.lA, l1.lA, l2.lA), (l0.lI, l1.lI, l2.lI)):
-                den = (c - b) - (b - a)
-                acc.append(c - (c - b) ** 2 / den if abs(den) > 1e-15 else c)
-            nxt = ControlPair(_clamp01(acc[0]), _clamp01(acc[1]))
-        anchor = nxt
-        ctrl = nxt
+            anchor = ctrl
+
+        eps_min = pcfg.eps_schedule[-1]
+        limit_res = _limit_residual(st.trajectory, st.adjoint, ctrl, pcfg.alpha1)
+        recent = [ctrl]
+        no_progress = 0
+        for rnd in range(POLISH_MAX):
+            if limit_res <= TOL_RESIDUAL:
+                break
+            st = run_stage(eps_min, anchor, ctrl)
+            new_res = _limit_residual(st.trajectory, st.adjoint, st.controls, pcfg.alpha1)
+            no_progress = no_progress + 1 if new_res >= limit_res * (1 - 1e-12) else 0
+            limit_res = new_res
+            if st.controls.dist(ctrl) == 0.0 or no_progress >= 5:
+                ctrl = st.controls
+                break
+            ctrl = st.controls
+            recent.append(ctrl)
+            # the anchor chain is a contractive fixed point; Aitken extrapolation
+            # of the last three anchors shortcuts its geometric tail
+            nxt = ctrl
+            if len(recent) >= 3 and rnd % 3 == 2:
+                l0, l1, l2 = recent[-3], recent[-2], recent[-1]
+                acc = []
+                for a, b, c in ((l0.lA, l1.lA, l2.lA), (l0.lI, l1.lI, l2.lI)):
+                    den = (c - b) - (b - a)
+                    acc.append(c - (c - b) ** 2 / den if abs(den) > 1e-15 else c)
+                nxt = ControlPair(_clamp01(acc[0]), _clamp01(acc[1]))
+            anchor = nxt
+            ctrl = nxt
 
     traj, adj = st.trajectory, st.adjoint
     viol = constraint_violation(traj, pcfg.Lhat)
@@ -366,7 +456,7 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid) -> Control
                  and st.converged)
     cost = _cost_p_from(traj, ctrl, pcfg.alpha0, pcfg.alpha1)
     return ControlResult(ctrl, traj, adj, cost, viol, nu, history, limit_res,
-                         converged, notes, nsolves)
+                         converged, notes, sum(s.forward_solves for s in history))
 
 
 def _tloc_note(params, pcfg, L0, traj, ctrl, grid, notes):

@@ -361,21 +361,11 @@ class _ReverseHelper:
     def __enter__(self):
         return self
 
-    def __exit__(self, exc_type, exc, tb):
-        if self._child.pid is None:
-            return
-        if exc_type is None:
-            self._child.wait()
-        else:  # its maps are not worth finishing
-            self._child.kill()
+    def __exit__(self, *exc):
+        self._child.__exit__(*exc)  # an error kills it: its maps are not worth finishing
 
     def _frame(self, lo: int, hi: int, payload=b""):
-        if self._child.pid is not None:
-            try:
-                self._child.files[0].write(np.array([lo, hi], dtype=np.int64).tobytes()
-                                           + payload)
-            except OSError:  # the child has died
-                self._child.kill()
+        self._child.send(np.array([lo, hi], dtype=np.int64).tobytes() + payload)
 
     def candidate(self, values):
         self._frame(self._CANDIDATE, len(values), np.asarray(values, dtype=float).tobytes())
@@ -386,20 +376,12 @@ class _ReverseHelper:
     def vjp(self, p: ModelParams, traj: Trajectory):
         """(v, bbar) of `_rk4_model_vjp` for the candidate last streamed."""
         self._frame(self._SWEEP, 0)
-        if self._child.pid is not None:
-            M = self._grid.M
-            try:
-                self._child.files[0].flush()
-                ys = self._receive(np.empty((M + 1,) + _ENDS.shape))
-                return ys[::-1], self._receive(np.empty((2 * M + 1, _ENDS.shape[1])))
-            except (OSError, EOFError):  # the child has died
-                self._child.kill()
-        return _rk4_model_vjp(p, traj, _ENDS)
-
-    def _receive(self, out):
-        if self._child.files[1].readinto(out) < out.nbytes:
-            raise EOFError
-        return out
+        M = self._grid.M
+        ys = self._child.receive(np.empty((M + 1,) + _ENDS.shape))
+        bbar = self._child.receive(np.empty((2 * M + 1, _ENDS.shape[1])))
+        if bbar is None:  # no child, or it has died
+            return _rk4_model_vjp(p, traj, _ENDS)
+        return ys[::-1], bbar
 
     def _serve(self, frames_fd, replies_fd) -> int:
         # The child: serve frames until the parent closes the pipe.

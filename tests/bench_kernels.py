@@ -13,6 +13,11 @@ for the reverse sweep.
 forward solve and the reverse sweep, either in-process or with the solve
 streamed to `identify._ReverseHelper`, which builds the step maps in a
 forked child meanwhile and sends back the sweep's result.
+
+`test_stage_newton` times the FD-Newton phase of one control_binding stage
+that stalls, either in-process or with solve_p's forked evaluator taking
+the second point of each pair; its extra_info holds the sweeps the phase
+reads, the same either way.
 """
 
 from contextlib import nullcontext
@@ -20,11 +25,11 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from sailr import (CoefficientTable, Grid, IdentCandidate, Observations, adjoint_p0,
-                   adjoint_p_eps, simulate, tangent_p)
+from sailr import (CoefficientTable, ControlPair, Grid, IdentCandidate, Observations,
+                   adjoint_p0, adjoint_p_eps, control, simulate, tangent_p)
 from sailr.identify import _ENDS, _ReverseHelper, _forward
 from sailr.model import _rk4_model_vjp
-from conftest import random_params, random_state
+from conftest import control_binding_problem, random_params, random_state
 
 T = 50.0
 SIZES = (400, 10_000, 100_000)
@@ -75,3 +80,28 @@ def test_forward_and_reverse(benchmark, streamed, M):
         benchmark.pedantic(gradient_sweeps, rounds=max(5, 400_000 // M), warmup_rounds=1)
     if benchmark.stats is not None:
         benchmark.extra_info["us_per_step"] = benchmark.stats.stats.min * 1e6 / M
+
+
+#: a stage of solve_p on control_binding that stalls: the first polish stage
+#: at the last eps, anchored at and started from the schedule's solution.
+#: Its first sweep is its best, and Newton from there ends above TOL_FP after
+#: 492 sweeps
+STALLED_STAGE = (0.1 * 2.0 ** -16, ControlPair(0.08676724147869051, 0.09549475444194902))
+
+
+@pytest.mark.parametrize("forked", [False, True], ids=["in_process", "evaluator"])
+def test_stage_newton(benchmark, forked):
+    eps, ctrl = STALLED_STAGE
+    ev = control._Evaluator(*control_binding_problem(), fork=forked)
+    benchmark.group = "control stage Newton M=400"
+    with ev.child:
+        ev.stage(eps, ctrl)
+        start = ev.F(ctrl)[1:]
+
+        def newton():
+            ev.stage(eps, ctrl)
+            return control._stage_newton(ev, ctrl, *start, control.TOL_FP)
+
+        fp = benchmark.pedantic(newton, rounds=3, warmup_rounds=0)[-1]
+    assert fp > control.TOL_FP
+    benchmark.extra_info["sweeps"] = ev.sweeps

@@ -1,4 +1,8 @@
-"""Constrained control: penalized costs, sweep updates, continuation."""
+"""Constrained control: penalized costs, sweep updates, continuation, and
+solve_p's forked stage-map evaluator."""
+
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from sailr import (ControlPair, FeasibilityError, Grid, ModelParams, PenaltyConf
                    solve_p, solve_p_eps, trapezoid, update_controls_eps)
 from sailr import control
 from sailr.linearize import AdjointTrajectory
+from conftest import assert_no_child, refuse_fork
 
 
 def epidemic_params(**kw):
@@ -364,3 +369,138 @@ class TestSolveP:
         for st in res.per_eps_history:
             assert 0.0 <= st.controls.lA <= 1.0
             assert 0.0 <= st.controls.lI <= 1.0
+
+
+# --------------------------------------------- solve_p's forked evaluator
+
+def binding_problem():
+    """control_binding's problem at M = 100 with 8 stages: Newton pairs in
+    which the evaluator's candidate is taken, and others where it is dropped."""
+    pcfg = PenaltyConfig(alpha0=5.0, alpha1=0.02, alpha2=5.0, Lhat=0.04,
+                         eps_schedule=default_eps_schedule(8))
+    return pcfg, epidemic_params(), X0, Grid(0.0, 8.0, 100)
+
+
+def result_bits(res):
+    """Every number of a ControlResult and of its stages, exactly: repr
+    round-trips a float, and arrays go as bytes."""
+    stages = [(s.controls, s.cost_eps, s.fp_residual, s.used_fallback, s.forward_solves,
+               s.converged, s.penalty_integral, s.multiplier_l1,
+               s.trajectory.states.tobytes(), s.adjoint.states.tobytes())
+              for s in res.per_eps_history]
+    return repr((res.controls, res.cost, res.constraint_violation, res.limit_residual,
+                 res.converged, res.notes, res.forward_solves, res.trajectory.states.tobytes(),
+                 res.adjoint.states.tobytes(), res.multiplier_diag.tobytes(), stages))
+
+
+def spy_stage_map(monkeypatch, in_child=None, in_parent=None):
+    """Wrap control._stage_map: the points the calling process evaluates
+    are recorded, and in_child(l) or in_parent(l) runs before each."""
+    parent, points = os.getpid(), []
+    stage_map = control._stage_map
+
+    def spy(*args):
+        l = args[-1]
+        hook = in_parent if os.getpid() == parent else in_child
+        if hook is not None:
+            hook(l)
+        points.append((l.lA, l.lI))
+        return stage_map(*args)
+
+    monkeypatch.setattr(control, "_stage_map", spy)
+    return points
+
+
+@pytest.fixture(scope="module")
+def in_process():
+    """(result_bits, the points evaluated) of binding_problem without os.fork."""
+    with pytest.MonkeyPatch.context() as mp:
+        refuse_fork(mp)
+        points = spy_stage_map(mp)
+        res = solve_p(*binding_problem())
+    assert_no_child()
+    return result_bits(res), set(points)
+
+
+class TestEvaluator:
+    def test_same_bits_as_in_process(self, monkeypatch, fork_calls, kills, in_process):
+        points = spy_stage_map(monkeypatch)
+        assert result_bits(solve_p(*binding_problem())) == in_process[0]
+        assert len(fork_calls) == 1
+        assert kills == []
+        # the evaluator took part of the work, and the parent did no more
+        assert set(points) < in_process[1]
+        assert_no_child()
+
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_pairs_give_each_points_map(self, monkeypatch, fork_calls, forked):
+        # each point _in_pairs gives, read in order, has _stage_map's gap,
+        # trajectory and adjoint; a pair left after its first point drops
+        # the second, whose sweeps do not count
+        if not forked:
+            refuse_fork(monkeypatch)
+        pcfg, p, x0, g = binding_problem()
+        points = [ControlPair(0.1 * i, 0.3 + 0.05 * i) for i in range(1, 4)]
+        ev = control._Evaluator(pcfg, p, x0, g)
+        with ev.child:
+            ev.stage(1e-3, pcfg.anchor)
+            next(control._in_pairs(ev, points[1:]))  # queues points[2], then drops it
+            got = [(l, gap, *states()) for l, gap, states in control._in_pairs(ev, points)]
+        assert ev.sweeps == 2 + 3 * 2
+        assert [l for l, *_ in got] == points
+        for (l, gap, traj, adj) in got:
+            raw, want_traj, want_adj = control._stage_map(pcfg, p, x0, g, 1e-3, pcfg.anchor, l)
+            assert gap.tolist() == [raw.lA - l.lA, raw.lI - l.lI]
+            assert traj.states.tobytes() == want_traj.states.tobytes()
+            assert adj.states.tobytes() == want_adj.states.tobytes()
+        assert len(fork_calls) == forked
+        assert_no_child()
+
+    def test_forks_once_per_call(self, fork_calls):
+        pcfg, p, x0, g = binding_problem()
+        for n in (1, 2):
+            solve_p(PenaltyConfig(pcfg.alpha0, pcfg.alpha1, pcfg.alpha2, pcfg.Lhat,
+                                  eps_schedule=(0.1,)), p, x0, g)
+            assert len(fork_calls) == n
+            assert_no_child()
+
+    def test_unread_candidate_raising_in_child(self, monkeypatch, fork_calls, kills,
+                                               in_process):
+        # a dropped candidate that raises ends the evaluator; its reply was
+        # never going to be read, and the parent goes on in-process
+        def fail_unread(l):
+            if (l.lA, l.lI) not in in_process[1]:
+                raise RuntimeError("dropped candidate")
+
+        spy_stage_map(monkeypatch, in_child=fail_unread)
+        assert result_bits(solve_p(*binding_problem())) == in_process[0]
+        assert kills == [(fork_calls[0], signal.SIGKILL)]  # reaped once found dead
+        assert_no_child()
+
+    def test_child_dies_mid_solve(self, monkeypatch, fork_calls, kills, in_process):
+        evaluated = []
+
+        def die_at_tenth(l):
+            evaluated.append(l)
+            if len(evaluated) == 10:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        spy_stage_map(monkeypatch, in_child=die_at_tenth)
+        assert result_bits(solve_p(*binding_problem())) == in_process[0]
+        assert kills == [(fork_calls[0], signal.SIGKILL)]  # the parent reaps it
+        assert_no_child()
+
+    def test_parent_error_kills_child(self, monkeypatch, fork_calls, kills):
+        evaluated = []
+
+        def fail_late(l):
+            evaluated.append(l)
+            if len(evaluated) == 300:
+                raise RuntimeError("parent-side failure")
+
+        spy_stage_map(monkeypatch, in_parent=fail_late)
+        with pytest.raises(RuntimeError, match="parent-side failure"):
+            solve_p(*binding_problem())
+        assert len(fork_calls) == 1
+        assert kills == [(fork_calls[0], signal.SIGKILL)]
+        assert_no_child()

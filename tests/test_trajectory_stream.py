@@ -23,6 +23,7 @@ from sailr import (BlowupError, ValidationError, identify, model, scenario_from_
                    simulate, solve_p, solve_p0, write_adjoint_csv, write_trajectory_csv)
 from sailr.cli import main
 from sailr.scenario import write_series_csv
+from conftest import _REFUSED, assert_no_child, refuse_fork
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -72,48 +73,9 @@ def assert_same_bytes(tmp_path, doc, out):
     assert (out / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def assert_no_outputs(out):
     """out holds no file (a directory that was there stays)."""
     assert [p.name for p in out.glob("*") if p.is_file() or p.is_symlink()] == []
-
-
-@pytest.fixture
-def fork_calls(monkeypatch):
-    """The pids os.fork returns in this process while the test runs."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            calls.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
-#: the system call that fails, and its errno, in each refusal but "no_fork"
-_REFUSED = {"fork_eagain": ("fork", errno.EAGAIN), "pipe_emfile": ("pipe", errno.EMFILE)}
-
-
-def refuse_fork(monkeypatch, failure="no_fork"):
-    """Leave no child to fork: os.fork deleted ("no_fork"), os.fork failing
-    with EAGAIN, or os.pipe failing with EMFILE, before any fork."""
-    if failure == "no_fork":
-        monkeypatch.delattr(os, "fork")
-        return
-    name, code = _REFUSED[failure]
-
-    def fail():
-        raise OSError(code, os.strerror(code))  # EAGAIN gives a BlockingIOError
-
-    monkeypatch.setattr(os, name, fail)
 
 
 @pytest.fixture(params=["no_fork", *_REFUSED])
@@ -209,8 +171,9 @@ class TestFailures:
 _SERIES = {"identify": "beta_I.csv", "control": "multiplier.csv"}
 
 #: forks per run: identify forks its reverse-sweep helper inside solve_p0,
-#: then the writer, so the writer's fork is the last one of each task
-FORKS = {"simulate": 1, "identify": 2, "control": 1}
+#: and control its stage-map evaluator inside solve_p, then the writer, so
+#: the writer's fork is the last one of each task
+FORKS = {"simulate": 1, "identify": 2, "control": 2}
 
 
 def solution_doc(task):
@@ -281,25 +244,17 @@ class TestAdjointExport:
         assert_no_outputs(out)
         assert_no_child()
 
-    def test_child_killed_on_failure(self, tmp_path, capsys, monkeypatch, solution,
-                                     fork_calls):
+    def test_child_killed_on_failure(self, tmp_path, capsys, solution, fork_calls, kills):
         # trajectory.csv cannot be opened while the child renders adjoint.csv:
         # the child is killed instead of finishing a file that goes anyway
-        kills = []
-        kill = os.kill
-
-        def spy(pid, sig):
-            kills.append((pid, sig))
-            kill(pid, sig)
-
-        monkeypatch.setattr(os, "kill", spy)
         (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
         code, out = run_task(tmp_path, solution[1])
         assert code == 1
         assert capsys.readouterr().err == (f"sailr export: error: {out / 'trajectory.csv'}: "
                                            f"{os.strerror(errno.EISDIR)}\n")
         assert len(fork_calls) == FORKS[solution[0]]
-        assert kills == [(fork_calls[-1], signal.SIGKILL)]  # the writer's, not the helper's
+        # the writer's, not identify's helper's or control's evaluator's
+        assert kills == [(fork_calls[-1], signal.SIGKILL)]
         assert (out / "trajectory.csv").is_dir()
         assert_no_outputs(out)
         assert_no_child()
@@ -315,10 +270,10 @@ def task_doc(task):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
-@pytest.mark.parametrize("task", ["simulate", "identify"])
+@pytest.mark.parametrize("task", ["simulate", "identify", "control"])
 def test_one_cpu_run_forks(tmp_path, fork_calls, task):
-    # the writer, and identify's reverse-sweep helper, fork whatever number
-    # of CPUs the process may use
+    # the writer, identify's reverse-sweep helper and control's evaluator
+    # fork whatever number of CPUs the process may use
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
@@ -482,14 +437,10 @@ class TestReverseHelper:
         assert result_bytes(res) == identify_reference
         assert_no_child()
 
-    def test_parent_error_mid_solve(self, monkeypatch, fork_calls):
+    def test_parent_error_mid_solve(self, monkeypatch, fork_calls, kills):
         # the second gradient fails in the parent: the helper is killed
-        kills, calls = [], []
-        kill, residual = os.kill, identify.optimality_residual_p0
-
-        def spy(pid, sig):
-            kills.append((pid, sig))
-            kill(pid, sig)
+        calls = []
+        residual = identify.optimality_residual_p0
 
         def fail_second(*args):
             calls.append(1)
@@ -497,7 +448,6 @@ class TestReverseHelper:
                 raise RuntimeError("error in the parent")
             return residual(*args)
 
-        monkeypatch.setattr(os, "kill", spy)
         monkeypatch.setattr(identify, "optimality_residual_p0", fail_second)
         obs, params, grid, weights, solver = identify_problem(1000)
         with pytest.raises(RuntimeError, match="error in the parent"):
