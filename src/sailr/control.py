@@ -34,7 +34,7 @@ from .child import Child
 from .errors import FeasibilityError, ValidationError
 from .integrate import Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory, adjoint_p_eps
-from .model import ModelParams, State, TOL_NEG, simulate
+from .model import ModelParams, TOL_NEG, simulate
 from .stability import compute_t_loc
 
 
@@ -138,10 +138,6 @@ def constraint_violation(traj: Trajectory, lhat: float) -> float:
     return float(np.max(np.maximum(traj.L - lhat, 0.0)))
 
 
-def _x0_array(x0):
-    return x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
-
-
 def _cost_p_from(traj: Trajectory, ctrl: ControlPair, alpha0: float, alpha1: float) -> float:
     h = traj.grid.h
     run = 0.5 * alpha0 * (trapezoid(traj.A ** 2, h) + trapezoid(traj.I ** 2, h))
@@ -165,7 +161,7 @@ def _cost_p_eps_from(traj, ctrl, pcfg: PenaltyConfig, eps: float, anchor: Contro
 def cost_p(ctrl: ControlPair, params: ModelParams, x0, grid: Grid,
            alpha0: float, alpha1: float) -> float:
     """Control cost: quadratic burden of the undetected classes plus control effort."""
-    traj = simulate(params.with_controls(ctrl.lA, ctrl.lI), _x0_array(x0), grid)
+    traj = simulate(params.with_controls(ctrl.lA, ctrl.lI), x0, grid)
     return _cost_p_from(traj, ctrl, alpha0, alpha1)
 
 
@@ -174,7 +170,7 @@ def cost_p_eps(ctrl: ControlPair, params: ModelParams, x0, grid: Grid,
     """Penalized stage cost: cost_p + (alpha2/2eps) int((L-Lhat)^+)^2 + anchor terms."""
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    traj = simulate(params.with_controls(ctrl.lA, ctrl.lI), _x0_array(x0), grid)
+    traj = simulate(params.with_controls(ctrl.lA, ctrl.lI), x0, grid)
     return _cost_p_eps_from(traj, ctrl, pcfg, eps, pcfg.anchor)
 
 
@@ -195,9 +191,11 @@ def update_controls_eps(traj: Trajectory, adjoint: AdjointTrajectory,
 
 def _stage_map(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid, eps: float,
                anchor: ControlPair, l: ControlPair):
-    """F(l) of a stage: forward solve, dual solve, projection update (two sweeps)."""
-    traj = simulate(params.with_controls(l.lA, l.lI), x0, grid)
-    adj = adjoint_p_eps(traj, params, l.lA, l.lI, eps, pcfg.alpha0, pcfg.alpha2, pcfg.Lhat)
+    """F(l) of a stage: forward and dual solves at the controls l, then the
+    projection update (two sweeps)."""
+    pl = params.with_controls(l.lA, l.lI)
+    traj = simulate(pl, x0, grid)
+    adj = adjoint_p_eps(traj, pl, eps, pcfg.alpha0, pcfg.alpha2, pcfg.Lhat)
     return update_controls_eps(traj, adj, pcfg.alpha1, anchor), traj, adj
 
 
@@ -270,21 +268,20 @@ class _Evaluator:
 
 
 def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: Grid,
-                init: ControlPair, anchor: ControlPair | None = None,
-                tol_fp: float = TOL_FP) -> StageResult:
-    """Solve one penalized stage by damped fixed-point sweeps, then FD Newton.
+                init: ControlPair) -> StageResult:
+    """Solve one penalized stage at pcfg.anchor: damped fixed-point sweeps, then FD Newton.
 
     Both phases evaluate the stage map F(l) (`_stage_map`): forward solve,
     dual solve and projection update at l (two sweeps), giving the update
     and the gap update - l.  Relaxation new = THETA*update + (1-THETA)*old.
-    The sweep phase ends at tol_fp or after MAX_SWEEPS sweeps; FD Newton on
+    The sweep phase ends at TOL_FP or after MAX_SWEEPS sweeps; FD Newton on
     the gap then starts from the best sweep's evaluation (and returns at
-    once if it already meets tol_fp).  If Newton does not reach tol_fp, its
+    once if it already meets TOL_FP).  If Newton does not reach TOL_FP, its
     iterate with the smallest fixed-point residual is returned with
     converged=False.  Here every evaluation runs in-process.
     """
-    ev = _Evaluator(pcfg, params, _x0_array(x0), grid, fork=False)
-    return _solve_stage(ev, eps, anchor if anchor is not None else pcfg.anchor, init, tol_fp)
+    ev = _Evaluator(pcfg, params, np.asarray(x0, dtype=float), grid, fork=False)
+    return _solve_stage(ev, eps, pcfg.anchor, init, TOL_FP)
 
 
 def _solve_stage(ev: _Evaluator, eps, anchor, init, tol_fp) -> StageResult:
@@ -389,7 +386,7 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid) -> Control
     error.  Newton's pairs go to one forked `_Evaluator`, closed on return
     and killed on any error; forward_solves counts the sweeps read.
     """
-    x0 = _x0_array(x0)
+    x0 = np.asarray(x0, dtype=float)
     L0 = float(x0[3])
     if not pcfg.Lhat > L0:
         raise ValidationError("Lhat must exceed L0")

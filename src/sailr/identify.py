@@ -125,9 +125,15 @@ def _check_feasible(c: IdentCandidate, n0: float):
             f"(A0, I0)=({c.A0}, {c.I0}) outside K0 with N0={n0}; project first")
 
 
+def grid_errors(grid: Grid, obs: Observations) -> list[str]:
+    """The identification grid rule: [0, obs.T], with t0 = 0 exactly (beta_I's first knot)."""
+    ok = grid.t0 == 0.0 and abs(grid.T - obs.T) <= 1e-9 * max(1.0, obs.T)
+    return [] if ok else ["grid must span [0, observations.T] for task=identify"]
+
+
 def _check_grid(grid: Grid, obs: Observations):
-    if abs(grid.t0) > 1e-12 or abs(grid.T - obs.T) > 1e-9 * max(1.0, obs.T):
-        raise ValidationError("identification grid must span [0, observations.T]")
+    if errs := grid_errors(grid, obs):
+        raise ValidationError(errs)
 
 
 def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,

@@ -5,7 +5,8 @@ stored state trajectory (sampled at grid points, midpoint-averaged at RK4
 half steps), and the dual systems are integrated in reversed time from
 prescribed final data.  The integration-by-parts identities relating
 tangent and adjoint solutions are exposed as residuals so gradient code
-can be verified independently.
+can be verified independently.  All four sweeps take every rate, the
+controls (l_A, l_I) included, from their params argument.
 
 All these sweeps, and the model's discrete reverse-mode sweep
 (`model._rk4_model_vjp`), run on one step-map kernel: with the trajectory
@@ -116,14 +117,14 @@ def tangent_p0(traj: Trajectory, params: ModelParams,
     return TangentTrajectory(g, _sweep(xh, g, params, src, (-w - v, w, v, 0.0, 0.0)))
 
 
-def adjoint_p_eps(traj: Trajectory, params: ModelParams, l_a: float, l_i: float,
-                  eps: float, alpha0: float, alpha2: float, lhat: float) -> AdjointTrajectory:
+def adjoint_p_eps(traj: Trajectory, params: ModelParams, eps: float, alpha0: float,
+                  alpha2: float, lhat: float) -> AdjointTrajectory:
     """Backward dual sweep for the penalized control problem.
 
-    (l_a, l_i) are the current controls (they enter the dual coefficients;
-    params supplies every other rate).  Sources are -alpha0*(A, I) in the
-    q/d equations and the penalty density (alpha2/eps)*(L - lhat)^+ in the
-    e equation; final data are zero.
+    params, the params that produced traj, carries the current controls
+    (l_A, l_I) with every other rate.  Sources are -alpha0*(A, I) in the q/d
+    equations and the penalty density (alpha2/eps)*(L - lhat)^+ in the e
+    equation; final data are zero.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
@@ -133,8 +134,7 @@ def adjoint_p_eps(traj: Trajectory, params: ModelParams, l_a: float, l_i: float,
     src[:, 1] = alpha0 * xh[:, 1]
     src[:, 2] = alpha0 * xh[:, 2]
     src[:, 3] = (alpha2 / eps) * np.maximum(xh[:, 3] - lhat, 0.0)
-    pr = params.with_controls(l_a, l_i)
-    return AdjointTrajectory(traj.grid, _sweep(xh, traj.grid, pr, src, np.zeros(5), dual=True))
+    return AdjointTrajectory(traj.grid, _sweep(xh, traj.grid, params, src, np.zeros(5), dual=True))
 
 
 def adjoint_p0(traj: Trajectory, params: ModelParams, obs) -> AdjointTrajectory:
@@ -175,10 +175,7 @@ def duality_residual_p0(traj: Trajectory, adjoint: AdjointTrajectory,
     RHS: int(S I (q - p) u) + p(0)(-w-v) + q(0) w + d(0) v.
     """
     g = same_grid(traj, adjoint, tangent)
-    if isinstance(u, CoefficientTable):
-        ug = np.asarray(u(g.points()), dtype=float)
-    else:
-        ug = np.asarray(u, dtype=float)
+    ug = np.asarray(u(g.points()) if isinstance(u, CoefficientTable) else u, dtype=float)
     lhs = float((traj.L[-1] - obs.LT) * tangent.l[-1] + (traj.R[-1] - obs.RT) * tangent.r[-1])
     rhs = trapezoid(traj.S * traj.I * (adjoint.q - adjoint.p) * ug, g.h)
     rhs += float(adjoint.p[0] * (-w - v) + adjoint.q[0] * w + adjoint.d[0] * v)

@@ -96,7 +96,7 @@ def _as_table(c) -> CoefficientTable:
 
 @dataclass(frozen=True)
 class State:
-    """Population fractions of the five compartments."""
+    """Population fractions of the five compartments; np.asarray gives (S, A, I, L, R)."""
 
     S: float
     A: float
@@ -104,8 +104,8 @@ class State:
     L: float
     R: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.S, self.A, self.I, self.L, self.R], dtype=float)
+    def __array__(self, dtype=None, copy=None):
+        return np.array([self.S, self.A, self.I, self.L, self.R], dtype=dtype)
 
 
 def total_population(x) -> float:
@@ -192,7 +192,7 @@ def rhs(x, p: ModelParams, t) -> np.ndarray:
     matching times.  The five components sum to zero up to floating-point
     rounding.
     """
-    x = x.as_array() if isinstance(x, State) else np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     return _rhs(x, p, p.beta_I(t), p.beta_A(t), p.xi(t))
 
 
@@ -319,7 +319,7 @@ def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
     before it returns: trajectory.csv is written while the solve goes on.
     """
     validate_params(p, t_max=grid.T)
-    x0 = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
+    x0 = np.asarray(x0, dtype=float)
     M = grid.M
     out = np.empty((M + 1, 5))
     x = tuple(float(v) for v in x0)

@@ -24,7 +24,7 @@ import numpy as np
 from .child import Child
 from .control import ControlPair, PenaltyConfig
 from .errors import ValidationError
-from .identify import IdentConfig, Observations, n0_of
+from .identify import IdentConfig, Observations, grid_errors, n0_of
 from .integrate import MAX_STEPS, Grid, Trajectory
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, State, param_errors, simulate,
@@ -210,7 +210,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         params = None
 
     if x0 is not None:
-        if min(x0.as_array()) < 0:
+        if min(np.asarray(x0)) < 0:
             errs.append("x0 components must be >= 0")
         if params is not None and abs(total_population(x0) - params.N) > 1e-9:
             errs.append("x0 components must sum to N")
@@ -218,8 +218,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if task == "identify" and observations is not None:
         if grid is None:
             grid = Grid(0.0, observations.T, DEFAULT_GRID_M)
-        elif abs(grid.T - observations.T) > 1e-9 * max(1.0, observations.T) or grid.t0 != 0.0:
-            errs.append("grid must span [0, observations.T] for task=identify")
+        errs += grid_errors(grid, observations)
         if params is not None and not n0_of(params, observations) > 0:
             errs.append("observations leave no unobserved mass: L0 + R0 >= N")
 

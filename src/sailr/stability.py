@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrate import MAX_STEPS, Grid, Trajectory
-from .model import ModelParams, State, TOL_NEG, jacobian, simulate, validate_params
+from .model import ModelParams, TOL_NEG, jacobian, simulate, validate_params
 
 #: horizon doubling stops once the total simulated time would exceed this
 HORIZON_CAP = 2.0 ** 20
@@ -149,7 +149,7 @@ def simulate_extinction(params: ModelParams, x0,
     cfg = config or StabilityConfig()
     if float(np.max(np.abs(params.xi.values))) != 0.0:
         raise ValidationError("extinction analysis requires xi identically zero")
-    x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     if np.min(x) < 0:
         raise ValidationError("initial state must be nonnegative")
     rep_r0 = r0(params)

@@ -50,7 +50,7 @@ KERNELS = {
     "simulate": lambda p, x0, g, traj, obs: simulate(p, x0, g),
     "tangent_p": lambda p, x0, g, traj, obs: tangent_p(traj, p, 0.3, -0.2),
     "adjoint_p_eps": lambda p, x0, g, traj, obs: adjoint_p_eps(
-        traj, p, p.l_A, p.l_I, 1e-2, 1.0, 2.0, 0.5 * float(traj.L.max())),
+        traj, p, 1e-2, 1.0, 2.0, 0.5 * float(traj.L.max())),
     "adjoint_p0": lambda p, x0, g, traj, obs: adjoint_p0(traj, p, obs),
     "_rk4_model_vjp": lambda p, x0, g, traj, obs: _rk4_model_vjp(p, traj, np.eye(5)[:, 3:]),
 }

@@ -45,10 +45,6 @@ def rng():
     return np.random.default_rng(20260810)
 
 
-def small_grid(T=2.0, M=400):
-    return Grid(0.0, T, M)
-
-
 def control_binding_problem():
     """(pcfg, params, x0, grid) of scenarios/control_binding.json."""
     p = ModelParams(sigma=0.25, mu_A=0.12, mu_I=0.15, mu_L=0.2, l_A=0.0, l_I=0.0,

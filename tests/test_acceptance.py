@@ -128,7 +128,7 @@ def _duality_case(seed, M):
         lhat = 2.0 if seed % 4 == 0 else float(np.quantile(traj.L, 0.7))
         wa = rng.uniform(-min(p.l_A, 0.5), min(1.0 - p.l_A, 0.5))
         wi = rng.uniform(-min(p.l_I, 0.5), min(1.0 - p.l_I, 0.5))
-        adj = adjoint_p_eps(traj, p, p.l_A, p.l_I, eps, a0, a2, lhat)
+        adj = adjoint_p_eps(traj, p, eps, a0, a2, lhat)
         tan = tangent_p(traj, p, wa, wi)
         return duality_residual_p(traj, adj, tan, wa, wi, a0, a2, eps, lhat)
     obs = Observations(L0=x0[3], R0=x0[4], LT=rng.uniform(0, 0.3),
@@ -205,7 +205,7 @@ def test_c06_adjoint_gradients():
                              anchor=anchor)
         pr = pc.with_controls(ctrl.lA, ctrl.lI)
         traj = simulate(pr, x0, gc)
-        adj = adjoint_p_eps(traj, pc, ctrl.lA, ctrl.lI, eps, a0w, a2w, lhat)
+        adj = adjoint_p_eps(traj, pr, eps, a0w, a2w, lhat)
         h = gc.h
         gAc = trapezoid(traj.A * (adj.e - adj.q), h) + (a1w + 1) * ctrl.lA - anchor.lA
         gIc = trapezoid(traj.I * (adj.e - adj.d), h) + (a1w + 1) * ctrl.lI - anchor.lI

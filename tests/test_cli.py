@@ -441,6 +441,8 @@ class TestLoadErrors:
          ["x0 components must be >= 0"]),
         ("identify", "identify_synthetic", ["grid.T=3"],
          ["grid must span [0, observations.T] for task=identify"]),
+        ("identify", "identify_synthetic", ["grid.t0=1e-13"],
+         ["grid must span [0, observations.T] for task=identify"]),
         ("identify", "identify_synthetic", ["observations.L0=0.5", "observations.R0=0.5"],
          ["observations leave no unobserved mass: L0 + R0 >= N"]),
         ("control", "control_binding", ["foo"], ["override 'foo' is not KEY=VALUE"]),
@@ -462,9 +464,9 @@ class TestLoadErrors:
           "observations.T must be > 0"]),
         ("synth", "synth_truth", ["synth.L0=-0.1", "synth.noise=2"],
          ["synth.L0 and R0 must be >= 0", "synth.noise must be in [0, 1]"]),
-    ], ids=["x0-negative", "grid-span", "no-unobserved-mass", "override-no-equals",
-            "override-raw-string", "override-through-number", "document-array",
-            "anchor-one-key", "anchor-out-of-range", "synth-L0-negative",
+    ], ids=["x0-negative", "grid-span", "grid-t0", "no-unobserved-mass",
+            "override-no-equals", "override-raw-string", "override-through-number",
+            "document-array", "anchor-one-key", "anchor-out-of-range", "synth-L0-negative",
             "observations-fields", "synth-fields"])
     def test_rejected(self, tmp_path, capsys, task, scenario, overrides, errors):
         path = (str(SCENARIOS / f"{scenario}.json") if isinstance(scenario, str)

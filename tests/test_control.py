@@ -185,8 +185,7 @@ class TestSolvePEps:
         for ctrl in (ControlPair(0.35, 0.55), ControlPair(0.6, 0.3)):
             pr = p.with_controls(ctrl.lA, ctrl.lI)
             traj = simulate(pr, X0, g)
-            adj = adjoint_p_eps(traj, p, ctrl.lA, ctrl.lI, eps, pcfg.alpha0,
-                                pcfg.alpha2, pcfg.Lhat)
+            adj = adjoint_p_eps(traj, pr, eps, pcfg.alpha0, pcfg.alpha2, pcfg.Lhat)
             h = g.h
             gA = trapezoid(traj.A * (adj.e - adj.q), h) + (pcfg.alpha1 + 1) * ctrl.lA - 0.4
             gI = trapezoid(traj.I * (adj.e - adj.d), h) + (pcfg.alpha1 + 1) * ctrl.lI - 0.6
@@ -489,6 +488,32 @@ class TestEvaluator:
         assert result_bits(solve_p(*binding_problem())) == in_process[0]
         assert kills == [(fork_calls[0], signal.SIGKILL)]  # the parent reaps it
         assert_no_child()
+
+    @pytest.mark.parametrize("kill_at", [1, 3])
+    def test_child_dies_before_states_fetch(self, monkeypatch, fork_calls, in_process,
+                                            kill_at):
+        # the evaluator dies between take() of an accepted candidate and the
+        # fetch of that candidate's trajectory and adjoint, at the first
+        # fetch or the third: states() evaluates the candidate here instead.
+        # Each states() call gives its own candidate's states
+        states, killed, fetched = control._Evaluator.states, [], []
+
+        def kill_at_fetch(ev):
+            if ev.child.pid is not None and len(fetched) + 1 == kill_at:
+                killed.append(ev.child.pid)
+                os.kill(ev.child.pid, signal.SIGKILL)
+            fetched.append(((ev._eps, ev._anchor, ev._queued), states(ev)))
+            return fetched[-1][1]
+
+        monkeypatch.setattr(control._Evaluator, "states", kill_at_fetch)
+        assert result_bits(solve_p(*binding_problem())) == in_process[0]
+        assert killed == fork_calls and len(fork_calls) == 1
+        assert_no_child()
+        assert len(fetched) > kill_at
+        for (eps, anchor, l), (traj, adj) in fetched:
+            _, want_traj, want_adj = control._stage_map(*binding_problem(), eps, anchor, l)
+            assert traj.states.tobytes() == want_traj.states.tobytes()
+            assert adj.states.tobytes() == want_adj.states.tobytes()
 
     def test_parent_error_kills_child(self, monkeypatch, fork_calls, kills):
         evaluated = []

@@ -347,6 +347,19 @@ class TestSolveP0:
         assert res.notes == ["line search stalled before reaching tolerance"]
         assert res.cost == res.cost_history[-1]
 
+    @pytest.mark.parametrize("t0, T", [(1e-13, 2.0), (0.0, 2.5)])
+    def test_grid_must_span_observations(self, t0, T):
+        # the loader's rule: beta_I is knotted on the grid, so a grid that
+        # starts after 0 leaves it short of the solve's [0, T]
+        p, g, obs, ref = planted(M=100)
+        grid = Grid(t0, T, 100)
+        cand = IdentCandidate(CoefficientTable.constant(0.4), 0.12, 0.08)
+        span = r"^grid must span \[0, observations.T\] for task=identify$"
+        with pytest.raises(ValidationError, match=span):
+            solve_p0(obs, p, grid)
+        with pytest.raises(ValidationError, match=span):
+            cost_p0(cand, obs, 1e-6, 1e-6, p, grid)
+
     def test_rejects_empty_unobserved_mass(self):
         p = base_params()
         obs = Observations(L0=0.6, R0=0.4, LT=0.6, RT=0.4, T=1.0)
@@ -376,3 +389,38 @@ class TestSolveP0:
             fd = (J(lam) - J(-lam)) / (2 * lam)
             an = float(np.dot(wq * gb, u) + gA * w + gI * v)
             assert abs(fd - an) / max(abs(fd), 1e-12) <= 1e-4
+
+
+class TestGnDirection:
+    """The Woodbury step of _gn_direction against the dense minimizer of the
+    same Gauss-Newton model on the working set, at M = 8."""
+
+    @pytest.mark.parametrize("free_block", [(True, True), (True, False), (False, True),
+                                            (False, False)])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_dense_solve(self, rng, free_block, mixed):
+        g = Grid(0.0, 2.0, 8)
+        n = g.M + 1
+        wq = identify._trapezoid_weights(g)
+        alpha0, alpha1 = 0.3, 0.05
+        gbeta, rows = rng.normal(size=n), rng.normal(size=(2, n))
+        gblock, blocks = rng.normal(size=2), rng.normal(size=(2, 2))
+        free = np.arange(n) % 3 != 1 if mixed else np.ones(n, dtype=bool)
+        free_block = np.array(free_block)
+        dbeta, dblock = identify._gn_direction(gbeta, gblock, rows, blocks, alpha0, alpha1,
+                                               wq, free, free_block)
+        # the model g.d + 0.5 d'Hd in d = (beta on the grid, A0, I0): the
+        # regularizers 0.5 alpha1 sum(wq beta^2) and 0.5 alpha0 (A0^2 + I0^2
+        # + S0^2) with S0 = N0 - A0 - I0, and the data term 0.5 |J d|^2 of
+        # the rank-2 Jacobian of the terminal (L, R); rows are representers
+        # under the trapezoid weights
+        jac = np.hstack([rows * wq, blocks])
+        hess = jac.T @ jac
+        hess[:n, :n] += alpha1 * np.diag(wq)
+        hess[n:, n:] += alpha0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+        grad = np.concatenate([wq * gbeta, gblock])
+        work = np.concatenate([free, free_block])
+        want = np.zeros(n + 2)
+        want[work] = -np.linalg.solve(hess[np.ix_(work, work)], grad[work])
+        got = np.concatenate([dbeta, dblock])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -363,7 +363,7 @@ def test_linear_sweeps_match_reference(rng, M):
     src = np.zeros(xh.shape)
     src[:, 1], src[:, 2] = 2.0 * xh[:, 1], 2.0 * xh[:, 2]
     src[:, 3] = (3.0 / 0.01) * np.maximum(xh[:, 3] - lhat, 0.0)
-    assert same_bits(adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.01, 2.0, 3.0, lhat).states,
+    assert same_bits(adjoint_p_eps(traj, p, 0.01, 2.0, 3.0, lhat).states,
                      sweep_reference(xh, g, p, src, np.zeros(5), dual=True))
 
     yT = (0.0, 0.0, 0.0, float(traj.L[-1] - obs.LT), float(traj.R[-1] - obs.RT))

@@ -98,31 +98,31 @@ class TestAdjointPEps:
     def test_zero_sources_zero_adjoint(self, rng):
         # alpha0 = 0 and L <= Lhat everywhere: homogeneous system, zero final data
         p, x0, g, traj = make_setup(rng, M=300)
-        adj = adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.1, 0.0, 1.0, lhat=2.0)
+        adj = adjoint_p_eps(traj, p, 0.1, 0.0, 1.0, lhat=2.0)
         assert np.array_equal(adj.states, np.zeros((301, 5)))
 
     def test_final_conditions_exact(self, rng):
         p, x0, g, traj = make_setup(rng, M=300)
-        adj = adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.1, 1.0, 1.0, lhat=0.01)
+        adj = adjoint_p_eps(traj, p, 0.1, 1.0, 1.0, lhat=0.01)
         assert np.array_equal(adj.final, np.zeros(5))
 
     def test_e_equation_decouples_without_contact(self, rng):
         # with L <= Lhat the penalty source vanishes: same adjoint as alpha2 = 0
         p, x0, g, traj = make_setup(rng, M=300)
-        a1 = adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.05, 1.3, 7.0, lhat=2.0)
-        a2 = adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.05, 1.3, 0.0, lhat=2.0)
+        a1 = adjoint_p_eps(traj, p, 0.05, 1.3, 7.0, lhat=2.0)
+        a2 = adjoint_p_eps(traj, p, 0.05, 1.3, 0.0, lhat=2.0)
         assert np.array_equal(a1.states, a2.states)
 
     def test_superposition(self, rng):
         p, x0, g, traj = make_setup(rng, M=300)
-        a1 = adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.05, 0.6, 0.5, lhat=0.02)
-        a2 = adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.05, 1.2, 1.0, lhat=0.02)
+        a1 = adjoint_p_eps(traj, p, 0.05, 0.6, 0.5, lhat=0.02)
+        a2 = adjoint_p_eps(traj, p, 0.05, 1.2, 1.0, lhat=0.02)
         assert np.allclose(2.0 * a1.states, a2.states, atol=1e-14)
 
     def test_eps_validation(self, rng):
         p, x0, g, traj = make_setup(rng, M=100)
         with pytest.raises(ValueError):
-            adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.0, 1.0, 1.0, lhat=1.0)
+            adjoint_p_eps(traj, p, 0.0, 1.0, 1.0, lhat=1.0)
 
 
 class TestAdjointP0:
@@ -147,13 +147,13 @@ class TestDualityP:
         p, x0, g, traj = make_setup(rng, T=2.0, M=M)
         wa = min(0.4, 1 - p.l_A)
         wi = -min(0.3, p.l_I)
-        adj = adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.05, 1.1, 1.0, lhat)
+        adj = adjoint_p_eps(traj, p, 0.05, 1.1, 1.0, lhat)
         tan = tangent_p(traj, p, wa, wi)
         return traj, adj, tan, wa, wi
 
     def test_zero_direction(self, rng):
         p, x0, g, traj = make_setup(rng, M=200)
-        adj = adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.05, 1.0, 1.0, 0.5)
+        adj = adjoint_p_eps(traj, p, 0.05, 1.0, 1.0, 0.5)
         tan = tangent_p(traj, p, 0.0, 0.0)
         assert duality_residual_p(traj, adj, tan, 0.0, 0.0, 1.0, 1.0, 0.05, 0.5) == 0.0
 
@@ -215,5 +215,5 @@ class TestBlowup:
     def test_adjoint_reports_step_in_reversed_time(self, rng):
         p, traj = self._traj(rng, slice(None, 41))
         with pytest.raises(BlowupError) as exc:
-            adjoint_p_eps(traj, p, p.l_A, p.l_I, 0.05, 1.0, 1.0, lhat=0.02)
+            adjoint_p_eps(traj, p, 0.05, 1.0, 1.0, lhat=0.02)
         assert exc.value.step == 60  # counted from T: step 60 ends at index 40

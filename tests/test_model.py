@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from sailr import (BlowupError, CoefficientTable, Grid, ModelParams, State, TimeDomainError,
-                   ValidationError, param_errors, rhs, simulate, total_population,
+from sailr import (BlowupError, CoefficientTable, ControlPair, Grid, ModelParams,
+                   StabilityConfig, State, TimeDomainError, ValidationError, cost_p,
+                   param_errors, rhs, simulate, simulate_extinction, total_population,
                    validate_params)
 from conftest import random_params, random_state
 
@@ -54,6 +55,21 @@ class TestRhs:
         p = zero_rate_params(beta_I=0.5)
         d = rhs(State(0.9, 0.0, 0.1, 0.0, 0.0), p, 0.0)
         assert d[0] == pytest.approx(-0.045)
+
+    def test_state_is_its_array_to_the_solvers(self, rng):
+        # np.asarray reads a State as (S, A, I, L, R), so the solvers that
+        # take a state give the same bits for it as for that array
+        x = State(0.9, 0.05, 0.03, 0.01, 0.01)
+        arr = np.asarray(x, dtype=float)
+        assert arr.tolist() == [0.9, 0.05, 0.03, 0.01, 0.01]
+        p = random_params(rng, t_max=2.0, xi_zero=True)
+        g = Grid(0.0, 2.0, 50)
+        assert simulate(p, x, g).states.tobytes() == simulate(p, arr, g).states.tobytes()
+        ctrl = ControlPair(0.2, 0.3)
+        assert cost_p(ctrl, p, x, g, 1.0, 0.1) == cost_p(ctrl, p, arr, g, 1.0, 0.1)
+        cfg = StabilityConfig(horizon=2.0, h=0.05)
+        reports = [simulate_extinction(p, x0, cfg) for x0 in (x, arr)]
+        assert reports[0].final_state.tobytes() == reports[1].final_state.tobytes()
 
 
 class TestTotalPopulation:
