@@ -19,7 +19,9 @@ alpha1 + 1), which are reported as the convergence certificate.
 
 solve_p forks one evaluator per call (`_Evaluator`) that evaluates the
 second point of each of Newton's pairs while the solver evaluates the
-first: the results and sweep count are the same bits as without os.fork.
+first.  Each reply carries the point's whole result (update, trajectory
+and adjoint), so the results and sweep count are the same bits as without
+os.fork.
 """
 
 from __future__ import annotations
@@ -204,18 +206,22 @@ class _Evaluator:
     queues a point for a forked child (`child.Child`) to evaluate meanwhile.
 
     stage(eps, anchor) picks the map.  F(l) gives (update, gap update - l,
-    trajectory, adjoint), take() the queued point's (update, gap), states()
-    its trajectory and adjoint, sent only then.  A point never taken is
-    dropped.  Requests are five float64 (lA, lI, eps, anchor), eps = 0
-    asking for the states.  Without a child (no os.fork, a failed pipe or
-    fork, or an error or warning ended it), take and states evaluate here,
-    with the same bits.  sweeps counts the stage's sweeps the solver reads.
+    trajectory, adjoint), and take() the same of the queued point.  A point
+    never taken is dropped: its reply is read and thrown away at the next
+    ahead(), so that the child can go on.  A request is five float64 (lA,
+    lI, eps, anchor), its reply the update's two float64, then the
+    trajectory's and the adjoint's (M + 1, 5) float64 states, read into a
+    new array each time: take()'s trajectory and adjoint keep it.  Without a
+    child (no os.fork, a failed pipe or fork, or an error or warning ended
+    it), take evaluates here, with the same bits.  sweeps counts the
+    stage's sweeps the solver reads.
     """
 
     def __init__(self, pcfg, params, x0, grid, fork=True):
         self.problem = (pcfg, params, x0, grid)
         self.child = Child(self._serve if fork else None, pipes=2)
-        self._unread = 0  # replies of dropped points still in the pipe
+        self._reply = 2 + 10 * (grid.M + 1)  # float64 in a reply
+        self._unread = False  # a dropped point's reply is still in the pipe
 
     def stage(self, eps: float, anchor: ControlPair):
         self._eps, self._anchor, self.sweeps = eps, anchor, 0
@@ -226,29 +232,21 @@ class _Evaluator:
         return raw, np.array([raw.lA - l.lA, raw.lI - l.lI]), traj, adj
 
     def ahead(self, l: ControlPair):
-        self._queued, self._states = l, None
-        self._unread += self.child.send(np.array([l.lA, l.lI, self._eps, self._anchor.lA,
-                                                  self._anchor.lI]).tobytes())
+        if self._unread:
+            self.child.receive(np.empty(self._reply))
+        self._queued = l
+        self._unread = self.child.send(np.array([l.lA, l.lI, self._eps, self._anchor.lA,
+                                                 self._anchor.lI]).tobytes())
 
     def take(self):
-        got, self._unread = self.child.receive(np.empty(2 * self._unread)), 0
+        got, self._unread = self.child.receive(np.empty(self._reply)), False
         if got is None:
-            raw, gap, *self._states = self.F(self._queued)
-            return raw, gap
+            return self.F(self._queued)
         self.sweeps += 2
-        raw = ControlPair(*got[-2:].tolist())
-        return raw, np.array([raw.lA - self._queued.lA, raw.lI - self._queued.lI])
-
-    def states(self):
-        if self._states is None:
-            grid = self.problem[3]
-            self.child.send(np.zeros(5).tobytes())
-            if (got := self.child.receive(np.empty((2, grid.M + 1, 5)))) is None:
-                _, *self._states = _stage_map(*self.problem, self._eps, self._anchor,
-                                              self._queued)
-            else:
-                self._states = Trajectory(grid, got[0]), AdjointTrajectory(grid, got[1])
-        return self._states
+        grid, l = self.problem[3], self._queued
+        raw, states = ControlPair(*got[:2].tolist()), got[2:].reshape(2, grid.M + 1, 5)
+        return (raw, np.array([raw.lA - l.lA, raw.lI - l.lI]),
+                Trajectory(grid, states[0]), AdjointTrajectory(grid, states[1]))
 
     def _serve(self, requests_fd, replies_fd) -> int:
         # The child: evaluate points until the parent closes the pipe.  A
@@ -257,12 +255,10 @@ class _Evaluator:
         with os.fdopen(requests_fd, "rb") as requests, os.fdopen(replies_fd, "wb") as replies:
             while req := requests.read(40):
                 lA, lI, eps, aA, aI = np.frombuffer(req).tolist()
-                if eps:
-                    raw, traj, adj = _stage_map(*self.problem, eps, ControlPair(aA, aI),
-                                                ControlPair(lA, lI))
-                    replies.write(np.array([raw.lA, raw.lI]).tobytes())
-                else:
-                    replies.write(traj.states.tobytes() + adj.states.tobytes())
+                raw, traj, adj = _stage_map(*self.problem, eps, ControlPair(aA, aI),
+                                            ControlPair(lA, lI))
+                replies.write(np.array([raw.lA, raw.lI]).tobytes() + traj.states.tobytes()
+                              + adj.states.tobytes())
                 replies.flush()
         return 0
 
@@ -312,14 +308,13 @@ def _solve_stage(ev: _Evaluator, eps, anchor, init, tol_fp) -> StageResult:
 
 
 def _in_pairs(ev: _Evaluator, points):
-    # (point, gap, states()) of each point in order, in pairs
+    # (point, gap, trajectory, adjoint) of each point in order, in pairs
     for k in range(0, len(points), 2):
         if k + 1 < len(points):
             ev.ahead(points[k + 1])
-        _, gap, traj, adj = ev.F(points[k])
-        yield points[k], gap, lambda traj=traj, adj=adj: (traj, adj)
+        yield points[k], *ev.F(points[k])[1:]
         if k + 1 < len(points):
-            yield points[k + 1], ev.take()[1], ev.states
+            yield points[k + 1], *ev.take()[1:]
 
 
 def _stage_newton(ev: _Evaluator, ctrl, Fv, traj, adj, tol):
@@ -344,7 +339,7 @@ def _stage_newton(ev: _Evaluator, ctrl, Fv, traj, adj, tol):
             if lp.dist(ctrl) == 0.0:  # pinned at the boundary; probe inward
                 lp = ControlPair(_clamp01(ctrl.lA - e[0]), _clamp01(ctrl.lI - e[1]))
             probes.append(lp)
-        (pA, FA, _), (pI, FI, _) = _in_pairs(ev, probes)
+        (pA, FA, *_), (pI, FI, *_) = _in_pairs(ev, probes)
         Jm = np.column_stack([(FA - Fv) / (pA.lA - ctrl.lA), (FI - Fv) / (pI.lI - ctrl.lI)])
         try:
             step = np.linalg.solve(Jm, -Fv)
@@ -357,10 +352,10 @@ def _stage_newton(ev: _Evaluator, ctrl, Fv, traj, adj, tol):
             if cand.dist(ctrl) == 0.0:
                 break
             cands.append(cand)
-        for cand, Fc, states in _in_pairs(ev, cands):
+        for cand, Fc, c_traj, c_adj in _in_pairs(ev, cands):
             fc = float(np.max(np.abs(Fc)))
             if fc < fp:
-                ctrl, Fv, fp, (traj, adj) = cand, Fc, fc, states()
+                ctrl, Fv, fp, traj, adj = cand, Fc, fc, c_traj, c_adj
                 break
         else:
             break

@@ -431,21 +431,26 @@ class TestEvaluator:
         assert set(points) < in_process[1]
         assert_no_child()
 
-    @pytest.mark.parametrize("forked", [True, False])
-    def test_pairs_give_each_points_map(self, monkeypatch, fork_calls, forked):
+    @pytest.mark.parametrize("forked, M", [(True, 100), (False, 100), (True, 1000), (False, 1000)],
+                             ids=["True", "False", "True-M1000", "False-M1000"])
+    def test_pairs_give_each_points_map(self, monkeypatch, fork_calls, forked, M):
         # each point _in_pairs gives, read in order, has _stage_map's gap,
-        # trajectory and adjoint; a pair left after its first point drops
-        # the second, whose sweeps do not count
+        # trajectory and adjoint, also once later replies have come in; a
+        # pair left after its first point drops the second, whose sweeps do
+        # not count.  At M = 1000 a reply (80,096 B) does not fit a 64 KiB
+        # pipe, so the dropped reply must be read before the child can take
+        # the next request
         if not forked:
             refuse_fork(monkeypatch)
-        pcfg, p, x0, g = binding_problem()
-        points = [ControlPair(0.1 * i, 0.3 + 0.05 * i) for i in range(1, 4)]
+        pcfg, p, x0, _ = binding_problem()
+        g = Grid(0.0, 8.0, M)
+        points = [ControlPair(0.1 * i, 0.3 + 0.05 * i) for i in range(1, 5)]
         ev = control._Evaluator(pcfg, p, x0, g)
         with ev.child:
             ev.stage(1e-3, pcfg.anchor)
             next(control._in_pairs(ev, points[1:]))  # queues points[2], then drops it
-            got = [(l, gap, *states()) for l, gap, states in control._in_pairs(ev, points)]
-        assert ev.sweeps == 2 + 3 * 2
+            got = list(control._in_pairs(ev, points))
+        assert ev.sweeps == 2 + 4 * 2
         assert [l for l, *_ in got] == points
         for (l, gap, traj, adj) in got:
             raw, want_traj, want_adj = control._stage_map(pcfg, p, x0, g, 1e-3, pcfg.anchor, l)
@@ -489,31 +494,30 @@ class TestEvaluator:
         assert kills == [(fork_calls[0], signal.SIGKILL)]  # the parent reaps it
         assert_no_child()
 
-    @pytest.mark.parametrize("kill_at", [1, 3])
-    def test_child_dies_before_states_fetch(self, monkeypatch, fork_calls, in_process,
-                                            kill_at):
-        # the evaluator dies between take() of an accepted candidate and the
-        # fetch of that candidate's trajectory and adjoint, at the first
-        # fetch or the third: states() evaluates the candidate here instead.
-        # Each states() call gives its own candidate's states
-        states, killed, fetched = control._Evaluator.states, [], []
+    def test_child_dies_mid_reply(self, monkeypatch, fork_calls, kills, in_process):
+        # the child writes the first float of its first reply and dies: the
+        # parent reads the short reply as a dead child's, and evaluates the
+        # point here.  The first reply is an FD probe's, whose gap Newton reads
+        replies, serve = [], control._Evaluator._serve
+        stage_map, parent = control._stage_map, os.getpid()
 
-        def kill_at_fetch(ev):
-            if ev.child.pid is not None and len(fetched) + 1 == kill_at:
-                killed.append(ev.child.pid)
-                os.kill(ev.child.pid, signal.SIGKILL)
-            fetched.append(((ev._eps, ev._anchor, ev._queued), states(ev)))
-            return fetched[-1][1]
+        def serve_spy(ev, requests_fd, replies_fd):
+            replies.append(replies_fd)
+            return serve(ev, requests_fd, replies_fd)
 
-        monkeypatch.setattr(control._Evaluator, "states", kill_at_fetch)
+        def cut_short(*args):
+            raw, traj, adj = stage_map(*args)
+            if os.getpid() != parent:
+                os.write(replies[0], np.float64(raw.lA).tobytes())
+                os.kill(os.getpid(), signal.SIGKILL)
+            return raw, traj, adj
+
+        monkeypatch.setattr(control._Evaluator, "_serve", serve_spy)
+        monkeypatch.setattr(control, "_stage_map", cut_short)
         assert result_bits(solve_p(*binding_problem())) == in_process[0]
-        assert killed == fork_calls and len(fork_calls) == 1
+        assert len(fork_calls) == 1
+        assert kills == [(fork_calls[0], signal.SIGKILL)]  # the parent reaps it
         assert_no_child()
-        assert len(fetched) > kill_at
-        for (eps, anchor, l), (traj, adj) in fetched:
-            _, want_traj, want_adj = control._stage_map(*binding_problem(), eps, anchor, l)
-            assert traj.states.tobytes() == want_traj.states.tobytes()
-            assert adj.states.tobytes() == want_adj.states.tobytes()
 
     def test_parent_error_kills_child(self, monkeypatch, fork_calls, kills):
         evaluated = []
