@@ -103,7 +103,7 @@ def _run_identify(s: Scenario, out, summary: dict):
         summary["notes"] = list(res.notes)
     _write_solution(out, res, "beta_I.csv", "beta_I",
                     res.candidate.beta_I(s.grid.points()))
-    n0 = idf.n0_of(s.params, s.observations)
+    n0 = idf.n0_of(s.observations)
     mis = ((res.trajectory.L[-1] - s.observations.LT) ** 2
            + (res.trajectory.R[-1] - s.observations.RT) ** 2)
     summary["cost"] = res.cost

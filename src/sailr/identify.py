@@ -65,17 +65,17 @@ class Observations:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 errs.append(f"{name} out of [0,1]")
-        if self.L0 + self.R0 > 1.0 + 1e-12:
-            errs.append("L0 + R0 exceeds total population")
+        if not self.L0 + self.R0 < 1.0:  # S0, A0, I0 share N0 = 1 - (L0 + R0) > 0
+            errs.append("L0 + R0 must be < 1")
         if not self.T > 0:
             errs.append("T must be > 0")
         if errs:
             raise ValidationError(errs)
 
 
-def n0_of(params: ModelParams, obs: Observations) -> float:
-    """Unobserved initial mass N0 = N - (L0 + R0), shared by S0, A0, I0."""
-    return params.N - (obs.L0 + obs.R0)
+def n0_of(obs: Observations) -> float:
+    """Unobserved initial mass N0 = 1 - (L0 + R0) > 0, shared by S0, A0, I0."""
+    return 1.0 - (obs.L0 + obs.R0)
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ class IdentConfig:
 
 
 def _check_feasible(c: IdentCandidate, n0: float):
-    tol = 1e-12 * max(1.0, n0)
-    if c.A0 < -tol or c.I0 < -tol or c.A0 + c.I0 > n0 + tol:
+    if c.A0 < -1e-12 or c.I0 < -1e-12 or c.A0 + c.I0 > n0 + 1e-12:  # n0 = n0_of(obs) <= 1
         raise FeasibilityError(
             f"(A0, I0)=({c.A0}, {c.I0}) outside K0 with N0={n0}; project first")
 
@@ -139,8 +138,7 @@ def _check_grid(grid: Grid, obs: Observations):
 def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
              grid: Grid, helper=None) -> Trajectory:
     # with a _ReverseHelper, the solve streams to it for the reverse sweep
-    n0 = n0_of(params, obs)
-    x0 = (c.s0(n0), c.A0, c.I0, obs.L0, obs.R0)
+    x0 = (c.s0(n0_of(obs)), c.A0, c.I0, obs.L0, obs.R0)
     if helper is not None:
         helper.candidate(c.beta_I.values)
     return simulate(params.replace(beta_I=c.beta_I), x0, grid,
@@ -148,13 +146,12 @@ def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
 
 
 def _cost_terms(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
-                params: ModelParams, grid: Grid, traj: Trajectory):
+                grid: Grid, traj: Trajectory):
     """The cost at c, and the parts it squares: the terminal residuals
     (L, R), beta_I on the grid and (A0, I0, S0)."""
-    n0 = n0_of(params, obs)
     r = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT])
     bg = np.asarray(c.beta_I(grid.points()), dtype=float)
-    z = np.array([c.A0, c.I0, c.s0(n0)])
+    z = np.array([c.A0, c.I0, c.s0(n0_of(obs))])
     mis = 0.5 * r[0] ** 2 + 0.5 * r[1] ** 2
     reg_b = 0.5 * alpha1 * trapezoid(bg * bg, grid.h)
     reg_0 = 0.5 * alpha0 * (z[0] ** 2 + z[1] ** 2 + z[2] ** 2)
@@ -175,9 +172,9 @@ def cost_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
             params: ModelParams, grid: Grid) -> float:
     """Identification cost: terminal mismatch + quadratic regularizers."""
     _check_grid(grid, obs)
-    _check_feasible(c, n0_of(params, obs))
+    _check_feasible(c, n0_of(obs))
     traj = _forward(c, obs, params, grid)
-    return _cost_terms(c, obs, alpha0, alpha1, params, grid, traj)[0]
+    return _cost_terms(c, obs, alpha0, alpha1, grid, traj)[0]
 
 
 def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
@@ -189,7 +186,7 @@ def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: flo
     grid-knotted directions under the trapezoid-weighted inner product.
     """
     _check_grid(grid, obs)
-    n0 = n0_of(params, obs)
+    n0 = n0_of(obs)
     _check_feasible(c, n0)
     traj = _forward(c, obs, params, grid)
     wq = _trapezoid_weights(grid)
@@ -452,9 +449,7 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     """
     cfg = config or IdentConfig()
     _check_grid(grid, obs)
-    n0 = n0_of(params, obs)
-    if not n0 > 0:
-        raise ValidationError("N0 = N - (L0 + R0) must be > 0")
+    n0 = n0_of(obs)
     if not (alpha0 > 0 and alpha1 > 0):
         raise ValidationError("weights alpha0 and alpha1 must be > 0")
     with _ReverseHelper(params, grid) as helper:
@@ -490,7 +485,7 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
     cand = make(bg, A0, I0)
     traj = _forward(cand, obs, params, grid, helper)
     nsolves += 1
-    J, parts = _cost_terms(cand, obs, alpha0, alpha1, params, grid, traj)
+    J, parts = _cost_terms(cand, obs, alpha0, alpha1, grid, traj)
     gbeta, gA0, gI0, rows, blocks, adj, residual = exact_state(cand, traj)
     history = [J]
     converged = residual <= cfg.tol
@@ -510,7 +505,7 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
             ncand = make(nb, nA, nI)
             ntraj = _forward(ncand, obs, params, grid, helper)
             nsolves += 1
-            Jn, nparts = _cost_terms(ncand, obs, alpha0, alpha1, params, grid, ntraj)
+            Jn, nparts = _cost_terms(ncand, obs, alpha0, alpha1, grid, ntraj)
             if _cost_change(parts, nparts, alpha0, alpha1, grid.h) <= ARMIJO_C * dpred:
                 # a decrease below the rounding of J is taken only as the full
                 # Gauss-Newton step; after a backtrack, what let it through

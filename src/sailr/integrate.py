@@ -31,7 +31,7 @@ MAX_STEPS = 10**7
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform time grid t0 < T with M steps of size h = (T - t0)/M."""
+    """Uniform time grid t0 < T with 1 <= M <= MAX_STEPS steps of size h = (T - t0)/M."""
 
     t0: float
     T: float
@@ -39,9 +39,11 @@ class Grid:
 
     def __post_init__(self):
         if self.M < 1:
-            raise ValidationError("grid.M must be >= 1")
+            raise ValidationError("M must be >= 1")
+        if self.M > MAX_STEPS:
+            raise ValidationError(f"M must be <= {MAX_STEPS}")
         if not self.T > self.t0:
-            raise ValidationError("grid.T must exceed grid.t0")
+            raise ValidationError("T must exceed t0")
 
     @property
     def h(self) -> float:

@@ -1,10 +1,10 @@
 """Five-compartment epidemic model (S, A, I, L, R) with time-varying rates.
 
 Compartments: susceptible S, undetected asymptomatic infected A, undetected
-symptomatic infected I, confirmed-and-isolated L, recovered R, all expressed
-as fractions of a fixed total population N.  Transmission rates beta_I and
-beta_A, and the immunity-loss rate xi, may vary in time; all other rates are
-constants.  The flow conserves S + A + I + L + R exactly.
+symptomatic infected I, confirmed-and-isolated L, recovered R: fractions of
+the population, summing to 1.  Transmission rates beta_I and beta_A, and the
+immunity-loss rate xi, may vary in time; all other rates are constants.  The
+flow conserves S + A + I + L + R exactly.
 
 The forward RK4 solve is `simulate`.  The discrete reverse-mode sweep of
 its map is `vjp_sweep` over the step maps of `vjp_step_maps`, which read
@@ -109,7 +109,7 @@ class State:
 
 
 def total_population(x) -> float:
-    """Sum of the five compartments (conserved along exact trajectories)."""
+    """Sum of the five compartments: 1 for a model state (population fractions), conserved."""
     if isinstance(x, State):
         return x.S + x.A + x.I + x.L + x.R
     return float(np.sum(np.asarray(x, dtype=float)))
@@ -121,8 +121,8 @@ class ModelParams:
 
     sigma: symptom-onset rate A -> I; mu_A, mu_I, mu_L: recovery rates;
     l_A, l_I: detection/isolation rates in [0, 1]; beta_I, beta_A:
-    transmission rates by I and A; xi: immunity-loss rate R -> S.
-    N is the (normalized) total population, kept explicit for bookkeeping.
+    transmission rates by I and A; xi: immunity-loss rate R -> S.  The
+    model is normalized: its states are population fractions summing to 1.
     """
 
     sigma: float
@@ -134,7 +134,6 @@ class ModelParams:
     beta_I: CoefficientTable
     beta_A: CoefficientTable
     xi: CoefficientTable
-    N: float = 1.0
 
     def __post_init__(self):
         for name in ("beta_I", "beta_A", "xi"):
@@ -169,8 +168,6 @@ def param_errors(p: ModelParams, t_max: float | None = None) -> list[str]:
         errs.append("k1 = sigma + mu_A + l_A must be > 0")
     if not p.k2 > 0:
         errs.append("k2 = mu_I + l_I must be > 0")
-    if not p.N > 0:
-        errs.append("N must be > 0")
     for name in ("beta_I", "beta_A", "xi"):
         if t_max is not None and not getattr(p, name).covers(0.0, t_max):
             errs.append(f"{name}: table does not cover [0, {t_max}]")

@@ -16,6 +16,7 @@ import csv
 import json
 import numbers
 import os
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 
@@ -24,8 +25,8 @@ import numpy as np
 from .child import Child
 from .control import ControlPair, PenaltyConfig
 from .errors import ValidationError
-from .identify import IdentConfig, Observations, grid_errors, n0_of
-from .integrate import MAX_STEPS, Grid, Trajectory
+from .identify import IdentConfig, Observations, grid_errors
+from .integrate import Grid, Trajectory
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, State, param_errors, simulate,
                     total_population)
@@ -61,7 +62,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        n0 = self.params.N - (self.L0 + self.R0)
+        n0 = 1.0 - (self.L0 + self.R0)
         errs = []
         if self.L0 < 0 or self.R0 < 0:
             errs.append("L0 and R0 must be >= 0")
@@ -69,6 +70,8 @@ class SynthSpec:
             errs.append("planted (A0, I0) must lie in K0")
         if not 0 <= self.noise <= 1:  # beyond 1 the clamped observations carry no signal
             errs.append("noise must be in [0, 1]")
+        if self.seed < 0:  # np.random.default_rng takes none
+            errs.append("seed must be >= 0")
         if errs:
             raise ValidationError(errs)
 
@@ -147,8 +150,8 @@ def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given)
     and ControlPair as a nested object.  An absent key takes defaults[name]
     or the dataclass default, and is reported as required if it has none.
     Keys that name no field are ignored.  Every problem goes to errs (those
-    raised by cls itself under locus, joined by "." to a leading field
-    name) and then the result is None.
+    raised by cls itself under locus, with each field of a leading "M",
+    "L0 + R0" or "horizon / h" named under it) and then the result is None.
     """
     block = _object(block, locus, errs)
     if block is None:
@@ -178,9 +181,11 @@ def _read(cls, block, locus: str, errs: list, task: str, defaults=None, **given)
     try:
         return cls(**kw)
     except ValidationError as err:
-        names = {f.name for f in fields(cls)}
-        errs.extend(f"{locus}{'.' if m.split(' ', 1)[0] in names else ': '}{m}"
-                    for m in err.errors)
+        names = {f.name for f in fields(cls)} - given.keys()
+        for m in err.errors:
+            lead = re.match(r"\w*(?: [-+*/] \w+)*", m)[0]
+            errs.append(re.sub(r"\w+", rf"{locus}.\g<0>", lead) + m[len(lead):]
+                        if set(lead.split(" ")[::2]) <= names else f"{locus}: {m}")
         return None
 
 
@@ -205,25 +210,20 @@ def scenario_from_dict(doc: dict) -> Scenario:
     observations = block(Observations, "observations")
     penalty = block(PenaltyConfig, "penalty")
 
-    if params is not None and params.N != 1.0:
-        errs.append("params.N must be 1 (normalized model)")
-        params = None
+    if isinstance(doc.get("params"), dict) and "N" in doc["params"]:  # not a ModelParams field
+        if _num(doc["params"]["N"], "params.N", errs) not in (None, 1.0):
+            errs.append("params.N must be 1 (normalized model)")
 
     if x0 is not None:
         if min(np.asarray(x0)) < 0:
             errs.append("x0 components must be >= 0")
-        if params is not None and abs(total_population(x0) - params.N) > 1e-9:
-            errs.append("x0 components must sum to N")
+        if abs(total_population(x0) - 1.0) > 1e-9:
+            errs.append("x0 components must sum to N = 1")
 
     if task == "identify" and observations is not None:
         if grid is None:
             grid = Grid(0.0, observations.T, DEFAULT_GRID_M)
         errs += grid_errors(grid, observations)
-        if params is not None and not n0_of(params, observations) > 0:
-            errs.append("observations leave no unobserved mass: L0 + R0 >= N")
-
-    if grid is not None and grid.M > MAX_STEPS:
-        errs.append(f"grid.M must be <= {MAX_STEPS}")
 
     if task == "control" and penalty is not None and x0 is not None:
         if not penalty.Lhat > x0.L:
@@ -242,8 +242,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     else:
         _object(doc.get("solver", {}), "solver", errs)
     stability = _read(StabilityConfig, doc.get("stability", {}), "stability", errs, task)
-    if stability is not None and stability.horizon / stability.h > MAX_STEPS:
-        errs.append(f"stability.horizon / stability.h must be <= {MAX_STEPS} steps")
 
     if params is not None:
         t_max = grid.T if grid is not None else None
@@ -309,15 +307,15 @@ def synth_observations(spec: SynthSpec):
     by spec.seed) perturbs the four observed values, clamped back into the
     admissible range.  Deterministic for a fixed seed.
     """
-    n0 = spec.params.N - (spec.L0 + spec.R0)
+    n0 = 1.0 - (spec.L0 + spec.R0)
     x0 = (n0 - spec.A0_true - spec.I0_true, spec.A0_true, spec.I0_true, spec.L0, spec.R0)
     traj = simulate(spec.params.replace(beta_I=spec.beta_I_true), x0, spec.grid)
     vals = np.array([spec.L0, spec.R0, float(traj.L[-1]), float(traj.R[-1])])
     if spec.noise > 0:
         rng = np.random.default_rng(spec.seed)
         vals = np.clip(vals + rng.uniform(-spec.noise, spec.noise, 4), 0.0, 1.0)
-        if vals[0] + vals[1] > spec.params.N:
-            vals[:2] *= (spec.params.N - 1e-12) / (vals[0] + vals[1])
+        if vals[0] + vals[1] >= 1.0:  # Observations needs L0 + R0 < 1
+            vals[:2] *= (1.0 - 1e-12) / (vals[0] + vals[1])
     obs = Observations(L0=float(vals[0]), R0=float(vals[1]),
                        LT=float(vals[2]), RT=float(vals[3]), T=spec.grid.T)
     return obs, traj

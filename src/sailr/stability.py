@@ -120,8 +120,13 @@ class StabilityConfig:
 
     def __post_init__(self):
         errs = [f"{f.name} must be > 0" for f in fields(self) if not getattr(self, f.name) > 0]
+        if not errs and not self._fits(self.horizon):
+            errs.append(f"horizon / h must be <= {MAX_STEPS} steps")
         if errs:
             raise ValidationError(errs)
+
+    def _fits(self, span: float) -> bool:  # a segment of length span: at most MAX_STEPS steps
+        return span / self.h <= MAX_STEPS
 
     def grid(self, span: float) -> Grid:
         """The grid of one segment of length span, in steps of about h."""
@@ -170,7 +175,7 @@ def simulate_extinction(params: ModelParams, x0,
 
     extinct = is_extinct(x)
     while (not extinct and not never_extinct(x) and total + seg <= HORIZON_CAP
-           and seg / cfg.h <= MAX_STEPS):
+           and cfg._fits(seg)):
         traj = simulate(params, x, cfg.grid(seg))
         segments += 1
         if first is None:

@@ -444,7 +444,7 @@ class TestLoadErrors:
         ("identify", "identify_synthetic", ["grid.t0=1e-13"],
          ["grid must span [0, observations.T] for task=identify"]),
         ("identify", "identify_synthetic", ["observations.L0=0.5", "observations.R0=0.5"],
-         ["observations leave no unobserved mass: L0 + R0 >= N"]),
+         ["observations.L0 + observations.R0 must be < 1"]),
         ("control", "control_binding", ["foo"], ["override 'foo' is not KEY=VALUE"]),
         ("control", "control_binding", ["params.sigma=abc"],
          ["params.sigma must be a finite number"]),
@@ -460,14 +460,19 @@ class TestLoadErrors:
         ("identify", "identify_synthetic",
          ["observations.LT=1.5", "observations.L0=0.6", "observations.R0=0.5",
           "observations.T=0"],
-         ["observations.LT out of [0,1]", "observations.L0 + R0 exceeds total population",
+         ["observations.LT out of [0,1]", "observations.L0 + observations.R0 must be < 1",
           "observations.T must be > 0"]),
         ("synth", "synth_truth", ["synth.L0=-0.1", "synth.noise=2"],
          ["synth.L0 and R0 must be >= 0", "synth.noise must be in [0, 1]"]),
+        ("simulate", "simulate_baseline", ["grid.M=0"], ["grid.M must be >= 1"]),
+        ("simulate", "simulate_baseline", ["grid.T=-1"], ["grid.T must exceed t0"]),
+        # the seed comes from the document, not the synth block
+        ("synth", "synth_truth", ["seed=-1", "synth.noise=0.01"], ["synth: seed must be >= 0"]),
     ], ids=["x0-negative", "grid-span", "grid-t0", "no-unobserved-mass",
             "override-no-equals", "override-raw-string", "override-through-number",
             "document-array", "anchor-one-key", "anchor-out-of-range", "synth-L0-negative",
-            "observations-fields", "synth-fields"])
+            "observations-fields", "synth-fields", "grid-M-zero", "grid-T-negative",
+            "synth-seed-negative"])
     def test_rejected(self, tmp_path, capsys, task, scenario, overrides, errors):
         path = (str(SCENARIOS / f"{scenario}.json") if isinstance(scenario, str)
                 else write_doc(tmp_path, scenario))

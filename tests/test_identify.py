@@ -39,7 +39,7 @@ class TestCostP0:
     def test_hand_value_empty_candidate(self):
         # beta=0, A0=I0=0, alpha1=0: mismatch terms plus (alpha0/2) N0^2
         p, g, obs, ref = planted()
-        n0 = n0_of(p, obs)
+        n0 = n0_of(obs)
         cand = IdentCandidate(CoefficientTable.constant(0.0), 0.0, 0.0)
         traj = simulate(p.replace(beta_I=cand.beta_I),
                         (n0, 0.0, 0.0, obs.L0, obs.R0), g)
@@ -180,7 +180,7 @@ class TestOptimalityResidual:
     def test_sign_structure_violation_detected(self):
         # positive beta where the projection target is zero -> residual > 0
         p, g, obs, ref = planted()
-        n0 = n0_of(p, obs)
+        n0 = n0_of(obs)
         cand = IdentCandidate(CoefficientTable.constant(0.4), 0.12, 0.08)
         grad = gradient_p0(cand, obs, 1e-6, 1e-6, p, g)  # regularizers only (planted data)
         res = optimality_residual_p0(cand, g, grad, 1e-6, 1e-6, n0)
@@ -209,7 +209,7 @@ class TestSolveP0:
         p, g, obs, ref = planted(M=400)
         res = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=300))
         assert np.all(np.diff(res.cost_history) <= 1e-18)
-        n0 = n0_of(p, obs)
+        n0 = n0_of(obs)
         assert np.min(res.candidate.beta_I.values) >= 0.0
         assert res.candidate.A0 >= 0 and res.candidate.I0 >= 0
         assert res.candidate.A0 + res.candidate.I0 <= n0 + 1e-12
@@ -241,7 +241,7 @@ class TestSolveP0:
                         beta_I=0.0, beta_A=0.0, xi=0.0)
         g = Grid(0.0, 2.0, 300)
         obs = Observations(L0=0.02, R0=0.01, LT=0.02, RT=0.01, T=2.0)
-        n0 = n0_of(p, obs)
+        n0 = n0_of(obs)
         a0w = a1w = 1e-8
         res = solve_p0(obs, p, g, a0w, a1w, IdentConfig(tol=1e-6, max_iters=400))
         assert res.converged
@@ -361,10 +361,11 @@ class TestSolveP0:
             cost_p0(cand, obs, 1e-6, 1e-6, p, grid)
 
     def test_rejects_empty_unobserved_mass(self):
-        p = base_params()
-        obs = Observations(L0=0.6, R0=0.4, LT=0.6, RT=0.4, T=1.0)
-        with pytest.raises(ValidationError):
-            solve_p0(obs, p, Grid(0.0, 1.0, 100))
+        # Observations itself holds the rule, so no solve can be given such data
+        assert n0_of(Observations(L0=0.5, R0=0.5 - 1e-12, LT=0.5, RT=0.5, T=1.0)) > 0
+        for L0, R0 in ((0.6, 0.4), (0.5, 0.5)):
+            with pytest.raises(ValidationError, match=r"^L0 \+ R0 must be < 1$"):
+                Observations(L0=L0, R0=R0, LT=0.5, RT=0.5, T=1.0)
 
     def test_gradient_check_random_candidates(self, rng):
         # adjoint gradient vs central differences on random feasible draws

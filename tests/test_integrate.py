@@ -5,6 +5,7 @@ import pytest
 
 from sailr import (BlowupError, Grid, Trajectory, ValidationError,
                    integrate_forward, simulate, total_population, trapezoid)
+from sailr.integrate import MAX_STEPS
 from conftest import random_params, random_state
 
 
@@ -50,6 +51,13 @@ class TestGridAndQuadrature:
             Grid(0.0, 1.0, 0)
         with pytest.raises(ValidationError):
             Grid(1.0, 1.0, 10)
+
+    def test_grid_step_cap(self):
+        # the grid holds the cap itself, so a library caller meets it before any solve
+        assert Grid(0.0, 1.0, MAX_STEPS).M == MAX_STEPS
+        with pytest.raises(ValidationError) as exc:
+            Grid(0.0, 1.0, MAX_STEPS + 1)
+        assert exc.value.errors == [f"M must be <= {MAX_STEPS}"]
 
     def test_trapezoid_linear_exact(self):
         t = np.linspace(0.0, 2.0, 21)

@@ -41,7 +41,6 @@ class TestLoadScenario:
         assert s.task == "simulate"
         assert s.grid.t0 == 0.0          # default
         assert s.weights == (1e-6, 1e-6)  # default
-        assert s.params.N == 1.0
 
     def test_lA_out_of_range(self, tmp_path):
         doc = simulate_doc()
@@ -204,6 +203,17 @@ class TestSynthObservations:
         c, _ = synth_observations(self._spec(noise=0.01, seed=8))
         assert a == b
         assert a != c
+
+    def test_noisy_draw_reaching_unit_mass_rescaled(self):
+        # noise far below the values' spacing leaves L0 + R0 = 1 exactly,
+        # which Observations rejects; the draw is scaled back below 1
+        p = ModelParams(sigma=0.2, mu_A=0.1, mu_I=0.1, mu_L=0.1, l_A=0.1, l_I=0.2,
+                        beta_I=0.0, beta_A=0.2, xi=0.0)
+        spec = SynthSpec(params=p, grid=Grid(0.0, 2.0, 20),
+                         beta_I_true=CoefficientTable.constant(0.4), A0_true=0.0,
+                         I0_true=0.0, L0=0.5, R0=0.5, noise=1e-300)
+        obs, _ = synth_observations(spec)
+        assert 1.0 - 2e-12 < obs.L0 + obs.R0 < 1.0
 
     @pytest.mark.parametrize("noise", [-1e-300, 1.5, 1e308])
     def test_noise_outside_unit_interval_rejected(self, noise):

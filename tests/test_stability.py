@@ -8,6 +8,7 @@ import pytest
 from sailr import (CoefficientTable, Grid, ModelParams, StabilityConfig, ValidationError,
                    compute_t_loc, hurwitz_check, infected_jacobian, r0,
                    s_threshold, simulate, simulate_extinction)
+from sailr.integrate import MAX_STEPS
 from conftest import random_params, random_state
 
 
@@ -147,6 +148,13 @@ class TestSimulateExtinction:
         with pytest.raises(ValidationError, match="h must be > 0"):
             simulate_extinction(const_params(), (0.9, 0.05, 0.05, 0.0, 0.0),
                                 StabilityConfig(h=0.0))
+
+    def test_first_segment_step_cap(self):
+        # a first segment past the cap is an error, not an inconclusive report
+        StabilityConfig(horizon=0.5 * MAX_STEPS, h=0.5)  # the cap itself is allowed
+        with pytest.raises(ValidationError) as exc:
+            StabilityConfig(horizon=100.0, h=1e-6)
+        assert exc.value.errors == [f"horizon / h must be <= {MAX_STEPS} steps"]
 
 
 class TestComputeTLoc:
