@@ -11,20 +11,34 @@ from __future__ import annotations
 
 import os
 import signal
+import struct
 from contextlib import suppress
+
+_HEAD = struct.Struct("=qq")  # a frame's header (lo, hi): two native int64
+
+
+def frame(lo: int, hi: int, payload=b"") -> bytes:
+    """The frame of header (lo, hi) and the bytes payload."""
+    return _HEAD.pack(lo, hi) + payload
+
+
+def frame_heads(pipe):
+    """The header (lo, hi) of each frame on the reader pipe; read each payload before the next."""
+    while head := pipe.read(_HEAD.size):
+        yield _HEAD.unpack(head)
 
 
 class Child:
-    """Forks a child that runs serve(*fds) and exits with its return value.
+    """Forks a child that runs serve(*files) and exits with its return value.
 
     The first pipe carries the parent's frames to the child; with pipes=2 a
     second one carries the child's replies back.  serve gets the child's
-    ends (read, then write) and files holds the parent's (a binary writer,
-    then a reader).  The child runs with garbage collection off, since
+    ends, a binary reader then a writer, and files holds the parent's, a
+    writer then a reader.  The child runs with garbage collection off, since
     collecting the parent's garbage could flush its files, and ends by
-    os._exit, so it flushes none of the parent's buffers.  pid is None when
-    no child was forked, as with serve None.  Leaving a with-block waits
-    for the child, or kills it if the block raised.
+    os._exit, which flushes no buffer: serve flushes its own replies.  pid
+    is None when no child was forked, as with serve None.  Leaving a
+    with-block waits for the child, or kills it if the block raised.
     """
 
     def __init__(self, serve, pipes: int = 1):
@@ -48,12 +62,13 @@ class Child:
                 import gc
                 gc.disable()
                 _close(mine)
-                status = serve(*theirs)
+                self.files = list(map(os.fdopen, theirs, ("rb", "wb")))  # os._exit closes them
+                status = serve(*self.files)
             finally:
                 os._exit(status)
         _close(theirs)
         self.pid = pid
-        self.files = [os.fdopen(fd, "wb" if i == 0 else "rb") for i, fd in enumerate(mine)]
+        self.files = list(map(os.fdopen, mine, ("wb", "rb")))
 
     def __enter__(self):
         return self

@@ -26,7 +26,6 @@ os.fork.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -35,7 +34,7 @@ import numpy as np
 from .child import Child
 from .errors import FeasibilityError, ValidationError
 from .integrate import Grid, Trajectory, trapezoid
-from .linearize import AdjointTrajectory, adjoint_p_eps
+from .linearize import AdjointTrajectory, adjoint_p_eps, penalty_weight
 from .model import ModelParams, TOL_NEG, simulate
 from .stability import compute_t_loc
 
@@ -86,8 +85,7 @@ class PenaltyConfig:
             errs.append("eps_schedule entries must be positive")
         elif any(b >= a for a, b in zip(sched, sched[1:])):
             errs.append("eps_schedule must be strictly decreasing")
-        if errs:
-            raise ValidationError(errs)
+        ValidationError.check(errs)
         object.__setattr__(self, "eps_schedule", sched)
 
 
@@ -132,6 +130,11 @@ class ControlResult:
     forward_solves: int = 0
 
 
+def lhat_errors(pcfg: PenaltyConfig, x0) -> list[str]:
+    """The cap rule of a control problem: pcfg.Lhat above the initial L of x0."""
+    return [] if pcfg.Lhat > float(np.asarray(x0, dtype=float)[3]) else ["Lhat must exceed L0"]
+
+
 def constraint_violation(traj: Trajectory, lhat: float) -> float:
     """sup over the grid of (L - lhat)^+; L >= 0 is asserted, not enforced."""
     Lmin = float(np.min(traj.L))
@@ -151,11 +154,11 @@ def _penalty_integral(traj: Trajectory, lhat: float) -> float:
 
 
 def _multiplier_l1(traj: Trajectory, lhat: float, alpha2: float, eps: float) -> float:
-    return (alpha2 / eps) * trapezoid(np.maximum(traj.L - lhat, 0.0), traj.grid.h)
+    return penalty_weight(alpha2, eps) * trapezoid(np.maximum(traj.L - lhat, 0.0), traj.grid.h)
 
 
 def _cost_p_eps_from(traj, ctrl, pcfg: PenaltyConfig, eps: float, anchor: ControlPair) -> float:
-    pen = 0.5 * (pcfg.alpha2 / eps) * _penalty_integral(traj, pcfg.Lhat)
+    pen = 0.5 * penalty_weight(pcfg.alpha2, eps) * _penalty_integral(traj, pcfg.Lhat)
     adapt = 0.5 * ((ctrl.lA - anchor.lA) ** 2 + (ctrl.lI - anchor.lI) ** 2)
     return _cost_p_from(traj, ctrl, pcfg.alpha0, pcfg.alpha1) + pen + adapt
 
@@ -170,8 +173,6 @@ def cost_p(ctrl: ControlPair, params: ModelParams, x0, grid: Grid,
 def cost_p_eps(ctrl: ControlPair, params: ModelParams, x0, grid: Grid,
                pcfg: PenaltyConfig, eps: float) -> float:
     """Penalized stage cost: cost_p + (alpha2/2eps) int((L-Lhat)^+)^2 + anchor terms."""
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     traj = simulate(params.with_controls(ctrl.lA, ctrl.lI), x0, grid)
     return _cost_p_eps_from(traj, ctrl, pcfg, eps, pcfg.anchor)
 
@@ -248,18 +249,17 @@ class _Evaluator:
         return (raw, np.array([raw.lA - l.lA, raw.lI - l.lI]),
                 Trajectory(grid, states[0]), AdjointTrajectory(grid, states[1]))
 
-    def _serve(self, requests_fd, replies_fd) -> int:
+    def _serve(self, requests, replies) -> int:
         # The child: evaluate points until the parent closes the pipe.  A
         # warning ends it too, so that it is given where the point is read.
         warnings.simplefilter("error")
-        with os.fdopen(requests_fd, "rb") as requests, os.fdopen(replies_fd, "wb") as replies:
-            while req := requests.read(40):
-                lA, lI, eps, aA, aI = np.frombuffer(req).tolist()
-                raw, traj, adj = _stage_map(*self.problem, eps, ControlPair(aA, aI),
-                                            ControlPair(lA, lI))
-                replies.write(np.array([raw.lA, raw.lI]).tobytes() + traj.states.tobytes()
-                              + adj.states.tobytes())
-                replies.flush()
+        while req := requests.read(40):
+            lA, lI, eps, aA, aI = np.frombuffer(req).tolist()
+            raw, traj, adj = _stage_map(*self.problem, eps, ControlPair(aA, aI),
+                                        ControlPair(lA, lI))
+            replies.write(np.array([raw.lA, raw.lI]).tobytes() + traj.states.tobytes()
+                          + adj.states.tobytes())
+            replies.flush()
         return 0
 
 
@@ -276,7 +276,7 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     iterate with the smallest fixed-point residual is returned with
     converged=False.  Here every evaluation runs in-process.
     """
-    ev = _Evaluator(pcfg, params, np.asarray(x0, dtype=float), grid, fork=False)
+    ev = _Evaluator(pcfg, params, x0, grid, fork=False)
     return _solve_stage(ev, eps, pcfg.anchor, init, TOL_FP)
 
 
@@ -381,10 +381,7 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid) -> Control
     error.  Newton's pairs go to one forked `_Evaluator`, closed on return
     and killed on any error; forward_solves counts the sweeps read.
     """
-    x0 = np.asarray(x0, dtype=float)
-    L0 = float(x0[3])
-    if not pcfg.Lhat > L0:
-        raise ValidationError("Lhat must exceed L0")
+    ValidationError.check(lhat_errors(pcfg, x0))
     ctrl = anchor = pcfg.anchor
     notes = []
     history = []
@@ -437,13 +434,13 @@ def solve_p(pcfg: PenaltyConfig, params: ModelParams, x0, grid: Grid) -> Control
 
     traj, adj = st.trajectory, st.adjoint
     viol = constraint_violation(traj, pcfg.Lhat)
-    nu = (pcfg.alpha2 / eps_min) * np.maximum(traj.L - pcfg.Lhat, 0.0)
+    nu = penalty_weight(pcfg.alpha2, eps_min) * np.maximum(traj.L - pcfg.Lhat, 0.0)
     pens = [s.penalty_integral for s in history[:len(pcfg.eps_schedule)]]
     for a, b in zip(pens, pens[1:]):
         if b > 1.1 * a + 1e-300:
             notes.append("penalty integral rose by more than 10% between stages")
             break
-    _tloc_note(params, pcfg, L0, traj, ctrl, grid, notes)
+    _tloc_note(params, pcfg, float(traj.L[0]), traj, ctrl, grid, notes)
     converged = (viol <= TOL_CONSTRAINT and limit_res <= TOL_RESIDUAL
                  and st.converged)
     cost = _cost_p_from(traj, ctrl, pcfg.alpha0, pcfg.alpha1)

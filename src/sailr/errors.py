@@ -14,6 +14,12 @@ class ValidationError(SailrError):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
 
+    @classmethod
+    def check(cls, errors):
+        """Raise one carrying the list errors, if it is not empty."""
+        if errors:
+            raise cls(errors)
+
 
 class TimeDomainError(SailrError, ValueError):
     """A time argument fell outside the covered interval."""

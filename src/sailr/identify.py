@@ -23,12 +23,11 @@ in its sweep ends it).  No child outlives the call.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .child import Child
+from .child import Child, frame, frame_heads
 from .errors import FeasibilityError, ValidationError
 from .integrate import SWEEP_BLOCK, Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory
@@ -69,8 +68,7 @@ class Observations:
             errs.append("L0 + R0 must be < 1")
         if not self.T > 0:
             errs.append("T must be > 0")
-        if errs:
-            raise ValidationError(errs)
+        ValidationError.check(errs)
 
 
 def n0_of(obs: Observations) -> float:
@@ -113,26 +111,24 @@ class IdentConfig:
     max_iters: int = 3000
 
     def __post_init__(self):
-        errs = [f"{f.name} must be > 0" for f in fields(self) if not getattr(self, f.name) > 0]
-        if errs:
-            raise ValidationError(errs)
+        ValidationError.check([f"{f.name} must be > 0" for f in fields(self)
+                               if not getattr(self, f.name) > 0])
 
 
-def _check_feasible(c: IdentCandidate, n0: float):
-    if c.A0 < -1e-12 or c.I0 < -1e-12 or c.A0 + c.I0 > n0 + 1e-12:  # n0 = n0_of(obs) <= 1
-        raise FeasibilityError(
-            f"(A0, I0)=({c.A0}, {c.I0}) outside K0 with N0={n0}; project first")
+def in_k0(A0: float, I0: float, n0: float) -> bool:
+    """(A0, I0) in K0 = {y, z >= 0, y + z <= n0 <= 1}, 1e-12 slack on every side."""
+    return A0 >= -1e-12 and I0 >= -1e-12 and A0 + I0 <= n0 + 1e-12
+
+
+def weight_errors(alpha0: float, alpha1: float) -> list[str]:
+    """The identification weight rule: both > 0, since the certificate divides by them."""
+    return [f"{k} must be > 0" for k, v in (("alpha0", alpha0), ("alpha1", alpha1)) if not v > 0]
 
 
 def grid_errors(grid: Grid, obs: Observations) -> list[str]:
     """The identification grid rule: [0, obs.T], with t0 = 0 exactly (beta_I's first knot)."""
     ok = grid.t0 == 0.0 and abs(grid.T - obs.T) <= 1e-9 * max(1.0, obs.T)
     return [] if ok else ["grid must span [0, observations.T] for task=identify"]
-
-
-def _check_grid(grid: Grid, obs: Observations):
-    if errs := grid_errors(grid, obs):
-        raise ValidationError(errs)
 
 
 def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
@@ -143,6 +139,13 @@ def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
         helper.candidate(c.beta_I.values)
     return simulate(params.replace(beta_I=c.beta_I), x0, grid,
                     block_done=None if helper is None else helper.send)
+
+
+def _checked_forward(c: IdentCandidate, obs: Observations, params: ModelParams, grid: Grid):
+    ValidationError.check(grid_errors(grid, obs))
+    if not in_k0(c.A0, c.I0, n0 := n0_of(obs)):
+        raise FeasibilityError(f"(A0, I0)=({c.A0}, {c.I0}) outside K0 with N0={n0}; project first")
+    return _forward(c, obs, params, grid)
 
 
 def _cost_terms(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
@@ -171,9 +174,7 @@ def _cost_change(parts, new_parts, alpha0: float, alpha1: float, h: float) -> fl
 def cost_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
             params: ModelParams, grid: Grid) -> float:
     """Identification cost: terminal mismatch + quadratic regularizers."""
-    _check_grid(grid, obs)
-    _check_feasible(c, n0_of(obs))
-    traj = _forward(c, obs, params, grid)
+    traj = _checked_forward(c, obs, params, grid)
     return _cost_terms(c, obs, alpha0, alpha1, grid, traj)[0]
 
 
@@ -185,12 +186,9 @@ def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: flo
     observed components at once).  The beta_I component is the representer on
     grid-knotted directions under the trapezoid-weighted inner product.
     """
-    _check_grid(grid, obs)
-    n0 = n0_of(obs)
-    _check_feasible(c, n0)
-    traj = _forward(c, obs, params, grid)
+    traj = _checked_forward(c, obs, params, grid)
     wq = _trapezoid_weights(grid)
-    return _exact_gradient(c, obs, alpha0, alpha1, params, traj, wq, n0)[:3]
+    return _exact_gradient(c, obs, alpha0, alpha1, params, traj, wq, n0_of(obs))[:3]
 
 
 def _min_quadratic_triangle(Q, b, n0: float):
@@ -200,6 +198,8 @@ def _min_quadratic_triangle(Q, b, n0: float):
     minimizers and the three vertices; strict convexity makes the minimum
     unique up to ties broken toward smaller z1, then smaller z2.
     """
+    if not n0 > 0:
+        raise ValueError("N0 must be > 0")
     q11, q12, q22 = float(Q[0][0]), float(Q[0][1]), float(Q[1][1])
     b1, b2 = float(b[0]), float(b[1])
     cands = [(0.0, 0.0), (n0, 0.0), (0.0, n0)]
@@ -227,15 +227,11 @@ def _min_quadratic_triangle(Q, b, n0: float):
 
 def resolve_k0(y, n0: float):
     """Resolvent of Gamma + normal cone of K0: argmin 0.5 z'Gz - y.z over K0."""
-    if not n0 > 0:
-        raise ValueError("N0 must be > 0")
     return _min_quadratic_triangle(GAMMA, y, n0)
 
 
 def project_k0(y, n0: float):
     """Euclidean projection onto the triangle K0."""
-    if not n0 > 0:
-        raise ValueError("N0 must be > 0")
     return _min_quadratic_triangle(((1.0, 0.0), (0.0, 1.0)), y, n0)
 
 
@@ -337,7 +333,7 @@ class _ReverseHelper:
 
     Per candidate, `_forward` sends a frame of its beta_I knot values, then
     the solve's states block by block (send is simulate's block_done).  Each
-    frame is (lo, hi) as two int64 and its float64 payload; lo < 0 marks a
+    `child.frame` is a header (lo, hi) and a float64 payload; lo < 0 marks a
     candidate (hi values) or a sweep request (no payload).  The child builds
     each reverse block's step maps (`model.vjp_step_maps`) as soon as the
     block's states are there, PREFETCH_BLOCKS of them at most, and a new
@@ -367,18 +363,15 @@ class _ReverseHelper:
     def __exit__(self, *exc):
         self._child.__exit__(*exc)  # an error kills it: its maps are not worth finishing
 
-    def _frame(self, lo: int, hi: int, payload=b""):
-        self._child.send(np.array([lo, hi], dtype=np.int64).tobytes() + payload)
-
     def candidate(self, values):
-        self._frame(self._CANDIDATE, len(values), np.asarray(values, dtype=float).tobytes())
+        self._child.send(frame(self._CANDIDATE, len(values), values.tobytes()))
 
     def send(self, lo: int, hi: int, rows):
-        self._frame(lo, hi, rows.tobytes())
+        self._child.send(frame(lo, hi, rows.tobytes()))
 
     def vjp(self, p: ModelParams, traj: Trajectory):
         """(v, bbar) of `_rk4_model_vjp` for the candidate last streamed."""
-        self._frame(self._SWEEP, 0)
+        self._child.send(frame(self._SWEEP, 0))
         M = self._grid.M
         ys = self._child.receive(np.empty((M + 1,) + _ENDS.shape))
         bbar = self._child.receive(np.empty((2 * M + 1, _ENDS.shape[1])))
@@ -386,26 +379,24 @@ class _ReverseHelper:
             return _rk4_model_vjp(p, traj, _ENDS)
         return ys[::-1], bbar
 
-    def _serve(self, frames_fd, replies_fd) -> int:
+    def _serve(self, frames, replies) -> int:
         # The child: serve frames until the parent closes the pipe.
         g, M = self._grid, self._grid.M
         states = np.empty((M + 1, 5))
-        with os.fdopen(frames_fd, "rb") as frames, os.fdopen(replies_fd, "wb") as replies:
-            while head := frames.read(16):
-                lo, hi = np.frombuffer(head, dtype=np.int64).tolist()
-                if lo == self._CANDIDATE:
-                    values = np.frombuffer(frames.read(8 * hi))
-                    maps = vjp_step_maps(self._params.replace(beta_I=_beta_table(g, values)),
-                                         g, states)
-                    built, todo = {}, list(range(0, M, SWEEP_BLOCK))
-                elif lo == self._SWEEP:
-                    self._reply(replies, maps, built)
-                else:
-                    frames.readinto(states[lo:hi])
-                    # reverse steps r.. are the forward steps ..M-r-1, from states ..M-r-1
-                    while todo and len(built) < PREFETCH_BLOCKS and M - todo[-1] <= hi:
-                        r = todo.pop()
-                        built[r] = maps(r, min(r + SWEEP_BLOCK, M))
+        for lo, hi in frame_heads(frames):
+            if lo == self._CANDIDATE:
+                values = np.frombuffer(frames.read(8 * hi))
+                maps = vjp_step_maps(self._params.replace(beta_I=_beta_table(g, values)),
+                                     g, states)
+                built, todo = {}, list(range(0, M, SWEEP_BLOCK))
+            elif lo == self._SWEEP:
+                self._reply(replies, maps, built)
+            else:
+                frames.readinto(states[lo:hi])
+                # reverse steps r.. are the forward steps ..M-r-1, from states ..M-r-1
+                while todo and len(built) < PREFETCH_BLOCKS and M - todo[-1] <= hi:
+                    r = todo.pop()
+                    built[r] = maps(r, min(r + SWEEP_BLOCK, M))
         return 0
 
     def _reply(self, replies, maps, built):
@@ -448,12 +439,9 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     or on an error.
     """
     cfg = config or IdentConfig()
-    _check_grid(grid, obs)
-    n0 = n0_of(obs)
-    if not (alpha0 > 0 and alpha1 > 0):
-        raise ValidationError("weights alpha0 and alpha1 must be > 0")
+    ValidationError.check(grid_errors(grid, obs) + weight_errors(alpha0, alpha1))
     with _ReverseHelper(params, grid) as helper:
-        return _solve(obs, params, grid, alpha0, alpha1, cfg, n0, helper)
+        return _solve(obs, params, grid, alpha0, alpha1, cfg, n0_of(obs), helper)
 
 
 def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,

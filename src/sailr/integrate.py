@@ -119,8 +119,8 @@ def trapezoid(y, h: float) -> float:
 def integrate_forward(f, x0, grid: Grid) -> Trajectory:
     """Classical RK4 for x' = f(t, x) from x0 at grid.t0; M+1 samples.
 
-    The first sample equals x0 exactly.  Raises BlowupError with the
-    offending step index if a non-finite value appears.
+    The first sample equals x0 exactly.  Raises BlowupError as
+    `check_blowup` does, before storing the bad step.
     """
     x = np.asarray(x0, dtype=float).copy()
     out = np.empty((grid.M + 1, x.size))
@@ -134,10 +134,17 @@ def integrate_forward(f, x0, grid: Grid) -> Trajectory:
         k3 = f(t + h2, x + h2 * k2)
         k4 = f(t + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not abs(np.sum(x)) < _BIG:
-            raise BlowupError(k + 1)
+        check_blowup(np.sum(x), k)
         out[k + 1] = x
     return Trajectory(grid, out)
+
+
+def check_blowup(sums, lo: int = 0):
+    """Raise BlowupError at the first step whose state sum is NaN or beyond
+    _BIG in magnitude; sums are those of the steps lo+1, lo+2, ... in order."""
+    bad = np.flatnonzero(~(np.abs(sums) < _BIG))
+    if bad.size:
+        raise BlowupError(lo + int(bad[0]) + 1)
 
 
 def half_samples(values: np.ndarray) -> np.ndarray:
@@ -204,8 +211,7 @@ def linear_sweep(step_maps, y0, M: int, block_done=None) -> np.ndarray:
     each block from the last state of the one before.  block_done(lo, hi,
     ys), if given, is called once each block's states are stored, with the
     view ys of y_lo..y_hi, so that a caller can reduce what it built for the
-    block before the next one.  Raises BlowupError at the first step whose
-    state is non-finite or beyond 1e100 in sum.
+    block before the next one.  Raises BlowupError as `check_blowup` does.
     """
     y0 = np.asarray(y0, dtype=float)
     cols = y0.reshape(len(y0), -1)
@@ -216,9 +222,7 @@ def linear_sweep(step_maps, y0, M: int, block_done=None) -> np.ndarray:
         for lo in range(0, M, SWEEP_BLOCK):
             hi = min(lo + SWEEP_BLOCK, M)
             ys = _increment_scan(step_maps(lo, hi), out[lo])[1:]
-            bad = np.flatnonzero(~(np.abs(ys.sum(axis=(1, 2))) < _BIG))
-            if bad.size:
-                raise BlowupError(lo + int(bad[0]) + 1)
+            check_blowup(ys.sum(axis=(1, 2)), lo)
             out[lo + 1:hi + 1] = ys
             if block_done is not None:
                 block_done(lo, hi, states[lo:hi + 1])

@@ -117,6 +117,13 @@ def tangent_p0(traj: Trajectory, params: ModelParams,
     return TangentTrajectory(g, _sweep(xh, g, params, src, (-w - v, w, v, 0.0, 0.0)))
 
 
+def penalty_weight(alpha2: float, eps: float) -> float:
+    """alpha2/eps, the weight of the penalty (L - Lhat)^+ at stage eps > 0."""
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    return alpha2 / eps
+
+
 def adjoint_p_eps(traj: Trajectory, params: ModelParams, eps: float, alpha0: float,
                   alpha2: float, lhat: float) -> AdjointTrajectory:
     """Backward dual sweep for the penalized control problem.
@@ -126,14 +133,12 @@ def adjoint_p_eps(traj: Trajectory, params: ModelParams, eps: float, alpha0: flo
     equations and the penalty density (alpha2/eps)*(L - lhat)^+ in the e
     equation; final data are zero.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     # the sweep runs in reversed time, where the sources change sign
     xh = half_samples(traj.states)
     src = np.zeros(xh.shape)
     src[:, 1] = alpha0 * xh[:, 1]
     src[:, 2] = alpha0 * xh[:, 2]
-    src[:, 3] = (alpha2 / eps) * np.maximum(xh[:, 3] - lhat, 0.0)
+    src[:, 3] = penalty_weight(alpha2, eps) * np.maximum(xh[:, 3] - lhat, 0.0)
     return AdjointTrajectory(traj.grid, _sweep(xh, traj.grid, params, src, np.zeros(5), dual=True))
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlowupError, TimeDomainError, ValidationError
-from .integrate import SWEEP_BLOCK, Grid, Trajectory, linear_sweep, rk4_step_maps
+from .errors import TimeDomainError, ValidationError
+from .integrate import SWEEP_BLOCK, Grid, Trajectory, check_blowup, linear_sweep, rk4_step_maps
 
 #: numerical slack for nonnegativity checks on integrated trajectories
 TOL_NEG = 1e-10
@@ -48,8 +48,7 @@ class CoefficientTable:
             errs.append("coefficient table knots must be strictly increasing")
         if values.size and np.min(values) < 0:
             errs.append("negative coefficient value in table")
-        if errs:
-            raise ValidationError(errs)
+        ValidationError.check(errs)
         # np.interp copies read-only inputs on every call, which a sweep
         # evaluating block by block would repeat per block; it reads the
         # table's own writeable copies, and the fields are read-only views
@@ -96,13 +95,22 @@ def _as_table(c) -> CoefficientTable:
 
 @dataclass(frozen=True)
 class State:
-    """Population fractions of the five compartments; np.asarray gives (S, A, I, L, R)."""
+    """Population fractions of the five compartments, each >= 0 (a NaN is
+    not) and summing to 1 within 1e-9; np.asarray gives (S, A, I, L, R)."""
 
     S: float
     A: float
     I: float
     L: float
     R: float
+
+    def __post_init__(self):
+        errs = []
+        if not np.all(np.asarray(self) >= 0):  # written so that a NaN component fails it
+            errs.append("components must be >= 0")
+        if not abs(total_population(self) - 1.0) <= 1e-9:
+            errs.append("components must sum to 1")
+        ValidationError.check(errs)
 
     def __array__(self, dtype=None, copy=None):
         return np.array([self.S, self.A, self.I, self.L, self.R], dtype=dtype)
@@ -176,9 +184,7 @@ def param_errors(p: ModelParams, t_max: float | None = None) -> list[str]:
 
 def validate_params(p: ModelParams, t_max: float | None = None) -> ModelParams:
     """Return p unchanged if valid; raise ValidationError listing every violation."""
-    errs = param_errors(p, t_max)
-    if errs:
-        raise ValidationError(errs)
+    ValidationError.check(param_errors(p, t_max))
     return p
 
 
@@ -306,7 +312,7 @@ def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
     The solve streams SWEEP_BLOCK steps at a time: each block evaluates the
     coefficients on its own stage times, so the memory beyond the (M + 1, 5)
     output is one block's.  Raises BlowupError at the first step whose
-    S + A + I + L + R is non-finite or beyond 1e100 in magnitude.
+    S + A + I + L + R is non-finite or too large (`integrate.check_blowup`).
 
     block_done(lo, hi, rows), if given, receives the stored states as they
     are made, as the (hi - lo, 5) view rows of the states lo..hi-1: once for
@@ -316,10 +322,9 @@ def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
     before it returns: trajectory.csv is written while the solve goes on.
     """
     validate_params(p, t_max=grid.T)
-    x0 = np.asarray(x0, dtype=float)
     M = grid.M
     out = np.empty((M + 1, 5))
-    x = tuple(float(v) for v in x0)
+    x = tuple(np.asarray(x0, dtype=float).tolist())
     out[0] = x
     if block_done is not None:
         block_done(0, 1, out[:1])
@@ -332,10 +337,7 @@ def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
         block = out[lo + 1:hi + 1]
         block.reshape(-1)[:] = rows
         with np.errstate(over="ignore", invalid="ignore"):  # reported as BlowupError
-            tot = block[:, 0] + block[:, 1] + block[:, 2] + block[:, 3] + block[:, 4]
-        bad = np.flatnonzero(~((-1e100 < tot) & (tot < 1e100)))
-        if bad.size:
-            raise BlowupError(lo + int(bad[0]) + 1)
+            check_blowup(block[:, 0] + block[:, 1] + block[:, 2] + block[:, 3] + block[:, 4], lo)
         if block_done is not None:
             block_done(lo + 1, hi + 1, block)
     return Trajectory(grid, out)

@@ -22,14 +22,13 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .child import Child
-from .control import ControlPair, PenaltyConfig
+from .child import Child, frame, frame_heads
+from .control import ControlPair, PenaltyConfig, lhat_errors
 from .errors import ValidationError
-from .identify import IdentConfig, Observations, grid_errors
+from .identify import IdentConfig, Observations, grid_errors, in_k0, weight_errors
 from .integrate import Grid, Trajectory
 from .linearize import AdjointTrajectory
-from .model import (CoefficientTable, ModelParams, State, param_errors, simulate,
-                    total_population)
+from .model import CoefficientTable, ModelParams, State, param_errors, simulate
 from .stability import StabilityConfig
 
 TASKS = ("simulate", "identify", "control", "stability", "synth")
@@ -62,18 +61,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        n0 = 1.0 - (self.L0 + self.R0)
         errs = []
         if self.L0 < 0 or self.R0 < 0:
             errs.append("L0 and R0 must be >= 0")
-        if self.A0_true < 0 or self.I0_true < 0 or self.A0_true + self.I0_true > n0 + 1e-12:
+        if not in_k0(self.A0_true, self.I0_true, 1.0 - (self.L0 + self.R0)):
             errs.append("planted (A0, I0) must lie in K0")
         if not 0 <= self.noise <= 1:  # beyond 1 the clamped observations carry no signal
             errs.append("noise must be in [0, 1]")
         if self.seed < 0:  # np.random.default_rng takes none
             errs.append("seed must be >= 0")
-        if errs:
-            raise ValidationError(errs)
+        ValidationError.check(errs)
 
 
 @dataclass
@@ -214,26 +211,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if _num(doc["params"]["N"], "params.N", errs) not in (None, 1.0):
             errs.append("params.N must be 1 (normalized model)")
 
-    if x0 is not None:
-        if min(np.asarray(x0)) < 0:
-            errs.append("x0 components must be >= 0")
-        if abs(total_population(x0) - 1.0) > 1e-9:
-            errs.append("x0 components must sum to N = 1")
-
     if task == "identify" and observations is not None:
         if grid is None:
             grid = Grid(0.0, observations.T, DEFAULT_GRID_M)
         errs += grid_errors(grid, observations)
 
     if task == "control" and penalty is not None and x0 is not None:
-        if not penalty.Lhat > x0.L:
-            errs.append("Lhat must exceed L0")
+        errs += lhat_errors(penalty, x0)
 
     w = _object(doc.get("weights", {}), "weights", errs) or {}
     weights = tuple(_num(w.get(k, d), f"weights.{k}", errs)
                     for k, d in zip(("alpha0", "alpha1"), DEFAULT_WEIGHTS))
-    errs.extend(f"weights.{k} must be > 0" for k, v in zip(("alpha0", "alpha1"), weights)
-                if v is not None and not v > 0)
+    if None not in weights:
+        errs.extend(f"weights.{m}" for m in weight_errors(*weights))
 
     synth = block(SynthSpec, "synth", params=params, grid=grid, seed=seed)
     solver = None
@@ -247,8 +237,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         t_max = grid.T if grid is not None else None
         errs.extend(f"params: {m}" for m in param_errors(params, t_max=t_max))
 
-    if errs:
-        raise ValidationError(errs)
+    ValidationError.check(errs)
     return Scenario(name=str(doc.get("name", "")), task=task, params=params, x0=x0,
                     grid=grid, observations=observations, weights=weights, penalty=penalty,
                     solver=solver, synth=synth, stability=stability, seed=seed)
@@ -366,7 +355,7 @@ class GridCsvWriter:
     send(lo, hi, rows) takes the rows lo..hi-1 of the grid; a caller that
     has every row already sends them as one block.  Where os.fork exists, a
     child process (`child.Child`) renders them while the caller goes on:
-    each block goes to it down a pipe as one frame, (lo, hi) as two int64
+    each block goes to it down a pipe as one `child.frame`, header (lo, hi)
     then the raw float64 rows, and a send waits only while the pipe is full,
     not while the child renders.  The child uses no BLAS.  Without os.fork,
     or when the pipe or the fork fails, send renders the block in-process
@@ -394,14 +383,13 @@ class GridCsvWriter:
     def _write_rows(self, lo, hi, rows):
         self._fh.writelines(_csv_rows(self._t[lo:hi], rows.T))
 
-    def _serve(self, fd) -> int:
+    def _serve(self, pipe) -> int:
         # The child: render frames until the parent closes the pipe.  Its
         # exit status is 0, or the errno of the OSError that stopped it.
         try:
-            with os.fdopen(fd, "rb") as pipe, self._fh:
+            with self._fh:
                 self._fh.write(self._header + "\n")
-                while head := pipe.read(16):
-                    lo, hi = np.frombuffer(head, dtype=np.int64).tolist()
+                for lo, hi in frame_heads(pipe):
                     rows = np.frombuffer(pipe.read(8 * self._width * (hi - lo)))
                     self._write_rows(lo, hi, rows.reshape(hi - lo, self._width))
         except OSError as err:
@@ -415,8 +403,7 @@ class GridCsvWriter:
                 self._write_rows(lo, hi, rows)
             return
         try:
-            self._child.files[0].write(np.array([lo, hi], dtype=np.int64).tobytes()
-                                       + np.asarray(rows, dtype=float).tobytes())
+            self._child.files[0].write(frame(lo, hi, np.asarray(rows, dtype=float).tobytes()))
         except BrokenPipeError:  # the child stopped early: report why
             self.close()
             raise
@@ -447,13 +434,11 @@ class GridCsvWriter:
 
 
 def write_trajectory_csv(traj: Trajectory, path):
-    t = traj.grid.points()
-    _write_csv(path, TRAJECTORY_HEADER, t, [traj.S, traj.A, traj.I, traj.L, traj.R])
+    _write_csv(path, TRAJECTORY_HEADER, traj.grid.points(), traj.states.T)
 
 
 def write_adjoint_csv(adj: AdjointTrajectory, path):
-    t = adj.grid.points()
-    _write_csv(path, ADJOINT_HEADER, t, [adj.p, adj.q, adj.d, adj.e, adj.f])
+    _write_csv(path, ADJOINT_HEADER, adj.grid.points(), adj.states.T)
 
 
 def write_series_csv(path, name: str, grid: Grid, values):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrate import MAX_STEPS, Grid, Trajectory
-from .model import ModelParams, TOL_NEG, jacobian, simulate, validate_params
+from .model import ModelParams, State, TOL_NEG, jacobian, simulate, validate_params
 
 #: horizon doubling stops once the total simulated time would exceed this
 HORIZON_CAP = 2.0 ** 20
@@ -122,8 +122,7 @@ class StabilityConfig:
         errs = [f"{f.name} must be > 0" for f in fields(self) if not getattr(self, f.name) > 0]
         if not errs and not self._fits(self.horizon):
             errs.append(f"horizon / h must be <= {MAX_STEPS} steps")
-        if errs:
-            raise ValidationError(errs)
+        ValidationError.check(errs)
 
     def _fits(self, span: float) -> bool:  # a segment of length span: at most MAX_STEPS steps
         return span / self.h <= MAX_STEPS
@@ -135,7 +134,7 @@ class StabilityConfig:
 
 def simulate_extinction(params: ModelParams, x0,
                         config: StabilityConfig | None = None) -> StabilityReport:
-    """Finite-horizon certificate of asymptotic extinction under xi = 0.
+    """Finite-horizon certificate of asymptotic extinction from the State x0, xi = 0.
 
     Integrates forward, doubling the horizon until the state is extinct,
     the total would pass HORIZON_CAP or the next segment would take more
@@ -154,9 +153,7 @@ def simulate_extinction(params: ModelParams, x0,
     cfg = config or StabilityConfig()
     if float(np.max(np.abs(params.xi.values))) != 0.0:
         raise ValidationError("extinction analysis requires xi identically zero")
-    x = np.asarray(x0, dtype=float)
-    if np.min(x) < 0:
-        raise ValidationError("initial state must be nonnegative")
+    x = np.asarray(State(*np.asarray(x0, dtype=float)), dtype=float)
     rep_r0 = r0(params)
     s_bar = s_threshold(params)
 
@@ -233,8 +230,7 @@ def compute_t_loc(params: ModelParams, traj: Trajectory, y1: float, rho: float,
         errs.append("need 0 < y1 < L0")
     if not L0 - y1 < rho < lhat - y1:
         errs.append("need rho in (L0 - y1, Lhat - y1)")
-    if errs:
-        raise ValidationError(errs)
+    ValidationError.check(errs)
     mu_L = params.mu_L
     F0 = L0 - y1
     supA, supI, supL = (float(np.max(np.abs(v))) for v in (traj.A, traj.I, traj.L))

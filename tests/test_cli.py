@@ -81,6 +81,24 @@ class TestSimulate:
         assert (out / "trajectory.csv").exists()
         assert (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("task, scenario, M", [
+        ("simulate", "simulate_baseline", 2000),
+        ("identify", "identify_synthetic", 200),
+        ("control", "control_binding", 50),
+    ])
+    def test_forked_children_write_no_stderr(self, tmp_path, task, scenario, M):
+        # the writer, the reverse helper and the stage-map evaluator end
+        # without a word on stderr (a child's unclosed file warned there)
+        src = str(Path(sailr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "sailr.cli", task, "--scenario",
+                               str(SCENARIOS / f"{scenario}.json"), "--set", f"grid.M={M}",
+                               "--out", str(tmp_path), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_missing_scenario_is_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path), "--quiet"])
@@ -438,7 +456,7 @@ class TestLoadErrors:
 
     @pytest.mark.parametrize("task, scenario, overrides, errors", [
         ("control", "control_binding", ["x0.S=0.97", "x0.A=-0.02"],
-         ["x0 components must be >= 0"]),
+         ["x0: components must be >= 0"]),
         ("identify", "identify_synthetic", ["grid.T=3"],
          ["grid must span [0, observations.T] for task=identify"]),
         ("identify", "identify_synthetic", ["grid.t0=1e-13"],

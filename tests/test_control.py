@@ -27,6 +27,16 @@ X0 = np.array([0.9, 0.05, 0.03, 0.01, 0.01])
 
 
 class TestCostP:
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_nonpositive_eps_rejected(self, eps):
+        # cost_p_eps and adjoint_p_eps share one eps rule (linearize.penalty_weight)
+        p, g = epidemic_params(), Grid(0.0, 1.0, 10)
+        pcfg = PenaltyConfig(alpha0=1.0, alpha1=0.1, alpha2=1.0, Lhat=0.05)
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            cost_p_eps(ControlPair(0.5, 0.5), p, X0, g, pcfg, eps)
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            adjoint_p_eps(simulate(p, X0, g), p, eps, 1.0, 1.0, 0.05)
+
     def test_empty_infected_classes(self):
         p = epidemic_params(beta_I=0.0, beta_A=0.0)
         x0 = (0.97, 0.0, 0.0, 0.02, 0.01)

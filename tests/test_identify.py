@@ -65,6 +65,34 @@ class TestCostP0:
             cost_p0(cand, obs, 1.0, 1.0, p, g)
 
 
+class TestK0Membership:
+    """SynthSpec and cost_p0 accept the same (A0, I0): K0 with 1e-12 slack on every side."""
+
+    @pytest.mark.parametrize("A0, I0, inside", [
+        (-0.5e-12, 0.1, True), (0.1, -0.5e-12, True),
+        (-2e-12, 0.1, False), (0.1, -2e-12, False),
+        (0.25, 0.25 + 0.5e-12, True), (0.25, 0.25 + 2e-12, False),
+        (float("nan"), 0.1, False),
+    ])
+    def test_synth_and_cost_agree(self, A0, I0, inside):
+        p, g = base_params(), Grid(0.0, 1.0, 10)
+        beta = CoefficientTable.constant(0.4)
+        obs = Observations(L0=0.25, R0=0.25, LT=0.3, RT=0.3, T=1.0)  # N0 = 0.5
+        try:
+            SynthSpec(params=p, grid=g, beta_I_true=beta, A0_true=A0, I0_true=I0,
+                      L0=obs.L0, R0=obs.R0)
+            synth_accepts = True
+        except ValidationError as err:
+            assert err.errors == ["planted (A0, I0) must lie in K0"]
+            synth_accepts = False
+        try:
+            cost_p0(IdentCandidate(beta, A0, I0), obs, 1e-6, 1e-6, p, g)
+            cost_accepts = True
+        except FeasibilityError:
+            cost_accepts = False
+        assert synth_accepts == cost_accepts == inside
+
+
 class TestGradientP0:
     def test_zero_at_unregularized_fit(self):
         p, g, obs, ref = planted()
@@ -114,6 +142,11 @@ class TestGradientP0:
 
 
 class TestProjections:
+    @pytest.mark.parametrize("f", [project_k0, resolve_k0])
+    def test_empty_triangle_rejected(self, f):
+        with pytest.raises(ValueError, match="N0 must be > 0"):
+            f((0.1, 0.1), 0.0)
+
     def test_triangle_projection_matches_bruteforce(self, rng):
         n0 = 0.9
         z1 = np.linspace(0.0, n0, 801)
@@ -336,8 +369,14 @@ class TestSolveP0:
     @pytest.mark.parametrize("alpha0, alpha1", [(0.0, 1e-6), (1e-6, 0.0), (-1.0, 1e-6)])
     def test_rejects_nonpositive_weights(self, alpha0, alpha1):
         p, g, obs, ref = planted(M=100)
-        with pytest.raises(ValidationError, match="alpha0 and alpha1 must be > 0"):
+        with pytest.raises(ValidationError, match=r"alpha[01] must be > 0"):
             solve_p0(obs, p, g, alpha0, alpha1)
+
+    def test_names_the_nonpositive_weight(self):
+        p, g, obs, ref = planted(M=100)
+        with pytest.raises(ValidationError) as exc:
+            solve_p0(obs, p, g, 0.0, 1e-6)
+        assert exc.value.errors == ["alpha0 must be > 0"]
 
     def test_stall_returns_current_iterate(self, monkeypatch):
         p, g, obs, ref = planted(M=200)

@@ -86,6 +86,25 @@ class TestTotalPopulation:
         assert total_population(State(0.5, 0.1, 0.05, 0.05, 0.3)) == pytest.approx(1.0)
 
 
+class TestState:
+    def test_rejects_negative_component(self):
+        with pytest.raises(ValidationError) as exc:
+            State(0.95, -0.01, 0.03, 0.02, 0.01)
+        assert exc.value.errors == ["components must be >= 0"]
+
+    def test_rejects_nan_component(self):
+        # a NaN fails the sign test, and makes the sum fail too
+        with pytest.raises(ValidationError) as exc:
+            State(0.9, float("nan"), 0.05, 0.05, 0.0)
+        assert exc.value.errors == ["components must be >= 0", "components must sum to 1"]
+
+    def test_rejects_sum_off_one(self):
+        State(0.9, 0.05, 0.03, 0.01, 0.01 + 0.5e-9)  # within the 1e-9 slack
+        with pytest.raises(ValidationError) as exc:
+            State(0.9, 0.05, 0.03, 0.01, 0.0)
+        assert exc.value.errors == ["components must sum to 1"]
+
+
 class TestCoefficientTable:
     def test_single_knot_constant(self):
         c = CoefficientTable([0.0], [0.3])

@@ -63,13 +63,13 @@ class TestLoadScenario:
         doc = simulate_doc()
         doc["params"]["l_A"] = 1.5
         doc["params"]["sigma"] = -1.0
-        doc["x0"]["S"] = 0.5  # breaks the sum-to-N check
+        doc["x0"]["S"] = 0.5  # breaks the sum-to-1 check
         with pytest.raises(ValidationError) as exc:
             scenario_from_dict(doc)
         msgs = "\n".join(exc.value.errors)
         assert "l_A out of [0,1]" in msgs
         assert "sigma" in msgs
-        assert "sum to N" in msgs
+        assert "x0: components must sum to 1" in msgs
 
     def test_parse_error_located(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -144,6 +144,18 @@ class TestSimulateExtinction:
         with pytest.raises(ValidationError, match="xi"):
             simulate_extinction(p, (0.9, 0.05, 0.05, 0.0, 0.0))
 
+    @pytest.mark.parametrize("x0, errors", [
+        ((0.9, 0.05, 0.03, 0.01, 0.0), ["components must sum to 1"]),
+        ((0.95, -0.01, 0.03, 0.02, 0.01), ["components must be >= 0"]),
+        ((0.9, float("nan"), 0.05, 0.05, 0.0),
+         ["components must be >= 0", "components must sum to 1"]),
+    ], ids=["sum-0.99", "negative", "nan"])
+    def test_initial_state_is_a_state(self, x0, errors):
+        # the loader's x0 rule, for a library caller too
+        with pytest.raises(ValidationError) as exc:
+            simulate_extinction(const_params(), x0)
+        assert exc.value.errors == errors
+
     def test_zero_step_rejected(self):
         with pytest.raises(ValidationError, match="h must be > 0"):
             simulate_extinction(const_params(), (0.9, 0.05, 0.05, 0.0, 0.0),

@@ -8,6 +8,7 @@ CLI runners are fuzzed for tracebacks."""
 
 import copy
 import errno
+import io
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sailr import (BlowupError, ValidationError, identify, model, scenario_from_dict,
                    simulate, solve_p, solve_p0, write_adjoint_csv, write_trajectory_csv)
+from sailr.child import frame, frame_heads
 from sailr.cli import main
 from sailr.scenario import write_series_csv
 from conftest import _REFUSED, assert_no_child, refuse_fork
@@ -616,3 +618,15 @@ def test_fuzz_stability(capsys, mutations):
 @given(_mutations("synth"))
 def test_fuzz_synth(capsys, mutations):
     check_fuzz_run(capsys, "synth", mutations)
+
+
+
+def test_frames_round_trip():
+    # the one wire format of GridCsvWriter's and the reverse helper's frames
+    rows = np.arange(6.0)
+    pipe = io.BytesIO(frame(3, 5, rows.tobytes()) + frame(-2, 0))
+    heads = frame_heads(pipe)
+    assert next(heads) == (3, 5)
+    assert pipe.read(rows.nbytes) == rows.tobytes()
+    assert next(heads) == (-2, 0)
+    assert next(heads, None) is None
