@@ -17,9 +17,11 @@ from contextlib import suppress
 _HEAD = struct.Struct("=qq")  # a frame's header (lo, hi): two native int64
 
 
-def frame(lo: int, hi: int, payload=b"") -> bytes:
-    """The frame of header (lo, hi) and the bytes payload."""
-    return _HEAD.pack(lo, hi) + payload
+def frame(lo: int, hi: int) -> bytes:
+    """The header (lo, hi) of a frame.  Its payload, if any, follows it on
+    the pipe as a second write: a C-contiguous float64 array written from its
+    own buffer, so that no grid-sized array is copied on its way into the pipe."""
+    return _HEAD.pack(lo, hi)
 
 
 def frame_heads(pipe):
@@ -81,12 +83,14 @@ class Child:
         else:
             self.kill()
 
-    def send(self, data) -> bool:
-        """Write data down the first pipe and flush it; False if there is no
-        child or it has died (then it is reaped)."""
+    def send(self, *data) -> bool:
+        """Write each of data (bytes or a C-contiguous array) down the first
+        pipe, then flush it; False if there is no child or it has died (then
+        it is reaped)."""
         if self.pid is not None:
             try:
-                self.files[0].write(data)
+                for part in data:
+                    self.files[0].write(part)
                 self.files[0].flush()
                 return True
             except OSError:  # the child has died

@@ -76,7 +76,7 @@ class PenaltyConfig:
         errs = []
         if not self.alpha1 > 0:
             errs.append("alpha1 must be > 0 (the limit projection divides by it)")
-        if self.alpha0 < 0 or self.alpha2 < 0:
+        if not (self.alpha0 >= 0 and self.alpha2 >= 0):  # a NaN fails it too
             errs.append("alpha0 and alpha2 must be >= 0")
         sched = tuple(float(e) for e in self.eps_schedule)
         if not sched:

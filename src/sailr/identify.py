@@ -15,8 +15,10 @@ the exact gradient) certify convergence.
 
 solve_p0 forks one helper per call, which builds each reverse sweep's step
 maps while the forward solve streams its states to it (`_ReverseHelper`,
-at most PREFETCH_BLOCKS blocks of maps ahead, about 5 MB).  The results are
-the same bits as with every sweep in-process, the one fallback: without
+at most PREFETCH_BLOCKS blocks of maps ahead, about 5 MB).  It sends back
+only what the solver reads of a sweep (`_reduce`: the Jacobian rows and
+blocks, and once per call the last sweep's adjoint).  The results are the
+same bits as with every sweep in-process, the one fallback: without
 os.fork, when the fork or its pipes fail, or when the helper dies (an error
 in its sweep ends it).  No child outlives the call.
 """
@@ -64,11 +66,16 @@ class Observations:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 errs.append(f"{name} out of [0,1]")
-        if not self.L0 + self.R0 < 1.0:  # S0, A0, I0 share N0 = 1 - (L0 + R0) > 0
-            errs.append("L0 + R0 must be < 1")
+        errs += mass_errors(self.L0, self.R0)
         if not self.T > 0:
             errs.append("T must be > 0")
         ValidationError.check(errs)
+
+
+def mass_errors(L0: float, R0: float) -> list[str]:
+    """The observed-mass rule: L0 + R0 < 1, since S0, A0 and I0 share
+    N0 = 1 - (L0 + R0) > 0 (a NaN fails it)."""
+    return [] if L0 + R0 < 1.0 else ["L0 + R0 must be < 1"]
 
 
 def n0_of(obs: Observations) -> float:
@@ -267,27 +274,41 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return wq
 
 
+def _reduce(v, bbar, r, wq):
+    """What the solver reads of one reverse sweep (v, bbar) of the discrete
+    RK4 map with cotangent columns e_L, e_R: the Jacobian rows and blocks of
+    the terminal (L, R), and the adjoint for the residuals r.
+
+    Rows are the weighted-inner-product representers (so row . direction
+    integrates with the trapezoid weights wq), blocks the (A0, I0) partials
+    with the S0 = N0 - A0 - I0 dependence folded in, both transposed views
+    of C-contiguous arrays: `r @ rows` reads that layout, and another one
+    takes another BLAS path with other bits.  The adjoint v @ r, the (M + 1, 5)
+    d(mismatch)/d x_k, is the exact discrete counterpart of `adjoint_p0`.
+    """
+    rows = (stage_to_knot_gradient(bbar) / wq[:, None]).T
+    blocks = (v[0, 1:3] - v[0, 0]).T
+    return rows, blocks, v @ r
+
+
 def _exact_gradient(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
                     params: ModelParams, traj: Trajectory, wq, n0: float, helper=None):
-    """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, the Jacobian
-    rows and blocks of the terminal (L, R) it is assembled from, and the adjoint.
+    """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, and the
+    Jacobian rows and blocks (`_reduce`) it is assembled from.
 
-    One reverse sweep of the discrete RK4 map with cotangent columns e_L, e_R;
-    rows come back as their weighted-inner-product representers (so
-    row . direction integrates with the trapezoid weights wq), blocks as
-    the (A0, I0) partials with the S0 = N0 - A0 - I0 dependence folded in.
-    The adjoint d(mismatch)/d x_k is the exact discrete counterpart of
-    `adjoint_p0`.  A _ReverseHelper that was streamed traj's solve does the
-    sweep, with the same bits.
+    One reverse sweep of the discrete RK4 map.  A _ReverseHelper that was
+    streamed traj's solve does the sweep, with the same bits, and keeps its
+    adjoint for `_ReverseHelper.adjoint`.
     """
     r = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT])
     p = params.replace(beta_I=c.beta_I)
-    v, bbar = _rk4_model_vjp(p, traj, _ENDS) if helper is None else helper.vjp(p, traj)
-    rows = (stage_to_knot_gradient(bbar) / wq[:, None]).T
-    blocks = (v[0, 1:3] - v[0, 0]).T
+    if helper is None:
+        rows, blocks, _ = _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, wq)
+    else:
+        rows, blocks = helper.vjp(p, traj, r)
     gb = alpha1 * np.asarray(c.beta_I(traj.grid.points())) + r @ rows
     gA, gI = r @ blocks + alpha0 * (np.array([2 * c.A0 + c.I0, 2 * c.I0 + c.A0]) - n0)
-    return gb, gA, gI, rows, blocks, AdjointTrajectory(traj.grid, v @ r)
+    return gb, gA, gI, rows, blocks
 
 
 def _gn_direction(gbeta, gblock, rows, blocks, alpha0, alpha1, wq, free, free_block):
@@ -333,17 +354,22 @@ class _ReverseHelper:
 
     Per candidate, `_forward` sends a frame of its beta_I knot values, then
     the solve's states block by block (send is simulate's block_done).  Each
-    `child.frame` is a header (lo, hi) and a float64 payload; lo < 0 marks a
-    candidate (hi values) or a sweep request (no payload).  The child builds
-    each reverse block's step maps (`model.vjp_step_maps`) as soon as the
-    block's states are there, PREFETCH_BLOCKS of them at most, and a new
-    candidate drops them.  vjp asks for the candidate's (v, bbar): the child
-    builds the blocks left, runs `model.vjp_sweep` and sends both back,
-    which are then the bits `_rk4_model_vjp` gives.  That runs in-process
+    `child.frame` is a header (lo, hi) and a float64 payload written from
+    the array's own buffer; lo < 0 marks a candidate (hi values), a sweep
+    request (the hi = 2 residuals r) or an adjoint request (no payload).
+    The child builds each reverse block's step maps (`model.vjp_step_maps`)
+    as soon as the block's states are there, PREFETCH_BLOCKS of them at
+    most, and a new candidate drops them.  vjp(p, traj, r) asks for the
+    candidate's sweep: the child builds the blocks left, runs
+    `model.vjp_sweep`, reduces it (`_reduce`) and sends back the rows and
+    blocks only (0.16 MB at M = 10^4), keeping the adjoint until the next
+    sweep; adjoint() fetches the last one, once per solve.  These are the
+    bits that `_reduce` of `_rk4_model_vjp` gives, which runs in-process
     instead when there is no child (no os.fork, or the pipe or the fork
     failed) or when the child has died.  A helper that cannot answer is a
     dead one: an error in its sweep (a BlowupError, say) ends it, and the
-    in-process sweep then raises the error again or gives the bits.  The
+    in-process sweep then raises the error again or gives the bits.  When
+    it dies after the last sweep, adjoint() sweeps again in-process.  The
     child multiplies matrices with NumPy after the fork; OpenBLAS rebuilds
     its thread pool in a forked child.
 
@@ -351,10 +377,12 @@ class _ReverseHelper:
     inside the block kills it.  Either way no child is left.
     """
 
-    _CANDIDATE, _SWEEP = -1, -2  # the lo of the two frames that carry no states
+    _CANDIDATE, _SWEEP, _ADJOINT = -1, -2, -3  # the lo of the frames that carry no states
 
     def __init__(self, params: ModelParams, grid: Grid):
         self._params, self._grid = params, grid
+        # the last sweep's (p, traj, r), and its adjoint unless the child keeps it
+        self._last, self._adjoint = None, None
         self._child = Child(self._serve, pipes=2)
 
     def __enter__(self):
@@ -364,25 +392,43 @@ class _ReverseHelper:
         self._child.__exit__(*exc)  # an error kills it: its maps are not worth finishing
 
     def candidate(self, values):
-        self._child.send(frame(self._CANDIDATE, len(values), values.tobytes()))
+        self._child.send(frame(self._CANDIDATE, len(values)), values)
 
     def send(self, lo: int, hi: int, rows):
-        self._child.send(frame(lo, hi, rows.tobytes()))
+        self._child.send(frame(lo, hi), rows)
 
-    def vjp(self, p: ModelParams, traj: Trajectory):
-        """(v, bbar) of `_rk4_model_vjp` for the candidate last streamed."""
-        self._child.send(frame(self._SWEEP, 0))
-        M = self._grid.M
-        ys = self._child.receive(np.empty((M + 1,) + _ENDS.shape))
-        bbar = self._child.receive(np.empty((2 * M + 1, _ENDS.shape[1])))
-        if bbar is None:  # no child, or it has died
-            return _rk4_model_vjp(p, traj, _ENDS)
-        return ys[::-1], bbar
+    def vjp(self, p: ModelParams, traj: Trajectory, r):
+        """The rows and blocks of `_reduce` for the candidate last streamed,
+        whose solve is traj, and the residuals r."""
+        self._last = p, traj, r
+        self._child.send(frame(self._SWEEP, r.size), r)
+        rows = self._child.receive(np.empty((self._grid.M + 1, r.size)))
+        blocks = self._child.receive(np.empty((2, r.size)))
+        if blocks is None:  # no child, or it has died
+            rows, blocks, self._adjoint = self._in_process()
+            return rows, blocks
+        self._adjoint = None  # the child keeps it
+        return rows.T, blocks.T
+
+    def adjoint(self) -> np.ndarray:
+        """The adjoint of `_reduce` for the last vjp; if the child that
+        kept it has died, that sweep runs again in-process."""
+        if self._adjoint is None:
+            self._child.send(frame(self._ADJOINT, 0))
+            self._adjoint = self._child.receive(np.empty((self._grid.M + 1, 5)))
+        if self._adjoint is None:
+            self._adjoint = self._in_process()[2]
+        return self._adjoint
+
+    def _in_process(self):
+        # _reduce of the last vjp's sweep, run in this process
+        p, traj, r = self._last
+        return _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, _trapezoid_weights(self._grid))
 
     def _serve(self, frames, replies) -> int:
         # The child: serve frames until the parent closes the pipe.
         g, M = self._grid, self._grid.M
-        states = np.empty((M + 1, 5))
+        states, wq = np.empty((M + 1, 5)), _trapezoid_weights(g)
         for lo, hi in frame_heads(frames):
             if lo == self._CANDIDATE:
                 values = np.frombuffer(frames.read(8 * hi))
@@ -390,7 +436,12 @@ class _ReverseHelper:
                                      g, states)
                 built, todo = {}, list(range(0, M, SWEEP_BLOCK))
             elif lo == self._SWEEP:
-                self._reply(replies, maps, built)
+                residuals = np.frombuffer(frames.read(8 * hi))
+                adjoint = None  # the last one is not kept through the sweep
+                adjoint = self._reply(replies, maps, built, residuals, wq)
+            elif lo == self._ADJOINT:
+                replies.write(adjoint)
+                replies.flush()
             else:
                 frames.readinto(states[lo:hi])
                 # reverse steps r.. are the forward steps ..M-r-1, from states ..M-r-1
@@ -399,16 +450,18 @@ class _ReverseHelper:
                     built[r] = maps(r, min(r + SWEEP_BLOCK, M))
         return 0
 
-    def _reply(self, replies, maps, built):
+    def _reply(self, replies, maps, built, r, wq):
+        # sends the sweep's rows and blocks, and returns its adjoint
         def prefetched(lo, hi):
             D = built.pop(lo, None)
             return maps(lo, hi) if D is None else D
 
         # an error ends the child; the parent's in-process sweep raises it again
-        v, bbar = vjp_sweep(prefetched, self._grid.M, _ENDS)
-        replies.write(v[::-1])
-        replies.write(bbar)
+        rows, blocks, adjoint = _reduce(*vjp_sweep(prefetched, self._grid.M, _ENDS), r, wq)
+        replies.write(rows.T)  # the C-contiguous arrays they are views of
+        replies.write(blocks.T)
         replies.flush()
+        return adjoint
 
 
 def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
@@ -434,9 +487,10 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     best iterate seen.
 
     Each reverse sweep's step maps are built in a forked helper while the
-    forward solve runs (`_ReverseHelper`, one fork per call): the results
-    are the same bits as without os.fork, and no child is left on return
-    or on an error.
+    forward solve runs (`_ReverseHelper`, one fork per call), which sends
+    back only the rows and blocks the iteration reads, and the last sweep's
+    adjoint once: the results are the same bits as without os.fork, and no
+    child is left on return or on an error.
     """
     cfg = config or IdentConfig()
     ValidationError.check(grid_errors(grid, obs) + weight_errors(alpha0, alpha1))
@@ -461,20 +515,20 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         return IdentCandidate(_beta_table(grid, bgv), a, i)
 
     def exact_state(cand, traj):
-        # Exact discrete gradient, Gauss-Newton rows and the reported adjoint
-        # from one reverse sweep; counted as one sweep per cotangent.
+        # Exact discrete gradient and Gauss-Newton rows from one reverse
+        # sweep, counted as one sweep per cotangent; the helper keeps its adjoint.
         nonlocal nsolves
-        gb, gA, gI, rows, blocks, adj = _exact_gradient(cand, obs, alpha0, alpha1, params,
-                                                        traj, wq, n0, helper)
+        gb, gA, gI, rows, blocks = _exact_gradient(cand, obs, alpha0, alpha1, params,
+                                                   traj, wq, n0, helper)
         nsolves += 2
         residual = optimality_residual_p0(cand, grid, (gb, gA, gI), alpha0, alpha1, n0)
-        return gb, gA, gI, rows, blocks, adj, residual
+        return gb, gA, gI, rows, blocks, residual
 
     cand = make(bg, A0, I0)
     traj = _forward(cand, obs, params, grid, helper)
     nsolves += 1
     J, parts = _cost_terms(cand, obs, alpha0, alpha1, grid, traj)
-    gbeta, gA0, gI0, rows, blocks, adj, residual = exact_state(cand, traj)
+    gbeta, gA0, gI0, rows, blocks, residual = exact_state(cand, traj)
     history = [J]
     converged = residual <= cfg.tol
     notes = []
@@ -517,9 +571,10 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
             break
 
         bg, A0, I0, cand, traj, J, parts = move
-        gbeta, gA0, gI0, rows, blocks, adj, residual = exact_state(cand, traj)
+        gbeta, gA0, gI0, rows, blocks, residual = exact_state(cand, traj)
         history.append(J)
         converged = residual <= cfg.tol
 
-    return IdentResult(cand, J, np.asarray(history), residual, traj, adj,
-                       it, converged, nsolves, notes)
+    # the reported adjoint is the last sweep's: cand's (a redone sweep is not counted)
+    return IdentResult(cand, J, np.asarray(history), residual, traj,
+                       AdjointTrajectory(grid, helper.adjoint()), it, converged, nsolves, notes)

@@ -46,7 +46,7 @@ class CoefficientTable:
             errs.append("coefficient table needs len(values) == len(knots) >= 1")
         if knots.size > 1 and not np.all(np.diff(knots) > 0):
             errs.append("coefficient table knots must be strictly increasing")
-        if values.size and np.min(values) < 0:
+        if not np.all(values >= 0):  # written so that a NaN value fails it
             errs.append("negative coefficient value in table")
         ValidationError.check(errs)
         # np.interp copies read-only inputs on every call, which a sweep
@@ -166,7 +166,7 @@ def param_errors(p: ModelParams, t_max: float | None = None) -> list[str]:
     """Every violated invariant of ModelParams, as named messages."""
     errs = []
     for name in ("sigma", "mu_A", "mu_I", "mu_L"):
-        if getattr(p, name) < 0:
+        if not getattr(p, name) >= 0:  # written so that a NaN fails it
             errs.append(f"{name} must be >= 0")
     for name in ("l_A", "l_I"):
         v = getattr(p, name)

@@ -25,7 +25,8 @@ import numpy as np
 from .child import Child, frame, frame_heads
 from .control import ControlPair, PenaltyConfig, lhat_errors
 from .errors import ValidationError
-from .identify import IdentConfig, Observations, grid_errors, in_k0, weight_errors
+from .identify import (IdentConfig, Observations, grid_errors, in_k0, mass_errors,
+                       weight_errors)
 from .integrate import Grid, Trajectory
 from .linearize import AdjointTrajectory
 from .model import CoefficientTable, ModelParams, State, param_errors, simulate
@@ -62,8 +63,9 @@ class SynthSpec:
 
     def __post_init__(self):
         errs = []
-        if self.L0 < 0 or self.R0 < 0:
+        if not (self.L0 >= 0 and self.R0 >= 0):  # a NaN fails it too
             errs.append("L0 and R0 must be >= 0")
+        errs += mass_errors(self.L0, self.R0)
         if not in_k0(self.A0_true, self.I0_true, 1.0 - (self.L0 + self.R0)):
             errs.append("planted (A0, I0) must lie in K0")
         if not 0 <= self.noise <= 1:  # beyond 1 the clamped observations carry no signal
@@ -356,10 +358,10 @@ class GridCsvWriter:
     has every row already sends them as one block.  Where os.fork exists, a
     child process (`child.Child`) renders them while the caller goes on:
     each block goes to it down a pipe as one `child.frame`, header (lo, hi)
-    then the raw float64 rows, and a send waits only while the pipe is full,
-    not while the child renders.  The child uses no BLAS.  Without os.fork,
-    or when the pipe or the fork fails, send renders the block in-process
-    before it returns.
+    then the raw float64 rows from the array's own buffer, and a send waits
+    only while the pipe is full, not while the child renders.  The child
+    uses no BLAS.  Without os.fork, or when the pipe or the fork fails, send
+    renders the block in-process before it returns.
 
     Leaving the with-block closes the writer, waiting for the child; a
     writer failure is an OSError naming the file.  An error inside the
@@ -402,8 +404,10 @@ class GridCsvWriter:
             with _naming(self.path):
                 self._write_rows(lo, hi, rows)
             return
+        pipe = self._child.files[0]
         try:
-            self._child.files[0].write(frame(lo, hi, np.asarray(rows, dtype=float).tobytes()))
+            pipe.write(frame(lo, hi))
+            pipe.write(np.ascontiguousarray(rows, dtype=float))
         except BrokenPipeError:  # the child stopped early: report why
             self.close()
             raise

@@ -10,9 +10,10 @@ beta_I table knotted on the grid and the two-column cotangent (e_L, e_R)
 for the reverse sweep.
 
 `test_forward_and_reverse` times what one identify gradient costs: a
-forward solve and the reverse sweep, either in-process or with the solve
-streamed to `identify._ReverseHelper`, which builds the step maps in a
-forked child meanwhile and sends back the sweep's result.
+forward solve and the reverse sweep reduced to what the solver reads
+(`identify._reduce`), either in-process or with the solve streamed to
+`identify._ReverseHelper`, which builds the step maps in a forked child
+meanwhile and sends back the rows and blocks.
 
 `test_stage_newton` times the FD-Newton phase of one control_binding stage
 that stalls, either in-process or with solve_p's forked evaluator taking
@@ -27,7 +28,7 @@ import pytest
 
 from sailr import (CoefficientTable, ControlPair, Grid, IdentCandidate, Observations,
                    adjoint_p0, adjoint_p_eps, control, simulate, tangent_p)
-from sailr.identify import _ENDS, _ReverseHelper, _forward
+from sailr.identify import _ENDS, _ReverseHelper, _forward, _reduce, _trapezoid_weights
 from sailr.model import _rk4_model_vjp
 from conftest import control_binding_problem, random_params, random_state
 
@@ -71,11 +72,14 @@ def test_kernel(benchmark, kernel, M):
 def test_forward_and_reverse(benchmark, streamed, M):
     p, x0, g, traj, obs = _problem(M)
     cand = IdentCandidate(p.beta_I, x0[1], x0[2])
+    r, wq = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT]), _trapezoid_weights(g)
     benchmark.group = f"forward+reverse M={M}"
     with _ReverseHelper(p, g) if streamed else nullcontext() as helper:
         def gradient_sweeps():
             traj = _forward(cand, obs, p, g, helper)
-            return helper.vjp(p, traj) if streamed else _rk4_model_vjp(p, traj, _ENDS)
+            if streamed:
+                return helper.vjp(p, traj, r)
+            return _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, wq)[:2]
 
         benchmark.pedantic(gradient_sweeps, rounds=max(5, 400_000 // M), warmup_rounds=1)
     if benchmark.stats is not None:

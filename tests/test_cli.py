@@ -474,6 +474,9 @@ class TestLoadErrors:
         ("control", "control_binding", ['penalty.anchor={"lA": 1.5, "lI": 0.5}'],
          ["penalty.anchor: controls must lie in [0,1]^2"]),
         ("synth", "synth_truth", ["synth.L0=-0.1"], ["synth.L0 and R0 must be >= 0"]),
+        ("synth", "synth_truth",
+         ["synth.L0=0.5", "synth.R0=0.5", "synth.A0_true=0", "synth.I0_true=0"],
+         ["synth.L0 + synth.R0 must be < 1"]),
         # a block's own checks name their field once, under the block's locus
         ("identify", "identify_synthetic",
          ["observations.LT=1.5", "observations.L0=0.6", "observations.R0=0.5",
@@ -489,6 +492,7 @@ class TestLoadErrors:
     ], ids=["x0-negative", "grid-span", "grid-t0", "no-unobserved-mass",
             "override-no-equals", "override-raw-string", "override-through-number",
             "document-array", "anchor-one-key", "anchor-out-of-range", "synth-L0-negative",
+            "synth-no-unobserved-mass",
             "observations-fields", "synth-fields", "grid-M-zero", "grid-T-negative",
             "synth-seed-negative"])
     def test_rejected(self, tmp_path, capsys, task, scenario, overrides, errors):

@@ -243,6 +243,11 @@ class TestPenaltyConfig:
         with pytest.raises(ValidationError, match="alpha1"):
             PenaltyConfig(alpha0=1.0, alpha1=0.0, alpha2=1.0, Lhat=1.0)
 
+    @pytest.mark.parametrize("alpha0, alpha2", [(np.nan, 5.0), (5.0, np.nan)])
+    def test_nan_weight_rejected(self, alpha0, alpha2):
+        with pytest.raises(ValidationError, match="alpha0 and alpha2 must be >= 0"):
+            PenaltyConfig(alpha0=alpha0, alpha1=0.02, alpha2=alpha2, Lhat=0.04)
+
     def test_default_schedule(self):
         s = default_eps_schedule()
         assert len(s) == 13 and s[0] == 0.1 and s[1] == 0.05

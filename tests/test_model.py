@@ -155,6 +155,10 @@ class TestCoefficientTable:
         with pytest.raises(ValidationError):
             CoefficientTable([0.0, 1.0], [0.1])  # length mismatch
 
+    def test_nan_value_rejected(self):
+        with pytest.raises(ValidationError, match="negative coefficient"):
+            CoefficientTable([0.0, 1.0], [np.nan, 0.3])
+
 
 class TestValidateParams:
     def test_k1_zero_rejected(self):
@@ -175,6 +179,14 @@ class TestValidateParams:
             ModelParams(sigma=0.1, mu_A=0.1, mu_I=0.1, mu_L=0.1, l_A=0.1, l_I=0.1,
                         beta_I=CoefficientTable([0.0, 1.0], [0.2, -0.1]),
                         beta_A=0.2, xi=0.0)
+
+    def test_nan_rate_rejected(self):
+        # a NaN recovery rate is a ValidationError, not a blow-up at step 1
+        p = ModelParams(sigma=0.1, mu_A=0.1, mu_I=0.1, mu_L=np.nan, l_A=0.1, l_I=0.1,
+                        beta_I=0.2, beta_A=0.2, xi=0.0)
+        assert param_errors(p) == ["mu_L must be >= 0"]
+        with pytest.raises(ValidationError, match="mu_L must be >= 0"):
+            simulate(p, (0.9, 0.05, 0.03, 0.01, 0.01), Grid(0.0, 1.0, 10))
 
     def test_l_range(self):
         p = zero_rate_params(l_A=1.5, mu_I=0.1, sigma=0.1)

@@ -205,15 +205,30 @@ class TestSynthObservations:
         assert a != c
 
     def test_noisy_draw_reaching_unit_mass_rescaled(self):
-        # noise far below the values' spacing leaves L0 + R0 = 1 exactly,
-        # which Observations rejects; the draw is scaled back below 1
+        # seed 1 draws L0 + R0 = 1.0085 from 0.99, which Observations
+        # rejects; the draw is scaled back below 1
         p = ModelParams(sigma=0.2, mu_A=0.1, mu_I=0.1, mu_L=0.1, l_A=0.1, l_I=0.2,
                         beta_I=0.0, beta_A=0.2, xi=0.0)
         spec = SynthSpec(params=p, grid=Grid(0.0, 2.0, 20),
                          beta_I_true=CoefficientTable.constant(0.4), A0_true=0.0,
-                         I0_true=0.0, L0=0.5, R0=0.5, noise=1e-300)
+                         I0_true=0.0, L0=0.6, R0=0.39, noise=0.02, seed=1)
         obs, _ = synth_observations(spec)
         assert 1.0 - 2e-12 < obs.L0 + obs.R0 < 1.0
+
+    @pytest.mark.parametrize("L0, R0, errors", [
+        (0.5, 0.5, ["L0 + R0 must be < 1"]),
+        (np.nan, 0.01, ["L0 and R0 must be >= 0", "L0 + R0 must be < 1",
+                        "planted (A0, I0) must lie in K0"]),
+    ], ids=["unit-mass", "nan"])
+    def test_initial_mass_rules(self, L0, R0, errors):
+        # the observations' L0 + R0 < 1 holds for the planted truth too
+        p = ModelParams(sigma=0.2, mu_A=0.1, mu_I=0.1, mu_L=0.1, l_A=0.1, l_I=0.2,
+                        beta_I=0.0, beta_A=0.2, xi=0.0)
+        with pytest.raises(ValidationError) as exc:
+            SynthSpec(params=p, grid=Grid(0.0, 2.0, 20),
+                      beta_I_true=CoefficientTable.constant(0.4), A0_true=0.0,
+                      I0_true=0.0, L0=L0, R0=R0)
+        assert exc.value.errors == errors
 
     @pytest.mark.parametrize("noise", [-1e-300, 1.5, 1e308])
     def test_noise_outside_unit_interval_rejected(self, noise):
