@@ -3,8 +3,8 @@
 `scenario.GridCsvWriter` renders CSV rows in one, `identify.solve_p0`
 builds its reverse sweeps' step maps in another, and `control.solve_p`
 evaluates stage maps ahead of need in a third.  Each does the same work
-in-process when there is no child: without os.fork, or when the pipe or
-the fork fails.
+in-process when there is no child: without os.fork, when the process may
+use one CPU only, or when the pipe or the fork fails.
 """
 
 from __future__ import annotations
@@ -39,13 +39,15 @@ class Child:
     writer then a reader.  The child runs with garbage collection off, since
     collecting the parent's garbage could flush its files, and ends by
     os._exit, which flushes no buffer: serve flushes its own replies.  pid
-    is None when no child was forked, as with serve None.  Leaving a
-    with-block waits for the child, or kills it if the block raised.
+    is None when no child was forked: with serve None, and where
+    os.sched_getaffinity says the process may use one CPU only, since a
+    child then only takes turns with its parent.  Leaving a with-block
+    waits for the child, or kills it if the block raised.
     """
 
     def __init__(self, serve, pipes: int = 1):
         self.pid, self.files = None, []
-        if serve is None or not hasattr(os, "fork"):
+        if serve is None or not hasattr(os, "fork") or _one_cpu():
             return
         ends = []
         try:
@@ -124,6 +126,10 @@ class Child:
         for f in self.files:
             with suppress(OSError):  # the pipe has no reader left
                 f.close()
+
+
+def _one_cpu() -> bool:
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2
 
 
 def _close(fds):

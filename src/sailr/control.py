@@ -213,9 +213,9 @@ class _Evaluator:
     lI, eps, anchor), its reply the update's two float64, then the
     trajectory's and the adjoint's (M + 1, 5) float64 states, read into a
     new array each time: take()'s trajectory and adjoint keep it.  Without a
-    child (no os.fork, a failed pipe or fork, or an error or warning ended
-    it), take evaluates here, with the same bits.  sweeps counts the
-    stage's sweeps the solver reads.
+    child (no os.fork, one CPU, a failed pipe or fork, or an error or
+    warning ended it), take evaluates here, with the same bits.  sweeps
+    counts the stage's sweeps the solver reads.
     """
 
     def __init__(self, pcfg, params, x0, grid, fork=True):

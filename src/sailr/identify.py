@@ -13,14 +13,20 @@ The first-order conditions of that discrete problem (positive-part
 projection for beta_I and the Gamma-resolvent for (A0, I0), both read from
 the exact gradient) certify convergence.
 
+It starts from the data (`_start`): beta_I = 0 on its bound, and (A0, I0)
+fitted to (LT, RT) by the model linearized there, whose terminal (L, R) is
+affine in (A0, I0); the first step keeps beta_I on that bound.  Where a
+full step's predicted decrease and cost change are both below the rounding
+of the cost, the cost cannot judge it and the certificate does.
+
 solve_p0 forks one helper per call, which builds each reverse sweep's step
 maps while the forward solve streams its states to it (`_ReverseHelper`,
 at most PREFETCH_BLOCKS blocks of maps ahead, about 5 MB).  It sends back
 only what the solver reads of a sweep (`_reduce`: the Jacobian rows and
 blocks, and once per call the last sweep's adjoint).  The results are the
 same bits as with every sweep in-process, the one fallback: without
-os.fork, when the fork or its pipes fail, or when the helper dies (an error
-in its sweep ends it).  No child outlives the call.
+os.fork, on one CPU, when the fork or its pipes fail, or when the helper
+dies (an error in its sweep ends it).  No child outlives the call.
 """
 
 from __future__ import annotations
@@ -33,14 +39,16 @@ from .child import Child, frame, frame_heads
 from .errors import FeasibilityError, ValidationError
 from .integrate import SWEEP_BLOCK, Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory
-from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, simulate,
+from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, param_errors, simulate,
                     stage_to_knot_gradient, vjp_step_maps, vjp_sweep)
 
 #: resolvent matrix coupling (A0, I0) in the initial-data optimality condition
 GAMMA = np.array([[2.0, 1.0], [1.0, 2.0]])
 ARMIJO_C = 1e-4      # arc search: sufficient-decrease constant
 MAX_BACKTRACKS = 60  # arc search: backtracks per step
-BETA_INIT = 0.1      # constant initial guess for beta_I
+#: a cost change below ROUNDING * J is below the rounding of J (about 1.4e-14 J)
+ROUNDING = 64 * np.finfo(float).eps
+START_PASSES = 3     # fixed-point passes of the start's fit, S held at N0 - A0 - I0
 
 #: reverse blocks whose step maps solve_p0's helper builds ahead of a sweep,
 #: at most: every block up to M = 20 SWEEP_BLOCK (M = 10^4 has 20), about
@@ -148,6 +156,41 @@ def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
                     block_done=None if helper is None else helper.send)
 
 
+def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float):
+    """(A0, I0) of the first iterate: the fit of (LT, RT) by the model
+    linearized at beta_I = 0, or (N0/4, N0/4) if a pass of that fit is
+    singular, not finite or not strictly inside K0.
+
+    With S held at N0 - A0 - I0 of the last pass (N0 in the first) and
+    beta_A and xi at their time averages, (A, I, L, R) follow a constant
+    4x4 linear system, so the M-step RK4 solve of it is its step map to the
+    M-th power, and the terminal (L, R) is affine in (A0, I0).
+    """
+    tg = grid.points()
+    bA, xi = (trapezoid(c(tg), grid.h) / (grid.T - grid.t0) for c in (p.beta_A, p.xi))
+    hB = grid.h * np.array([[0.0, 0.0, 0.0, 0.0],
+                            [p.sigma, -p.k2, 0.0, 0.0],
+                            [p.l_A, p.l_I, -p.mu_L, 0.0],
+                            [p.mu_A, p.mu_I, p.mu_L, -xi]])
+    A0 = I0 = 0.0
+    for _ in range(START_PASSES):
+        hB[0, 0] = grid.h * (bA * (n0 - A0 - I0) - p.k1)
+        step = np.eye(4)
+        for k in (4.0, 3.0, 2.0, 1.0):  # I + hB + (hB)^2/2 + (hB)^3/6 + (hB)^4/24
+            step = np.eye(4) + hB @ step / k
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: the fallback
+            power = np.linalg.matrix_power(step, grid.M)
+            e, f = (np.array([obs.LT, obs.RT]) - power[2:, 2:] @ (obs.L0, obs.R0)).tolist()
+        (a, b), (c, d) = power[2:, :2].tolist()
+        det = a * d - b * c
+        if det == 0.0:
+            return n0 / 4.0, n0 / 4.0
+        A0, I0 = (e * d - b * f) / det, (a * f - c * e) / det
+        if not (A0 > 0.0 and I0 > 0.0 and A0 + I0 < n0):  # a NaN fails it too
+            return n0 / 4.0, n0 / 4.0
+    return A0, I0
+
+
 def _checked_forward(c: IdentCandidate, obs: Observations, params: ModelParams, grid: Grid):
     ValidationError.check(grid_errors(grid, obs))
     if not in_k0(c.A0, c.I0, n0 := n0_of(obs)):
@@ -156,11 +199,10 @@ def _checked_forward(c: IdentCandidate, obs: Observations, params: ModelParams, 
 
 
 def _cost_terms(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
-                grid: Grid, traj: Trajectory):
-    """The cost at c, and the parts it squares: the terminal residuals
-    (L, R), beta_I on the grid and (A0, I0, S0)."""
+                grid: Grid, traj: Trajectory, bg):
+    """The cost at c, whose beta_I takes the values bg on the grid, and the
+    parts it squares: the terminal residuals (L, R), bg and (A0, I0, S0)."""
     r = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT])
-    bg = np.asarray(c.beta_I(grid.points()), dtype=float)
     z = np.array([c.A0, c.I0, c.s0(n0_of(obs))])
     mis = 0.5 * r[0] ** 2 + 0.5 * r[1] ** 2
     reg_b = 0.5 * alpha1 * trapezoid(bg * bg, grid.h)
@@ -182,7 +224,7 @@ def cost_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
             params: ModelParams, grid: Grid) -> float:
     """Identification cost: terminal mismatch + quadratic regularizers."""
     traj = _checked_forward(c, obs, params, grid)
-    return _cost_terms(c, obs, alpha0, alpha1, grid, traj)[0]
+    return _cost_terms(c, obs, alpha0, alpha1, grid, traj, _on_grid(c, grid))[0]
 
 
 def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
@@ -195,7 +237,8 @@ def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: flo
     """
     traj = _checked_forward(c, obs, params, grid)
     wq = _trapezoid_weights(grid)
-    return _exact_gradient(c, obs, alpha0, alpha1, params, traj, wq, n0_of(obs))[:3]
+    return _exact_gradient(c, obs, alpha0, alpha1, params, traj, _on_grid(c, grid), wq,
+                           n0_of(obs))[:3]
 
 
 def _min_quadratic_triangle(Q, b, n0: float):
@@ -252,13 +295,22 @@ def optimality_residual_p0(c: IdentCandidate, grid: Grid, grad, alpha0: float,
     distance of (A0, I0) from the Gamma-resolvent of Gamma z - g_z/alpha0.
     Both weights must be > 0.
     """
+    return _certificate(c, _on_grid(c, grid), grad, alpha0, alpha1, n0)
+
+
+def _certificate(c: IdentCandidate, bg, grad, alpha0: float, alpha1: float, n0: float) -> float:
+    # optimality_residual_p0 at c, whose beta_I takes the values bg on the grid
     gbeta, gA0, gI0 = grad
-    bg = np.asarray(c.beta_I(grid.points()), dtype=float)
     res_a = float(np.max(np.abs(bg - np.maximum(bg - gbeta / alpha1, 0.0))))
     y = GAMMA @ (c.A0, c.I0) - np.array([gA0, gI0]) / alpha0
     zA, zI = resolve_k0(y, n0)
     res_b = float(np.hypot(c.A0 - zA, c.I0 - zI))
     return max(res_a, res_b)
+
+
+def _on_grid(c: IdentCandidate, grid: Grid) -> np.ndarray:
+    # c's beta_I evaluated at the grid points: the public functions take any table
+    return np.asarray(c.beta_I(grid.points()), dtype=float)
 
 
 def _beta_table(grid: Grid, values: np.ndarray) -> CoefficientTable:
@@ -292,9 +344,10 @@ def _reduce(v, bbar, r, wq):
 
 
 def _exact_gradient(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
-                    params: ModelParams, traj: Trajectory, wq, n0: float, helper=None):
-    """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, and the
-    Jacobian rows and blocks (`_reduce`) it is assembled from.
+                    params: ModelParams, traj: Trajectory, bg, wq, n0: float, helper=None):
+    """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, whose
+    beta_I takes the values bg on the grid, and the Jacobian rows and
+    blocks (`_reduce`) it is assembled from.
 
     One reverse sweep of the discrete RK4 map.  A _ReverseHelper that was
     streamed traj's solve does the sweep, with the same bits, and keeps its
@@ -306,7 +359,7 @@ def _exact_gradient(c: IdentCandidate, obs: Observations, alpha0: float, alpha1:
         rows, blocks, _ = _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, wq)
     else:
         rows, blocks = helper.vjp(p, traj, r)
-    gb = alpha1 * np.asarray(c.beta_I(traj.grid.points())) + r @ rows
+    gb = alpha1 * bg + r @ rows
     gA, gI = r @ blocks + alpha0 * (np.array([2 * c.A0 + c.I0, 2 * c.I0 + c.A0]) - n0)
     return gb, gA, gI, rows, blocks
 
@@ -365,8 +418,8 @@ class _ReverseHelper:
     blocks only (0.16 MB at M = 10^4), keeping the adjoint until the next
     sweep; adjoint() fetches the last one, once per solve.  These are the
     bits that `_reduce` of `_rk4_model_vjp` gives, which runs in-process
-    instead when there is no child (no os.fork, or the pipe or the fork
-    failed) or when the child has died.  A helper that cannot answer is a
+    instead when there is no child (no os.fork, one CPU, or the pipe or the
+    fork failed) or when the child has died.  A helper that cannot answer is a
     dead one: an error in its sweep (a BlowupError, say) ends it, and the
     in-process sweep then raises the error again or gives the bits.  When
     it dies after the last sweep, adjoint() sweeps again in-process.  The
@@ -475,25 +528,46 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     model (needed because the certificate tolerance divides by the small
     weights, which must therefore be > 0).  Iterates stay feasible
     (pointwise clamp for beta_I, Euclidean triangle projection for
-    (A0, I0)); cost_history is nonincreasing; terminates when the
-    optimality residual of the discrete problem drops below config.tol or
-    max_iters is reached.  The Armijo test reads the cost change from the
-    terms' changes (`_cost_change`), which do not cancel where J's rounding
-    would.  A step that passes it but leaves J unchanged is taken only at
-    the full Gauss-Newton step.  When the arc search finds no decrease, or
-    only such a step after a backtrack, the current iterate is returned with
-    converged=False and the note "line search stalled before reaching
-    tolerance"; an Armijo step never raises the cost, so it is also the
-    best iterate seen.
+    (A0, I0)); terminates when the optimality residual of the discrete
+    problem drops below config.tol or max_iters is reached.
+
+    The first iterate has beta_I = 0 at every knot, on its bound, and
+    (A0, I0) from the data: the model linearized at beta_I = 0, with beta_A
+    and xi at their time averages and S held at N0 - A0 - I0, is a 4x4
+    linear system in (A, I, L, R), so its terminal (L, R) is affine in
+    (A0, I0), and three fixed-point passes (S = N0 in the first) fit it to
+    (LT, RT) through the M-th power of its RK4 step map: no model sweep.
+    It falls back to A0 = I0 = N0/4 when a pass is singular, not finite or
+    not strictly inside K0.  The first step keeps every beta_I knot on its
+    bound, so only (A0, I0) move; later steps free a clamped knot whose
+    multiplier has the wrong sign.
+
+    The Armijo test reads the cost change from the terms' changes
+    (`_cost_change`), which do not cancel where J's rounding would.  A step
+    that passes it but leaves J unchanged is taken only at the full
+    Gauss-Newton step.  When the arc search finds no decrease, or only such
+    a step after a backtrack, and the full step's predicted decrease and
+    cost change are both at most ROUNDING * J (64 eps J), J cannot
+    judge that step and the certificate does: the step is taken if its
+    optimality residual is below the current one, and its reverse sweep
+    serves the next iteration.  Otherwise the current iterate is returned
+    with converged=False and the note "line search stalled before reaching
+    tolerance", with its own adjoint (one more reverse sweep when a refused
+    step was swept after it).  So cost_history is nonincreasing except at a
+    step the certificate took, which may raise it by at most ROUNDING
+    relative (about 1.4e-14); up to such rises the returned iterate is the
+    best seen.
 
     Each reverse sweep's step maps are built in a forked helper while the
-    forward solve runs (`_ReverseHelper`, one fork per call), which sends
-    back only the rows and blocks the iteration reads, and the last sweep's
-    adjoint once: the results are the same bits as without os.fork, and no
-    child is left on return or on an error.
+    forward solve runs (`_ReverseHelper`, one fork per call where a second
+    CPU is usable), which sends back only the rows and blocks the iteration
+    reads, and the last sweep's adjoint once: the results are the same bits
+    as without os.fork, and no child is left on return or on an error.
     """
     cfg = config or IdentConfig()
-    ValidationError.check(grid_errors(grid, obs) + weight_errors(alpha0, alpha1))
+    # the start reads beta_A and xi, which the first forward solve would check
+    ValidationError.check(grid_errors(grid, obs) + weight_errors(alpha0, alpha1)
+                          + param_errors(params.replace(beta_I=0.0), grid.T))
     with _ReverseHelper(params, grid) as helper:
         return _solve(obs, params, grid, alpha0, alpha1, cfg, n0_of(obs), helper)
 
@@ -501,42 +575,44 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
 def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
            alpha1: float, cfg: IdentConfig, n0: float, helper) -> IdentResult:
     # solve_p0's iteration, on checked arguments
-    tg = grid.points()
     wq = _trapezoid_weights(grid)
 
     def inner(u1, a1, i1, u2, a2, i2):
         return float(np.dot(wq * u1, u2) + a1 * a2 + i1 * i2)
 
-    bg = np.full(tg.size, BETA_INIT)
-    A0 = I0 = n0 / 4.0
     nsolves = 0
 
-    def make(bgv, a, i):
-        return IdentCandidate(_beta_table(grid, bgv), a, i)
+    def evaluate(bgv, a, i):
+        # the candidate (bgv on the grid, a, i), its forward solve and its cost's parts
+        nonlocal nsolves
+        c = IdentCandidate(_beta_table(grid, bgv), a, i)
+        traj = _forward(c, obs, params, grid, helper)
+        nsolves += 1
+        return (c, traj, *_cost_terms(c, obs, alpha0, alpha1, grid, traj, c.beta_I.values))
 
-    def exact_state(cand, traj):
+    def exact_state(c, traj):
         # Exact discrete gradient and Gauss-Newton rows from one reverse
         # sweep, counted as one sweep per cotangent; the helper keeps its adjoint.
-        nonlocal nsolves
-        gb, gA, gI, rows, blocks = _exact_gradient(cand, obs, alpha0, alpha1, params,
-                                                   traj, wq, n0, helper)
+        nonlocal nsolves, swept
+        gb, gA, gI, rows, blocks = _exact_gradient(c, obs, alpha0, alpha1, params, traj,
+                                                   c.beta_I.values, wq, n0, helper)
         nsolves += 2
-        residual = optimality_residual_p0(cand, grid, (gb, gA, gI), alpha0, alpha1, n0)
+        swept = c
+        residual = _certificate(c, c.beta_I.values, (gb, gA, gI), alpha0, alpha1, n0)
         return gb, gA, gI, rows, blocks, residual
 
-    cand = make(bg, A0, I0)
-    traj = _forward(cand, obs, params, grid, helper)
-    nsolves += 1
-    J, parts = _cost_terms(cand, obs, alpha0, alpha1, grid, traj)
-    gbeta, gA0, gI0, rows, blocks, residual = exact_state(cand, traj)
+    swept = None  # the candidate of the last reverse sweep
+    cand, traj, J, parts = evaluate(np.zeros(grid.M + 1), *_start(obs, params, grid, n0))
+    state = exact_state(cand, traj)
     history = [J]
-    converged = residual <= cfg.tol
+    converged = state[5] <= cfg.tol
     notes = []
 
     def arc_search(db, dA, dI):
-        # Armijo along the projected arc x + t*(direction) from t = 1; None if no luck.
-        nonlocal nsolves
-        t = 1.0
+        # Armijo along the projected arc x + t*(direction) from t = 1: the
+        # step it takes, or None if no luck, and the full step's predicted
+        # decrease, cost change and candidate, or None if it was not solved
+        t, full = 1.0, None
         for _ in range(MAX_BACKTRACKS):
             nb = np.maximum(bg + t * db, 0.0)
             nA, nI = project_k0((A0 + t * dA, I0 + t * dI), n0)
@@ -544,37 +620,59 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
             if dpred >= 0.0:
                 t *= 0.5
                 continue
-            ncand = make(nb, nA, nI)
-            ntraj = _forward(ncand, obs, params, grid, helper)
-            nsolves += 1
-            Jn, nparts = _cost_terms(ncand, obs, alpha0, alpha1, grid, ntraj)
-            if _cost_change(parts, nparts, alpha0, alpha1, grid.h) <= ARMIJO_C * dpred:
+            trial = evaluate(nb, nA, nI)
+            change = _cost_change(parts, trial[3], alpha0, alpha1, grid.h)
+            if t == 1.0:
+                full = dpred, change, trial[0]
+            if change <= ARMIJO_C * dpred:
                 # a decrease below the rounding of J is taken only as the full
                 # Gauss-Newton step; after a backtrack, what let it through
                 # is rounding noise of the forward solve
-                return (nb, nA, nI, ncand, ntraj, Jn, nparts) if Jn < J or t == 1.0 else None
+                return (trial if trial[2] < J or t == 1.0 else None), full
             t *= 0.5
-        return None
+        return None, full
 
     it = 0
     while not converged and it < cfg.max_iters:
         it += 1
-        free = (bg > 0.0) | (gbeta < 0.0)
+        bg, A0, I0 = cand.beta_I.values, cand.A0, cand.I0
+        gbeta, gA0, gI0, rows, blocks, residual = state
+        # the first step keeps every beta_I knot on the bound it starts on
+        free = (bg > 0.0) | ((gbeta < 0.0) & (it > 1))
         edge = A0 + I0 >= n0 * (1.0 - 1e-12)
         free_block = np.array([(A0 > 0.0 or gA0 < 0.0) and not (edge and gA0 > gI0),
                                (I0 > 0.0 or gI0 < 0.0) and not (edge and gI0 > gA0)])
         db, dblock = _gn_direction(gbeta, np.array([gA0, gI0]), rows, blocks,
                                    alpha0, alpha1, wq, free, free_block)
-        move = arc_search(db, dblock[0], dblock[1])
+        move, full = arc_search(db, dblock[0], dblock[1])
+        if move is not None:
+            trial_state = exact_state(*move[:2])
+        elif full is not None and max(-full[0], full[1]) <= ROUNDING * J:
+            # J cannot judge a full step whose predicted decrease and cost
+            # change are below its rounding: the certificate does.  The step
+            # is solved again, so that it is the helper's last streamed candidate
+            c = full[2]
+            move = evaluate(c.beta_I.values, c.A0, c.I0)
+            trial_state = exact_state(*move[:2])
+            if trial_state[5] >= residual:
+                move = None
         if move is None:
             notes.append("line search stalled before reaching tolerance")
             break
 
-        bg, A0, I0, cand, traj, J, parts = move
-        gbeta, gA0, gI0, rows, blocks, residual = exact_state(cand, traj)
+        cand, traj, J, parts = move
+        state = trial_state
         history.append(J)
-        converged = residual <= cfg.tol
+        converged = state[5] <= cfg.tol
 
-    # the reported adjoint is the last sweep's: cand's (a redone sweep is not counted)
-    return IdentResult(cand, J, np.asarray(history), residual, traj,
-                       AdjointTrajectory(grid, helper.adjoint()), it, converged, nsolves, notes)
+    # the reported adjoint is cand's: the last sweep's, which the helper
+    # keeps (a sweep it redoes is not counted), unless a step the
+    # certificate refused was swept after cand; then cand's runs again here
+    if swept is cand:
+        adjoint = helper.adjoint()
+    else:
+        adjoint = _reduce(*_rk4_model_vjp(params.replace(beta_I=cand.beta_I), traj, _ENDS),
+                          parts[0], wq)[2]
+        nsolves += 2
+    return IdentResult(cand, J, np.asarray(history), state[5], traj,
+                       AdjointTrajectory(grid, adjoint), it, converged, nsolves, notes)

@@ -6,8 +6,8 @@ Loading validates everything and reports the complete list of problems,
 not just the first.  Trajectories are exported as CSV with 17-significant-
 digit floats so re-parsing reproduces samples bit-exactly.  GridCsvWriter
 writes the same bytes from blocks of rows, in a forked child wherever
-os.fork exists: a forward solve's trajectory while the solve runs, or an
-adjoint while the caller writes its other files.
+os.fork exists and a second CPU is usable: a forward solve's trajectory
+while the solve runs, or an adjoint while the caller writes its other files.
 """
 
 from __future__ import annotations
@@ -355,13 +355,14 @@ class GridCsvWriter:
             traj = simulate(params, x0, grid, block_done=out.send)
 
     send(lo, hi, rows) takes the rows lo..hi-1 of the grid; a caller that
-    has every row already sends them as one block.  Where os.fork exists, a
-    child process (`child.Child`) renders them while the caller goes on:
-    each block goes to it down a pipe as one `child.frame`, header (lo, hi)
-    then the raw float64 rows from the array's own buffer, and a send waits
-    only while the pipe is full, not while the child renders.  The child
-    uses no BLAS.  Without os.fork, or when the pipe or the fork fails, send
-    renders the block in-process before it returns.
+    has every row already sends them as one block.  Where os.fork exists
+    and a second CPU is usable, a child process (`child.Child`) renders them
+    while the caller goes on: each block goes to it down a pipe as one
+    `child.frame`, header (lo, hi) then the raw float64 rows from the
+    array's own buffer, and a send waits only while the pipe is full, not
+    while the child renders.  The child uses no BLAS.  Without such a child,
+    or when the pipe or the fork fails, send renders the block in-process
+    before it returns.
 
     Leaving the with-block closes the writer, waiting for the child; a
     writer failure is an OSError naming the file.  An error inside the

@@ -274,18 +274,26 @@ def task_doc(task):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 @pytest.mark.parametrize("task", ["simulate", "identify", "control"])
-def test_one_cpu_run_forks(tmp_path, fork_calls, task):
+def test_one_cpu_run_does_not_fork(tmp_path, fork_calls, task):
     # the writer, identify's reverse-sweep helper and control's evaluator
-    # fork whatever number of CPUs the process may use
+    # fork only where the process may use a second CPU; on one they run
+    # in-process, and the outputs are the same bytes
+    (tmp_path / "forked").mkdir()
+    (tmp_path / "one_cpu").mkdir()
+    code, forked = run_task(tmp_path / "forked", task_doc(task))
+    assert code == 0 and len(fork_calls) == FORKS[task]
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(cpus)})
     try:
-        code, out = run_task(tmp_path, task_doc(task))
+        code, out = run_task(tmp_path / "one_cpu", task_doc(task))
     finally:
         os.sched_setaffinity(0, cpus)
     assert code == 0
-    assert len(fork_calls) == FORKS[task]
-    assert (out / "summary.json").is_file()
+    assert len(fork_calls) == FORKS[task]  # the one-CPU run forked none
+    files = sorted(p.name for p in forked.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == files
+    for name in files:
+        assert (out / name).read_bytes() == (forked / name).read_bytes(), name
     assert_no_child()
 
 
@@ -425,11 +433,12 @@ class TestReverseHelper:
 
     @pytest.mark.parametrize("where", ["candidate", "send", "vjp", "adjoint"])
     def test_helper_killed_mid_solve(self, identify_reference, monkeypatch, where):
-        # SIGKILL the helper at the third call of one of its methods, or at
-        # the one adjoint call, after the last sweep: the solve goes on
-        # in-process with the same results and reaps it.  A helper killed
-        # before adjoint has that sweep redone in-process, uncounted
-        nth = 1 if where == "adjoint" else 3
+        # SIGKILL the helper at the second call of candidate (a solve makes
+        # three), the third of send or vjp, or the one adjoint call, after
+        # the last sweep: the solve goes on in-process with the same results
+        # and reaps it.  A helper killed before adjoint has that sweep redone
+        # in-process, uncounted
+        nth = {"candidate": 2, "adjoint": 1}.get(where, 3)
         calls, after, in_process = [], [], []
         method = getattr(identify._ReverseHelper, where)
         vjp = identify._rk4_model_vjp
@@ -457,9 +466,11 @@ class TestReverseHelper:
         assert_no_child()
 
     def test_parent_memory(self, fork_calls):
-        # the helper sends rows and blocks, not the two-column (v, bbar): the
-        # parent's traced peak over one Gauss-Newton iteration at M = 4096
-        # is 6.85 trajectories' bytes, and 8.57 when it received (v, bbar)
+        # the helper sends rows and blocks, not the two-column (v, bbar), and
+        # the solve reads each candidate's beta_I knot values instead of
+        # evaluating beta_I at fresh grid points: the parent's traced peak
+        # over one Gauss-Newton iteration at M = 4096 is 6.04 trajectories'
+        # bytes, 6.64 when it evaluated them and 8.57 when it received (v, bbar)
         obs, params, grid, weights, solver = identify_problem(4096)
         solver = identify.IdentConfig(solver.tol, max_iters=1)  # the full solve peaks as high
         tracemalloc.start()
@@ -471,13 +482,13 @@ class TestReverseHelper:
         finally:
             tracemalloc.stop()
         assert len(fork_calls) == 1 and res.iterations == 1
-        assert peak < 7.5 * res.trajectory.states.nbytes
+        assert peak < 6.5 * res.trajectory.states.nbytes
         assert_no_child()
 
     def test_parent_error_mid_solve(self, monkeypatch, fork_calls, kills):
         # the second gradient fails in the parent: the helper is killed
         calls = []
-        residual = identify.optimality_residual_p0
+        residual = identify._certificate
 
         def fail_second(*args):
             calls.append(1)
@@ -485,7 +496,7 @@ class TestReverseHelper:
                 raise RuntimeError("error in the parent")
             return residual(*args)
 
-        monkeypatch.setattr(identify, "optimality_residual_p0", fail_second)
+        monkeypatch.setattr(identify, "_certificate", fail_second)
         obs, params, grid, weights, solver = identify_problem(1000)
         with pytest.raises(RuntimeError, match="error in the parent"):
             solve_p0(obs, params, grid, *weights, solver)
