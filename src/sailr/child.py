@@ -39,7 +39,7 @@ class Child:
     writer then a reader.  The child runs with garbage collection off, since
     collecting the parent's garbage could flush its files, and ends by
     os._exit, which flushes no buffer: serve flushes its own replies.  pid
-    is None when no child was forked: with serve None, and where
+    is None when no child was forked: without os.fork, and where
     os.sched_getaffinity says the process may use one CPU only, since a
     child then only takes turns with its parent.  Leaving a with-block
     waits for the child, or kills it if the block raised.
@@ -47,7 +47,7 @@ class Child:
 
     def __init__(self, serve, pipes: int = 1):
         self.pid, self.files = None, []
-        if serve is None or not hasattr(os, "fork") or _one_cpu():
+        if not hasattr(os, "fork") or _one_cpu():
             return
         ends = []
         try:

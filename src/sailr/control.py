@@ -17,7 +17,7 @@ vanishes along the schedule and the stage fixed point approaches the
 limit optimality conditions (projection with divisor alpha1 instead of
 alpha1 + 1), which are reported as the convergence certificate.
 
-solve_p forks one evaluator per call (`_Evaluator`) that evaluates the
+solve_p and solve_p_eps fork an evaluator (`_Evaluator`) that evaluates the
 second point of each of Newton's pairs while the solver evaluates the
 first.  Each reply carries the point's whole result (update, trajectory
 and adjoint), so the results and sweep count are the same bits as without
@@ -218,9 +218,9 @@ class _Evaluator:
     counts the stage's sweeps the solver reads.
     """
 
-    def __init__(self, pcfg, params, x0, grid, fork=True):
+    def __init__(self, pcfg, params, x0, grid):
         self.problem = (pcfg, params, x0, grid)
-        self.child = Child(self._serve if fork else None, pipes=2)
+        self.child = Child(self._serve, pipes=2)
         self._reply = 2 + 10 * (grid.M + 1)  # float64 in a reply
         self._unread = False  # a dropped point's reply is still in the pipe
 
@@ -274,10 +274,11 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     the gap then starts from the best sweep's evaluation (and returns at
     once if it already meets TOL_FP).  If Newton does not reach TOL_FP, its
     iterate with the smallest fixed-point residual is returned with
-    converged=False.  Here every evaluation runs in-process.
+    converged=False.  Newton's pairs go to a forked `_Evaluator`, as in solve_p.
     """
-    ev = _Evaluator(pcfg, params, x0, grid, fork=False)
-    return _solve_stage(ev, eps, pcfg.anchor, init, TOL_FP)
+    ev = _Evaluator(pcfg, params, x0, grid)
+    with ev.child:  # closed on return, killed on an error
+        return _solve_stage(ev, eps, pcfg.anchor, init, TOL_FP)
 
 
 def _solve_stage(ev: _Evaluator, eps, anchor, init, tol_fp) -> StageResult:

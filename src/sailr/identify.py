@@ -16,14 +16,16 @@ the exact gradient) certify convergence.
 It starts from the data (`_start`): beta_I = 0 on its bound, and (A0, I0)
 fitted to (LT, RT) by the model linearized there, whose terminal (L, R) is
 affine in (A0, I0); the first step keeps beta_I on that bound.  Where a
-full step's predicted decrease and cost change are both below the rounding
-of the cost, the cost cannot judge it and the certificate does.
+full step fails the Armijo test with its predicted decrease and cost change
+both below the rounding of the cost, which can judge neither it nor a
+shorter step, the certificate judges it at once; a step it refuses ends the
+solve with the current iterate's adjoint that the helper kept: no sweep more.
 
 solve_p0 forks one helper per call, which builds each reverse sweep's step
 maps while the forward solve streams its states to it (`_ReverseHelper`,
 at most PREFETCH_BLOCKS blocks of maps ahead, about 5 MB).  It sends back
 only what the solver reads of a sweep (`_reduce`: the Jacobian rows and
-blocks, and once per call the last sweep's adjoint).  The results are the
+blocks, and the last sweep's adjoint if asked).  The results are the
 same bits as with every sweep in-process, the one fallback: without
 os.fork, on one CPU, when the fork or its pipes fail, or when the helper
 dies (an error in its sweep ends it).  No child outlives the call.
@@ -235,9 +237,9 @@ def gradient_p0(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: flo
     observed components at once).  The beta_I component is the representer on
     grid-knotted directions under the trapezoid-weighted inner product.
     """
-    traj = _checked_forward(c, obs, params, grid)
-    wq = _trapezoid_weights(grid)
-    return _exact_gradient(c, obs, alpha0, alpha1, params, traj, _on_grid(c, grid), wq,
+    traj, bg = _checked_forward(c, obs, params, grid), _on_grid(c, grid)
+    r = _cost_terms(c, obs, alpha0, alpha1, grid, traj, bg)[1][0]
+    return _exact_gradient(c, r, alpha0, alpha1, params, traj, bg, _trapezoid_weights(grid),
                            n0_of(obs))[:3]
 
 
@@ -343,17 +345,16 @@ def _reduce(v, bbar, r, wq):
     return rows, blocks, v @ r
 
 
-def _exact_gradient(c: IdentCandidate, obs: Observations, alpha0: float, alpha1: float,
+def _exact_gradient(c: IdentCandidate, r, alpha0: float, alpha1: float,
                     params: ModelParams, traj: Trajectory, bg, wq, n0: float, helper=None):
     """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, whose
-    beta_I takes the values bg on the grid, and the Jacobian rows and
-    blocks (`_reduce`) it is assembled from.
+    beta_I takes the values bg on the grid and whose terminal residuals are
+    r, and the Jacobian rows and blocks (`_reduce`) it is assembled from.
 
     One reverse sweep of the discrete RK4 map.  A _ReverseHelper that was
     streamed traj's solve does the sweep, with the same bits, and keeps its
     adjoint for `_ReverseHelper.adjoint`.
     """
-    r = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT])
     p = params.replace(beta_I=c.beta_I)
     if helper is None:
         rows, blocks, _ = _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, wq)
@@ -377,14 +378,7 @@ def _gn_direction(gbeta, gblock, rows, blocks, alpha0, alpha1, wq, free, free_bl
     rows_f = [np.where(free, r, 0.0) for r in rows]
     g_f = np.where(free, gbeta, 0.0)
     # inverse of the (A0, I0) regularizer Hessian restricted to free coords
-    if free_block[0] and free_block[1]:
-        binv = _GAMMA_INV / alpha0
-    elif free_block[0] or free_block[1]:
-        binv = np.zeros((2, 2))
-        i = 0 if free_block[0] else 1
-        binv[i, i] = 1.0 / (2.0 * alpha0)
-    else:
-        binv = np.zeros((2, 2))
+    binv = _GAMMA_INV / alpha0 if free_block.all() else np.diag(free_block / (2.0 * alpha0))
     gb_f = np.where(free_block, gblock, 0.0)
     blocks_f = [np.where(free_block, b, 0.0) for b in blocks]
     s2 = np.eye(2)
@@ -416,7 +410,7 @@ class _ReverseHelper:
     candidate's sweep: the child builds the blocks left, runs
     `model.vjp_sweep`, reduces it (`_reduce`) and sends back the rows and
     blocks only (0.16 MB at M = 10^4), keeping the adjoint until the next
-    sweep; adjoint() fetches the last one, once per solve.  These are the
+    sweep; adjoint() fetches the last one.  These are the
     bits that `_reduce` of `_rk4_model_vjp` gives, which runs in-process
     instead when there is no child (no os.fork, one CPU, or the pipe or the
     fork failed) or when the child has died.  A helper that cannot answer is a
@@ -545,15 +539,16 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     The Armijo test reads the cost change from the terms' changes
     (`_cost_change`), which do not cancel where J's rounding would.  A step
     that passes it but leaves J unchanged is taken only at the full
-    Gauss-Newton step.  When the arc search finds no decrease, or only such
-    a step after a backtrack, and the full step's predicted decrease and
-    cost change are both at most ROUNDING * J (64 eps J), J cannot
-    judge that step and the certificate does: the step is taken if its
+    Gauss-Newton step.  When the full step fails the Armijo test and its
+    predicted decrease and cost change are both at most ROUNDING * J
+    (64 eps J), J can judge neither it nor a shorter step, and the
+    certificate judges it without a backtrack: the step is taken if its
     optimality residual is below the current one, and its reverse sweep
-    serves the next iteration.  Otherwise the current iterate is returned
-    with converged=False and the note "line search stalled before reaching
-    tolerance", with its own adjoint (one more reverse sweep when a refused
-    step was swept after it).  So cost_history is nonincreasing except at a
+    serves the next iteration.  Otherwise, or when the arc search finds no
+    decrease, the current iterate is returned with converged=False and the
+    note "line search stalled before reaching tolerance", with its own
+    adjoint, fetched from the helper before the refused step's sweep (no
+    sweep more).  So cost_history is nonincreasing except at a
     step the certificate took, which may raise it by at most ROUNDING
     relative (about 1.4e-14); up to such rises the returned iterate is the
     best seen.
@@ -561,7 +556,7 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     Each reverse sweep's step maps are built in a forked helper while the
     forward solve runs (`_ReverseHelper`, one fork per call where a second
     CPU is usable), which sends back only the rows and blocks the iteration
-    reads, and the last sweep's adjoint once: the results are the same bits
+    reads, and the last sweep's adjoint if asked: the results are the same bits
     as without os.fork, and no child is left on return or on an error.
     """
     cfg = config or IdentConfig()
@@ -590,29 +585,28 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         nsolves += 1
         return (c, traj, *_cost_terms(c, obs, alpha0, alpha1, grid, traj, c.beta_I.values))
 
-    def exact_state(c, traj):
-        # Exact discrete gradient and Gauss-Newton rows from one reverse
-        # sweep, counted as one sweep per cotangent; the helper keeps its adjoint.
-        nonlocal nsolves, swept
-        gb, gA, gI, rows, blocks = _exact_gradient(c, obs, alpha0, alpha1, params, traj,
+    def exact_state(move):
+        # Exact discrete gradient and Gauss-Newton rows of an evaluated move from one
+        # reverse sweep, counted as one sweep per cotangent; the helper keeps its adjoint.
+        nonlocal nsolves
+        c, traj, _, (r, _, _) = move
+        gb, gA, gI, rows, blocks = _exact_gradient(c, r, alpha0, alpha1, params, traj,
                                                    c.beta_I.values, wq, n0, helper)
         nsolves += 2
-        swept = c
         residual = _certificate(c, c.beta_I.values, (gb, gA, gI), alpha0, alpha1, n0)
         return gb, gA, gI, rows, blocks, residual
 
-    swept = None  # the candidate of the last reverse sweep
     cand, traj, J, parts = evaluate(np.zeros(grid.M + 1), *_start(obs, params, grid, n0))
-    state = exact_state(cand, traj)
+    state = exact_state((cand, traj, J, parts))
     history = [J]
     converged = state[5] <= cfg.tol
     notes = []
+    adjoint = None  # cand's, if fetched before a refused step's sweep
 
     def arc_search(db, dA, dI):
         # Armijo along the projected arc x + t*(direction) from t = 1: the
-        # step it takes, or None if no luck, and the full step's predicted
-        # decrease, cost change and candidate, or None if it was not solved
-        t, full = 1.0, None
+        # step it takes, or None if no luck, and whether the certificate judges it
+        t = 1.0
         for _ in range(MAX_BACKTRACKS):
             nb = np.maximum(bg + t * db, 0.0)
             nA, nI = project_k0((A0 + t * dA, I0 + t * dI), n0)
@@ -622,15 +616,15 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
                 continue
             trial = evaluate(nb, nA, nI)
             change = _cost_change(parts, trial[3], alpha0, alpha1, grid.h)
-            if t == 1.0:
-                full = dpred, change, trial[0]
             if change <= ARMIJO_C * dpred:
                 # a decrease below the rounding of J is taken only as the full
                 # Gauss-Newton step; after a backtrack, what let it through
                 # is rounding noise of the forward solve
-                return (trial if trial[2] < J or t == 1.0 else None), full
+                return (trial if trial[2] < J or t == 1.0 else None), False
+            if t == 1.0 and max(-dpred, change) <= ROUNDING * J:
+                return trial, True  # J can judge neither it nor a shorter step
             t *= 0.5
-        return None, full
+        return None, False
 
     it = 0
     while not converged and it < cfg.max_iters:
@@ -644,18 +638,13 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
                                (I0 > 0.0 or gI0 < 0.0) and not (edge and gI0 > gA0)])
         db, dblock = _gn_direction(gbeta, np.array([gA0, gI0]), rows, blocks,
                                    alpha0, alpha1, wq, free, free_block)
-        move, full = arc_search(db, dblock[0], dblock[1])
+        move, judged = arc_search(db, dblock[0], dblock[1])
+        if judged:  # cand's adjoint, before the judged step's sweep replaces it
+            kept = helper.adjoint()
         if move is not None:
-            trial_state = exact_state(*move[:2])
-        elif full is not None and max(-full[0], full[1]) <= ROUNDING * J:
-            # J cannot judge a full step whose predicted decrease and cost
-            # change are below its rounding: the certificate does.  The step
-            # is solved again, so that it is the helper's last streamed candidate
-            c = full[2]
-            move = evaluate(c.beta_I.values, c.A0, c.I0)
-            trial_state = exact_state(*move[:2])
-            if trial_state[5] >= residual:
-                move = None
+            trial_state = exact_state(move)
+            if judged and trial_state[5] >= residual:
+                move, adjoint = None, kept
         if move is None:
             notes.append("line search stalled before reaching tolerance")
             break
@@ -666,13 +655,9 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         converged = state[5] <= cfg.tol
 
     # the reported adjoint is cand's: the last sweep's, which the helper
-    # keeps (a sweep it redoes is not counted), unless a step the
-    # certificate refused was swept after cand; then cand's runs again here
-    if swept is cand:
+    # keeps (a sweep it redoes is not counted), or after a refused step the
+    # one fetched before that step's sweep
+    if adjoint is None:
         adjoint = helper.adjoint()
-    else:
-        adjoint = _reduce(*_rk4_model_vjp(params.replace(beta_I=cand.beta_I), traj, _ENDS),
-                          parts[0], wq)[2]
-        nsolves += 2
     return IdentResult(cand, J, np.asarray(history), state[5], traj,
                        AdjointTrajectory(grid, adjoint), it, converged, nsolves, notes)

@@ -30,7 +30,7 @@ from sailr import (CoefficientTable, ControlPair, Grid, IdentCandidate, Observat
                    adjoint_p0, adjoint_p_eps, control, simulate, tangent_p)
 from sailr.identify import _ENDS, _ReverseHelper, _forward, _reduce, _trapezoid_weights
 from sailr.model import _rk4_model_vjp
-from conftest import control_binding_problem, random_params, random_state
+from conftest import control_binding_problem, random_params, random_state, refuse_fork
 
 T = 50.0
 SIZES = (400, 10_000, 100_000)
@@ -94,9 +94,11 @@ STALLED_STAGE = (0.1 * 2.0 ** -16, ControlPair(0.08676724147869051, 0.0954947544
 
 
 @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "evaluator"])
-def test_stage_newton(benchmark, forked):
+def test_stage_newton(benchmark, monkeypatch, forked):
     eps, ctrl = STALLED_STAGE
-    ev = control._Evaluator(*control_binding_problem(), fork=forked)
+    if not forked:
+        refuse_fork(monkeypatch)
+    ev = control._Evaluator(*control_binding_problem())
     benchmark.group = "control stage Newton M=400"
     with ev.child:
         ev.stage(eps, ctrl)

@@ -160,7 +160,9 @@ class TestSolvePEps:
     def test_sweep_phase_ends_only_at_tolerance_or_budget(self, monkeypatch):
         # the stiff binding stage stays above TOL_FP for all its sweeps, so
         # the sweep phase must spend the whole budget before Newton starts;
-        # each stage evaluation runs one forward simulate
+        # each stage evaluation runs one forward simulate, all of them in
+        # this process, where the spy counts them
+        refuse_fork(monkeypatch)
         monkeypatch.setattr(control, "MAX_SWEEPS", 40)
         calls = []
         simulate_, stage_newton = control.simulate, control._stage_newton

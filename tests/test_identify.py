@@ -11,7 +11,7 @@ from sailr import (CoefficientTable, FeasibilityError, Grid, IdentCandidate,
                    optimality_residual_p0, project_k0, resolve_k0, simulate, solve_p0,
                    synth_observations, trapezoid)
 from sailr import identify
-from conftest import random_params, random_state
+from conftest import random_params, random_state, refuse_fork
 
 
 def base_params(**kw):
@@ -34,26 +34,29 @@ def planted(T=2.0, M=500, beta=0.4, A0=0.12, I0=0.08, L0=0.02, R0=0.01, params=N
 def taken_steps(monkeypatch):
     """After a converged solve_p0: for each step it took, the number of
     forward solves its iteration made and whether the certificate judged it
-    (a full step below the rounding of J, which the solve streams twice:
-    in the arc search, then again for its reverse sweep)."""
-    streamed, swept = [], []
+    (a full step below the rounding of J: its iteration is the only one that
+    fetches the helper's adjoint before its reverse sweep)."""
+    streamed, swept, fetched = [], [], []
     forward, gradient = identify._forward, identify._exact_gradient
-
-    def key(c):
-        return c.A0, c.I0, c.beta_I.values.tobytes()
+    adjoint = identify._ReverseHelper.adjoint
 
     def spy_forward(c, *args):
-        streamed.append(key(c))
+        streamed.append(c)
         return forward(c, *args)
 
     def spy_gradient(c, *args):
-        swept.append((key(c), len(streamed)))
+        swept.append(len(streamed))
         return gradient(c, *args)
+
+    def spy_adjoint(helper):
+        fetched.append(len(swept))
+        return adjoint(helper)
 
     monkeypatch.setattr(identify, "_forward", spy_forward)
     monkeypatch.setattr(identify, "_exact_gradient", spy_gradient)
-    return lambda: [(hi - lo, streamed[lo:hi].count(k) > 1)
-                    for (_, lo), (k, hi) in zip(swept, swept[1:])]
+    monkeypatch.setattr(identify._ReverseHelper, "adjoint", spy_adjoint)
+    # step k runs between the k-th sweep and the (k + 1)-th
+    return lambda: [(hi - lo, k in fetched) for k, (lo, hi) in enumerate(zip(swept, swept[1:]), 1)]
 
 
 class TestStart:
@@ -443,6 +446,7 @@ class TestSolveP0:
         res = solve_p0(obs, p, g, 1e-6, 1e-6, cfg)
         assert res.converged
         assert [certified for _, certified in taken_steps()] == [False, False, True]
+        assert res.forward_solves <= 12
         rise = np.diff(res.cost_history) / res.cost_history[:-1]
         assert np.all(rise[:2] < 0)
         assert 0 <= rise[2] <= 1e-14
@@ -452,11 +456,14 @@ class TestSolveP0:
         assert res.notes == ["line search stalled before reaching tolerance"]
         assert np.all(np.diff(res.cost_history) < 0)
 
-    def test_refused_step_keeps_iterate_and_its_adjoint(self, monkeypatch):
+    @pytest.mark.parametrize("forked", [True, False], ids=["helper", "in_process"])
+    def test_refused_step_keeps_iterate_and_its_adjoint(self, monkeypatch, forked):
         # survey draw 792 with the certificate made to refuse the step it
         # judges: the solve stalls at the 2nd iterate and reports that
-        # iterate's own adjoint, whose sweep runs once more (2 sweeps) after
-        # the refused step's
+        # iterate's own adjoint, fetched before the refused step's sweep
+        # (no sweep more), from the forked helper or kept in-process
+        if not forked:
+            refuse_fork(monkeypatch)
         p, g, obs, ref = planted(T=2.0, M=1000, beta=0.4985773979517651,
                                  A0=0.08619530361695643, I0=0.07057503889789932)
         cfg = IdentConfig(tol=1e-7, max_iters=40)
@@ -474,7 +481,7 @@ class TestSolveP0:
         assert res.notes == ["line search stalled before reaching tolerance"]
         assert list(res.cost_history) == list(taken.cost_history[:3])
         assert res.optimality_residual == residuals[2]
-        assert res.forward_solves == taken.forward_solves + 2
+        assert res.forward_solves == taken.forward_solves
         r = np.array([res.trajectory.L[-1] - obs.LT, res.trajectory.R[-1] - obs.RT])
         sweep = identify._rk4_model_vjp(p.replace(beta_I=res.candidate.beta_I), res.trajectory,
                                         identify._ENDS)
