@@ -14,12 +14,16 @@ projection for beta_I and the Gamma-resolvent for (A0, I0), both read from
 the exact gradient) certify convergence.
 
 It starts from the data (`_start`): beta_I = 0 on its bound, and (A0, I0)
-fitted to (LT, RT) by the model linearized there, whose terminal (L, R) is
-affine in (A0, I0); the first step keeps beta_I on that bound.  Where a
-full step fails the Armijo test with its predicted decrease and cost change
-both below the rounding of the cost, which can judge neither it nor a
-shorter step, the certificate judges it at once; a step it refuses ends the
-solve with the current iterate's adjoint that the helper kept: no sweep more.
+the regularized fit of (LT, RT) by the model quasilinearized on
+START_SEGMENTS segments, whose terminal (L, R) is affine in (A0, I0).  That
+takes no model sweep, and where the answer keeps beta_I = 0 (as
+identify_synthetic's does) it lands within about 3e-7 of it at M = 10^4, so
+one Gauss-Newton step meets tol there; the first step keeps beta_I on its
+bound.  Where a full step fails the Armijo test with its predicted decrease
+and cost change both below the rounding of the cost, which can judge
+neither it nor a shorter step, the certificate judges it at once; a step it
+refuses ends the solve with the current iterate's adjoint that the helper
+kept: no sweep more.
 
 solve_p0 forks one helper per call, which builds each reverse sweep's step
 maps while the forward solve streams its states to it (`_ReverseHelper`,
@@ -50,7 +54,8 @@ ARMIJO_C = 1e-4      # arc search: sufficient-decrease constant
 MAX_BACKTRACKS = 60  # arc search: backtracks per step
 #: a cost change below ROUNDING * J is below the rounding of J (about 1.4e-14 J)
 ROUNDING = 64 * np.finfo(float).eps
-START_PASSES = 3     # fixed-point passes of the start's fit, S held at N0 - A0 - I0
+START_SEGMENTS = 16  # segments of the start's quasilinearized model
+START_PASSES = 3     # passes of the start's fit, each about the last one's averages
 
 #: reverse blocks whose step maps solve_p0's helper builds ahead of a sweep,
 #: at most: every block up to M = 20 SWEEP_BLOCK (M = 10^4 has 20), about
@@ -158,38 +163,62 @@ def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
                     block_done=None if helper is None else helper.send)
 
 
-def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float):
-    """(A0, I0) of the first iterate: the fit of (LT, RT) by the model
-    linearized at beta_I = 0, or (N0/4, N0/4) if a pass of that fit is
-    singular, not finite or not strictly inside K0.
+def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: float):
+    """(A0, I0) of the first iterate: the regularized fit of (LT, RT) by the
+    model at beta_I = 0, quasilinearized on START_SEGMENTS segments, or
+    (N0/4, N0/4) if a pass of that fit is not finite or not strictly inside K0.
 
-    With S held at N0 - A0 - I0 of the last pass (N0 in the first) and
-    beta_A and xi at their time averages, (A, I, L, R) follow a constant
-    4x4 linear system, so the M-step RK4 solve of it is its step map to the
-    M-th power, and the terminal (L, R) is affine in (A0, I0).
+    On segment j, with beta_A and xi at their averages there, beta_A S A is
+    replaced by its linearization beta_A (s_j A + a_j S - s_j a_j) about the
+    last pass's averages (s_j, a_j) of S and A ((N0, 0) in the first pass).
+    So y = (S, A, I, L, R, 1) follows a constant 6x6 linear system there,
+    the segment's RK4 solve is its step map to the segment's step count, and
+    the terminal (L, R) = c + J (A0, I0) is affine.  Each of START_PASSES
+    passes solves the normal equations of cost_p0's data and alpha0 terms,
+    (J'J + alpha0 Gamma) z = J'(d - c) + alpha0 N0 (1, 1), and takes the
+    next averages by Simpson's rule from each segment's ends and the state
+    after the half power of its step map.
     """
-    tg = grid.points()
-    bA, xi = (trapezoid(c(tg), grid.h) / (grid.T - grid.t0) for c in (p.beta_A, p.xi))
-    hB = grid.h * np.array([[0.0, 0.0, 0.0, 0.0],
-                            [p.sigma, -p.k2, 0.0, 0.0],
-                            [p.l_A, p.l_I, -p.mu_L, 0.0],
-                            [p.mu_A, p.mu_I, p.mu_L, -xi]])
-    A0 = I0 = 0.0
+    h, M = grid.h, grid.M
+    segments = min(START_SEGMENTS, M)
+    ends = [round(M * j / segments) for j in range(segments + 1)]
+    knots = [c(grid.points()) for c in (p.beta_A, p.xi)]
+    coeffs = [[trapezoid(v[lo:hi + 1], h) / ((hi - lo) * h) for v in knots]
+              for lo, hi in zip(ends, ends[1:])]
+    hB = np.zeros((6, 6))
+    hB[2:5, 1:4] = h * np.array([[p.sigma, -p.k2, 0.0],
+                                 [p.l_A, p.l_I, -p.mu_L],
+                                 [p.mu_A, p.mu_I, p.mu_L]])
+    # the columns y0, dy0/dA0, dy0/dI0 of the initial state
+    y0 = np.array([[n0, -1.0, -1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                   [obs.L0, 0.0, 0.0], [obs.R0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    means, eye = [(n0, 0.0)] * len(coeffs), np.eye(6)
     for _ in range(START_PASSES):
-        hB[0, 0] = grid.h * (bA * (n0 - A0 - I0) - p.k1)
-        step = np.eye(4)
-        for k in (4.0, 3.0, 2.0, 1.0):  # I + hB + (hB)^2/2 + (hB)^3/6 + (hB)^4/24
-            step = np.eye(4) + hB @ step / k
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite: the fallback
-            power = np.linalg.matrix_power(step, grid.M)
-            e, f = (np.array([obs.LT, obs.RT]) - power[2:, 2:] @ (obs.L0, obs.R0)).tolist()
-        (a, b), (c, d) = power[2:, :2].tolist()
-        det = a * d - b * c
-        if det == 0.0:
-            return n0 / 4.0, n0 / 4.0
-        A0, I0 = (e * d - b * f) / det, (a * f - c * e) / det
+        y, simpson = y0, []
+        for (bA, xi), (s, a), lo, hi in zip(coeffs, means, ends, ends[1:]):
+            # h beta_A (s A + a S - s a): the linearized infections, S -> A
+            hB[1] = h * bA * np.array([a, s, 0.0, 0.0, 0.0, -s * a])
+            hB[0] = -hB[1]
+            hB[1, 1] -= h * p.k1
+            hB[0, 4], hB[4, 4] = h * xi, -h * xi
+            step = eye
+            for k in (4.0, 3.0, 2.0, 1.0):  # I + hB + (hB)^2/2 + (hB)^3/6 + (hB)^4/24
+                step = eye + hB @ step / k
+            with np.errstate(over="ignore", invalid="ignore"):  # not finite: the fallback
+                power = np.linalg.matrix_power(step, (hi - lo) // 2)
+                mid = power @ y
+                end = power @ (mid if (hi - lo) % 2 == 0 else step @ mid)
+            simpson.append((y + 4.0 * mid + end) / 6.0)
+            y = end
+        with np.errstate(all="ignore"):  # a singular or overflowed fit: the fallback
+            jac, c = y[3:5, 1:], y[3:5, 0]
+            (a, b), (_, d) = jac.T @ jac + alpha0 * GAMMA
+            e, f = jac.T @ (np.array([obs.LT, obs.RT]) - c) + alpha0 * n0
+            det = a * d - b * b
+            A0, I0 = float((e * d - b * f) / det), float((a * f - b * e) / det)
         if not (A0 > 0.0 and I0 > 0.0 and A0 + I0 < n0):  # a NaN fails it too
             return n0 / 4.0, n0 / 4.0
+        means = [tuple(m[:2] @ (1.0, A0, I0)) for m in simpson]
     return A0, I0
 
 
@@ -526,13 +555,13 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     problem drops below config.tol or max_iters is reached.
 
     The first iterate has beta_I = 0 at every knot, on its bound, and
-    (A0, I0) from the data: the model linearized at beta_I = 0, with beta_A
-    and xi at their time averages and S held at N0 - A0 - I0, is a 4x4
-    linear system in (A, I, L, R), so its terminal (L, R) is affine in
-    (A0, I0), and three fixed-point passes (S = N0 in the first) fit it to
-    (LT, RT) through the M-th power of its RK4 step map: no model sweep.
-    It falls back to A0 = I0 = N0/4 when a pass is singular, not finite or
-    not strictly inside K0.  The first step keeps every beta_I knot on its
+    (A0, I0) from the data (`_start`): the model at beta_I = 0,
+    quasilinearized about its segment averages on START_SEGMENTS segments,
+    is linear in (S, A, I, L, R, 1) on each, so its terminal (L, R) is
+    affine in (A0, I0), and three passes fit it to (LT, RT) with the alpha0
+    terms of the cost through powers of its RK4 step maps: no model sweep.
+    It falls back to A0 = I0 = N0/4 when a pass is not finite or not
+    strictly inside K0.  The first step keeps every beta_I knot on its
     bound, so only (A0, I0) move; later steps free a clamped knot whose
     multiplier has the wrong sign.
 
@@ -596,7 +625,7 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         residual = _certificate(c, c.beta_I.values, (gb, gA, gI), alpha0, alpha1, n0)
         return gb, gA, gI, rows, blocks, residual
 
-    cand, traj, J, parts = evaluate(np.zeros(grid.M + 1), *_start(obs, params, grid, n0))
+    cand, traj, J, parts = evaluate(np.zeros(grid.M + 1), *_start(obs, params, grid, n0, alpha0))
     state = exact_state((cand, traj, J, parts))
     history = [J]
     converged = state[5] <= cfg.tol

@@ -15,6 +15,10 @@ forward solve and the reverse sweep reduced to what the solver reads
 `identify._ReverseHelper`, which builds the step maps in a forked child
 meanwhile and sends back the rows and blocks.
 
+`test_start` times identify's start (`identify._start`), the fit of
+(A0, I0) to planted data by the model quasilinearized on its segments; it
+takes no model sweep, and its extra_info holds `ms` per call.
+
 `test_stage_newton` times the FD-Newton phase of one control_binding stage
 that stalls, either in-process or with solve_p's forked evaluator taking
 the second point of each pair; its extra_info holds the sweeps the phase
@@ -27,8 +31,8 @@ import numpy as np
 import pytest
 
 from sailr import (CoefficientTable, ControlPair, Grid, IdentCandidate, Observations,
-                   adjoint_p0, adjoint_p_eps, control, simulate, tangent_p)
-from sailr.identify import _ENDS, _ReverseHelper, _forward, _reduce, _trapezoid_weights
+                   adjoint_p0, adjoint_p_eps, control, n0_of, simulate, tangent_p)
+from sailr.identify import _ENDS, _ReverseHelper, _forward, _reduce, _start, _trapezoid_weights
 from sailr.model import _rk4_model_vjp
 from conftest import control_binding_problem, random_params, random_state, refuse_fork
 
@@ -84,6 +88,21 @@ def test_forward_and_reverse(benchmark, streamed, M):
         benchmark.pedantic(gradient_sweeps, rounds=max(5, 400_000 // M), warmup_rounds=1)
     if benchmark.stats is not None:
         benchmark.extra_info["us_per_step"] = benchmark.stats.stats.min * 1e6 / M
+
+
+def test_start(benchmark):
+    # data of the model at beta_I = 0, so that the fit lands inside K0 and
+    # runs all its passes
+    p, x0, g, _, _ = _problem(10_000)
+    p = p.replace(beta_I=0.0)
+    end = simulate(p, x0, g)
+    obs = Observations(L0=x0[3], R0=x0[4], LT=end.L[-1], RT=end.R[-1], T=T)
+    n0 = n0_of(obs)
+    benchmark.group = "start M=10000"
+    A0, I0 = benchmark.pedantic(_start, (obs, p, g, n0, 1e-6), rounds=20, warmup_rounds=1)
+    assert (A0, I0) != (n0 / 4, n0 / 4)
+    if benchmark.stats is not None:
+        benchmark.extra_info["ms"] = benchmark.stats.stats.min * 1e3
 
 
 #: a stage of solve_p on control_binding that stalls: the first polish stage
