@@ -17,11 +17,17 @@ It starts from the data (`_start`): beta_I = 0 on its bound, and (A0, I0)
 the regularized fit of (LT, RT) by the model quasilinearized on
 START_SEGMENTS segments, whose terminal (L, R) is affine in (A0, I0).  That
 takes no model sweep, and where the answer keeps beta_I = 0 (as
-identify_synthetic's does) it lands within about 3e-7 of it at M = 10^4, so
-one Gauss-Newton step meets tol there; the first step keeps beta_I on its
-bound.  Where a full step fails the Armijo test with its predicted decrease
-and cost change both below the rounding of the cost, which can judge
-neither it nor a shorter step, the certificate judges it at once; a step it
+identify_synthetic's does) it lands within about 3e-7 of it at M = 10^4.  On
+a grid of more than COARSE_M steps the start then takes one exact
+Gauss-Newton step in (A0, I0) at beta_I = 0 on a grid of COARSE_M steps (3
+sweeps there), which lands within about 1e-13 of such an answer: at
+M = 10^4 the first fine iterate meets tol, after 3 fine sweeps.  Without
+that pass the first step keeps beta_I on its bound; after it, whose step
+held beta_I there, the first step may free it.
+
+Where a full step fails the Armijo test with its predicted decrease and
+cost change both below the rounding of the cost, which can judge neither
+it nor a shorter step, the certificate judges it at once; a step it
 refuses ends the solve with the current iterate's adjoint that the helper
 kept: no sweep more.
 
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .child import Child, frame, frame_heads
-from .errors import FeasibilityError, ValidationError
+from .errors import BlowupError, FeasibilityError, ValidationError
 from .integrate import SWEEP_BLOCK, Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, param_errors, simulate,
@@ -56,6 +62,7 @@ MAX_BACKTRACKS = 60  # arc search: backtracks per step
 ROUNDING = 64 * np.finfo(float).eps
 START_SEGMENTS = 16  # segments of the start's quasilinearized model
 START_PASSES = 3     # passes of the start's fit, each about the last one's averages
+COARSE_M = 1000      # steps of the start's exact pass, taken on grids of more steps
 
 #: reverse blocks whose step maps solve_p0's helper builds ahead of a sweep,
 #: at most: every block up to M = 20 SWEEP_BLOCK (M = 10^4 has 20), about
@@ -164,9 +171,11 @@ def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
 
 
 def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: float):
-    """(A0, I0) of the first iterate: the regularized fit of (LT, RT) by the
+    """(A0, I0) of the first iterate, the model sweeps taken for it and
+    whether its last pass was exact: the regularized fit of (LT, RT) by the
     model at beta_I = 0, quasilinearized on START_SEGMENTS segments, or
-    (N0/4, N0/4) if a pass of that fit is not finite or not strictly inside K0.
+    (N0/4, N0/4) if a pass of that fit is not finite or not strictly inside
+    K0; then, on a grid of more than COARSE_M steps, one exact pass.
 
     On segment j, with beta_A and xi at their averages there, beta_A S A is
     replaced by its linearization beta_A (s_j A + a_j S - s_j a_j) about the
@@ -174,10 +183,15 @@ def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: flo
     So y = (S, A, I, L, R, 1) follows a constant 6x6 linear system there,
     the segment's RK4 solve is its step map to the segment's step count, and
     the terminal (L, R) = c + J (A0, I0) is affine.  Each of START_PASSES
-    passes solves the normal equations of cost_p0's data and alpha0 terms,
-    (J'J + alpha0 Gamma) z = J'(d - c) + alpha0 N0 (1, 1), and takes the
-    next averages by Simpson's rule from each segment's ends and the state
-    after the half power of its step map.
+    passes solves the normal equations of cost_p0's data and alpha0 terms
+    (`_fit`), and takes the next averages by Simpson's rule from each
+    segment's ends and the state after the half power of its step map.
+
+    The exact pass (`_exact_pass`) is the Gauss-Newton step in (A0, I0), at
+    beta_I = 0, of the exact discrete cost on COARSE_M steps, in 3 sweeps.
+    Its fit replaces the last one only if it is finite and strictly inside
+    K0.  The fallback takes no pass: its answers have beta_I > 0, which the
+    pass holds at 0.
     """
     h, M = grid.h, grid.M
     segments = min(START_SEGMENTS, M)
@@ -210,16 +224,43 @@ def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: flo
                 end = power @ (mid if (hi - lo) % 2 == 0 else step @ mid)
             simpson.append((y + 4.0 * mid + end) / 6.0)
             y = end
-        with np.errstate(all="ignore"):  # a singular or overflowed fit: the fallback
-            jac, c = y[3:5, 1:], y[3:5, 0]
-            (a, b), (_, d) = jac.T @ jac + alpha0 * GAMMA
-            e, f = jac.T @ (np.array([obs.LT, obs.RT]) - c) + alpha0 * n0
-            det = a * d - b * b
-            A0, I0 = float((e * d - b * f) / det), float((a * f - b * e) / det)
-        if not (A0 > 0.0 and I0 > 0.0 and A0 + I0 < n0):  # a NaN fails it too
-            return n0 / 4.0, n0 / 4.0
-        means = [tuple(m[:2] @ (1.0, A0, I0)) for m in simpson]
-    return A0, I0
+        fit = _fit(y[3:5, 1:], y[3:5, 0], obs, alpha0, n0)
+        if fit is None:
+            return n0 / 4.0, n0 / 4.0, 0, False
+        means = [tuple(m[:2] @ (1.0, *fit)) for m in simpson]
+    if M <= COARSE_M:
+        return *fit, 0, False
+    new, sweeps = _exact_pass(fit, obs, p, Grid(grid.t0, grid.T, COARSE_M), n0, alpha0)
+    return *(new or fit), sweeps, new is not None
+
+
+def _fit(jac, c, obs: Observations, alpha0: float, n0: float):
+    """(A0, I0) of the regularized fit of (LT, RT) by the affine model
+    c + jac (A0, I0): the normal equations of cost_p0's data and alpha0
+    terms, (J'J + alpha0 Gamma) z = J'(d - c) + alpha0 N0 (1, 1).  None if
+    it is not finite or not strictly inside K0."""
+    with np.errstate(all="ignore"):  # a singular or overflowed fit: None
+        (a, b), (_, d) = jac.T @ jac + alpha0 * GAMMA
+        e, f = jac.T @ (np.array([obs.LT, obs.RT]) - c) + alpha0 * n0
+        det = a * d - b * b
+        A0, I0 = float((e * d - b * f) / det), float((a * f - b * e) / det)
+    return (A0, I0) if A0 > 0.0 and I0 > 0.0 and A0 + I0 < n0 else None  # a NaN fails it
+
+
+def _exact_pass(z, obs: Observations, p: ModelParams, coarse: Grid, n0: float, alpha0: float):
+    """(A0, I0) after the Gauss-Newton step from z = (A0, I0), with beta_I
+    = 0, of the exact discrete cost on the coarse grid (`_fit` of the
+    model's linearization there, or None), and the sweeps it took: one
+    forward solve and one reverse sweep with the two cotangents e_L, e_R,
+    counted as 3.  A forward solve that blows up there gives None after 1."""
+    c = IdentCandidate(CoefficientTable.constant(0.0), *z)
+    try:
+        traj = _forward(c, obs, p, coarse)
+    except BlowupError:  # a step too long for RK4 on the coarse grid
+        return None, 1
+    v = _rk4_model_vjp(p.replace(beta_I=c.beta_I), traj, _ENDS)[0]
+    jac = (v[0, 1:3] - v[0, 0]).T  # d(L, R)(T)/d(A0, I0), as _reduce's blocks
+    return _fit(jac, traj.final[3:5] - jac @ z, obs, alpha0, n0), 3
 
 
 def _checked_forward(c: IdentCandidate, obs: Observations, params: ModelParams, grid: Grid):
@@ -561,9 +602,14 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     affine in (A0, I0), and three passes fit it to (LT, RT) with the alpha0
     terms of the cost through powers of its RK4 step maps: no model sweep.
     It falls back to A0 = I0 = N0/4 when a pass is not finite or not
-    strictly inside K0.  The first step keeps every beta_I knot on its
-    bound, so only (A0, I0) move; later steps free a clamped knot whose
-    multiplier has the wrong sign.
+    strictly inside K0.  On a grid of more than COARSE_M steps a fit that
+    is not the fallback takes one exact pass: the Gauss-Newton step in
+    (A0, I0) at beta_I = 0 of the discrete cost on COARSE_M steps, whose 3
+    sweeps forward_solves counts, kept if it lands strictly inside K0.
+    The first step keeps every beta_I knot on its bound, so only (A0, I0)
+    move, unless the exact pass has taken that step; later steps free a
+    clamped knot whose multiplier has the wrong sign.  iterations counts
+    the steps on the requested grid.
 
     The Armijo test reads the cost change from the terms' changes
     (`_cost_change`), which do not cancel where J's rounding would.  A step
@@ -604,12 +650,12 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
     def inner(u1, a1, i1, u2, a2, i2):
         return float(np.dot(wq * u1, u2) + a1 * a2 + i1 * i2)
 
-    nsolves = 0
+    A0, I0, nsolves, exact = _start(obs, params, grid, n0, alpha0)
 
-    def evaluate(bgv, a, i):
-        # the candidate (bgv on the grid, a, i), its forward solve and its cost's parts
+    def evaluate(beta, a, i):
+        # the candidate (beta, a, i), its forward solve and its cost's parts
         nonlocal nsolves
-        c = IdentCandidate(_beta_table(grid, bgv), a, i)
+        c = IdentCandidate(beta, a, i)
         traj = _forward(c, obs, params, grid, helper)
         nsolves += 1
         return (c, traj, *_cost_terms(c, obs, alpha0, alpha1, grid, traj, c.beta_I.values))
@@ -625,7 +671,8 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         residual = _certificate(c, c.beta_I.values, (gb, gA, gI), alpha0, alpha1, n0)
         return gb, gA, gI, rows, blocks, residual
 
-    cand, traj, J, parts = evaluate(np.zeros(grid.M + 1), *_start(obs, params, grid, n0, alpha0))
+    # every candidate's beta_I shares the knots of the start's
+    cand, traj, J, parts = evaluate(_beta_table(grid, np.zeros(grid.M + 1)), A0, I0)
     state = exact_state((cand, traj, J, parts))
     history = [J]
     converged = state[5] <= cfg.tol
@@ -643,7 +690,7 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
             if dpred >= 0.0:
                 t *= 0.5
                 continue
-            trial = evaluate(nb, nA, nI)
+            trial = evaluate(cand.beta_I.with_values(nb), nA, nI)
             change = _cost_change(parts, trial[3], alpha0, alpha1, grid.h)
             if change <= ARMIJO_C * dpred:
                 # a decrease below the rounding of J is taken only as the full
@@ -660,8 +707,9 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         it += 1
         bg, A0, I0 = cand.beta_I.values, cand.A0, cand.I0
         gbeta, gA0, gI0, rows, blocks, residual = state
-        # the first step keeps every beta_I knot on the bound it starts on
-        free = (bg > 0.0) | ((gbeta < 0.0) & (it > 1))
+        # the first step keeps every beta_I knot on the bound it starts on,
+        # unless the start's exact pass has taken that step already
+        free = (bg > 0.0) | ((gbeta < 0.0) & (it > 1 or exact))
         edge = A0 + I0 >= n0 * (1.0 - 1e-12)
         free_block = np.array([(A0 > 0.0 or gA0 < 0.0) and not (edge and gA0 > gI0),
                                (I0 > 0.0 or gI0 < 0.0) and not (edge and gI0 > gA0)])

@@ -40,11 +40,22 @@ class CoefficientTable:
 
     def __post_init__(self):
         knots = np.array(self.knots, dtype=float, ndmin=1)
-        values = np.array(self.values, dtype=float, ndmin=1)
+        self._freeze(knots, self.values, knots.size > 1 and not np.all(np.diff(knots) > 0))
+
+    def with_values(self, values) -> "CoefficientTable":
+        """The table of these values on this table's knots, which the two
+        share instead of copying them: no table writes its knots."""
+        table = object.__new__(CoefficientTable)
+        table._freeze(self._interp_args[0], values, False)
+        return table
+
+    def _freeze(self, knots: np.ndarray, values, unordered: bool):
+        # checks the values, copied, against the knots, and sets the fields
+        values = np.array(values, dtype=float, ndmin=1)
         errs = []
         if knots.size != values.size or knots.size < 1:
             errs.append("coefficient table needs len(values) == len(knots) >= 1")
-        if knots.size > 1 and not np.all(np.diff(knots) > 0):
+        if unordered:
             errs.append("coefficient table knots must be strictly increasing")
         if not np.all(values >= 0):  # written so that a NaN value fails it
             errs.append("negative coefficient value in table")

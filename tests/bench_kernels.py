@@ -15,9 +15,13 @@ forward solve and the reverse sweep reduced to what the solver reads
 `identify._ReverseHelper`, which builds the step maps in a forked child
 meanwhile and sends back the rows and blocks.
 
-`test_start` times identify's start (`identify._start`), the fit of
-(A0, I0) to planted data by the model quasilinearized on its segments; it
-takes no model sweep, and its extra_info holds `ms` per call.
+`test_start` times identify's start (`identify._start`) without its
+exact pass (COARSE_M raised to M): the fit of (A0, I0) to planted data by
+the model quasilinearized on its segments, which takes no model sweep.
+`test_coarse_pass` times that pass (`identify._exact_pass`) as a solve at
+M = 10^4 takes it: a forward solve and a reverse sweep on COARSE_M steps
+and the Gauss-Newton step they give.  The extra_info of both holds `ms`
+per call.
 
 `test_stage_newton` times the FD-Newton phase of one control_binding stage
 that stalls, either in-process or with solve_p's forked evaluator taking
@@ -32,7 +36,8 @@ import pytest
 
 from sailr import (CoefficientTable, ControlPair, Grid, IdentCandidate, Observations,
                    adjoint_p0, adjoint_p_eps, control, n0_of, simulate, tangent_p)
-from sailr.identify import _ENDS, _ReverseHelper, _forward, _reduce, _start, _trapezoid_weights
+from sailr import identify
+from sailr.identify import _ENDS, _ReverseHelper, _forward, _reduce, _trapezoid_weights
 from sailr.model import _rk4_model_vjp
 from conftest import control_binding_problem, random_params, random_state, refuse_fork
 
@@ -90,17 +95,35 @@ def test_forward_and_reverse(benchmark, streamed, M):
         benchmark.extra_info["us_per_step"] = benchmark.stats.stats.min * 1e6 / M
 
 
-def test_start(benchmark):
+def _start_problem():
     # data of the model at beta_I = 0, so that the fit lands inside K0 and
     # runs all its passes
     p, x0, g, _, _ = _problem(10_000)
     p = p.replace(beta_I=0.0)
     end = simulate(p, x0, g)
     obs = Observations(L0=x0[3], R0=x0[4], LT=end.L[-1], RT=end.R[-1], T=T)
-    n0 = n0_of(obs)
+    return obs, p, g, n0_of(obs)
+
+
+def test_start(benchmark, monkeypatch):
+    obs, p, g, n0 = _start_problem()
+    monkeypatch.setattr(identify, "COARSE_M", g.M)
     benchmark.group = "start M=10000"
-    A0, I0 = benchmark.pedantic(_start, (obs, p, g, n0, 1e-6), rounds=20, warmup_rounds=1)
-    assert (A0, I0) != (n0 / 4, n0 / 4)
+    A0, I0, sweeps, _ = benchmark.pedantic(identify._start, (obs, p, g, n0, 1e-6), rounds=20,
+                                           warmup_rounds=1)
+    assert (A0, I0) != (n0 / 4, n0 / 4) and sweeps == 0
+    if benchmark.stats is not None:
+        benchmark.extra_info["ms"] = benchmark.stats.stats.min * 1e3
+
+
+def test_coarse_pass(benchmark):
+    obs, p, g, n0 = _start_problem()
+    fit = identify._start(obs, p, g, n0, 1e-6)[:2]
+    coarse = Grid(0.0, T, identify.COARSE_M)
+    benchmark.group = "start M=10000"
+    step, sweeps = benchmark.pedantic(identify._exact_pass, (fit, obs, p, coarse, n0, 1e-6),
+                                      rounds=20, warmup_rounds=1)
+    assert step is not None and sweeps == 3
     if benchmark.stats is not None:
         benchmark.extra_info["ms"] = benchmark.stats.stats.min * 1e3
 

@@ -30,6 +30,18 @@ def planted(T=2.0, M=500, beta=0.4, A0=0.12, I0=0.08, L0=0.02, R0=0.01, params=N
     return p, g, obs, ref
 
 
+#: two draws of a wider box than perfbench/survey.py's (random rates, T in
+#: [1, 6], L0 and R0 in [0.005, 0.03]) on a grid of 2000 steps, more than COARSE_M
+WIDE_DRAW_37 = dict(
+    T=5.7927, M=2000, beta=0.4935, A0=0.197, I0=0.1157, L0=0.0129, R0=0.0165,
+    params=ModelParams(sigma=0.1471, mu_A=0.2214, mu_I=0.3858, mu_L=0.3569, l_A=0.6981,
+                       l_I=0.4914, beta_I=0.0, beta_A=0.4888, xi=0.0046))
+WIDE_DRAW_51 = dict(
+    T=5.9668, M=2000, beta=0.5292, A0=0.1817, I0=0.1608, L0=0.0204, R0=0.0118,
+    params=ModelParams(sigma=0.2061, mu_A=0.0634, mu_I=0.4264, mu_L=0.484, l_A=0.2559,
+                       l_I=0.5399, beta_I=0.0, beta_A=0.2038, xi=0.163))
+
+
 @pytest.fixture
 def taken_steps(monkeypatch):
     """After a converged solve_p0: for each step it took, the number of
@@ -68,27 +80,103 @@ class TestStart:
         # within 2e-7 of the answer (1.54e-7 measured)
         p, g, obs, ref = planted(M=1000)
         n0 = n0_of(obs)
-        A0, I0 = identify._start(obs, p, g, n0, 1e-6)
+        A0, I0, sweeps, exact = identify._start(obs, p, g, n0, 1e-6)
         assert A0 > 0 and I0 > 0 and A0 + I0 < n0
-        assert (A0, I0) != (n0 / 4, n0 / 4)
+        assert (A0, I0) != (n0 / 4, n0 / 4) and (sweeps, exact) == (0, False)
         res = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=40))
         assert np.hypot(A0 - res.candidate.A0, I0 - res.candidate.I0) <= 2e-7
 
-    def test_fine_grid_converges_in_one_iteration(self, monkeypatch):
-        # a planted M = 10^4 problem: one Gauss-Newton iteration from the
-        # start meets tol, in 6 sweeps, and the start's gap to the answer is
-        # second order in the segment length: 2.4e-6 with 4 segments, 15.6
-        # times the 1.5e-7 with 16
+    def test_fine_grid_converges_at_its_start(self, monkeypatch):
+        # a planted M = 10^4 problem: the start's exact pass on COARSE_M
+        # steps lands where the first fine iterate meets tol, in 3 coarse
+        # and 3 fine sweeps, and within 2e-13 of the answer without the pass
+        # (4.9e-14 measured), which takes one Gauss-Newton iteration
         p, g, obs, ref = planted(M=10_000)
         n0 = n0_of(obs)
         res = solve_p0(obs, p, g, 1e-6, 1e-6)
-        assert res.converged and res.iterations == 1 and res.forward_solves == 6
+        assert res.converged and res.iterations == 0 and res.forward_solves == 6
+        monkeypatch.setattr(identify, "COARSE_M", g.M)
+        direct = solve_p0(obs, p, g, 1e-6, 1e-6)
+        assert direct.converged and direct.iterations == 1 and direct.forward_solves == 6
+        assert np.hypot(res.candidate.A0 - direct.candidate.A0,
+                        res.candidate.I0 - direct.candidate.I0) <= 2e-13
+        # with the pass off, the start is the quasilinearized fit, whose gap
+        # to the answer is second order in the segment length: 2.4e-6 with
+        # 4 segments, 15.6 times the 1.5e-7 with 16
         gaps = []
         for k in (4, 16):
             monkeypatch.setattr(identify, "START_SEGMENTS", k)
-            A0, I0 = identify._start(obs, p, g, n0, 1e-6)
+            A0, I0 = identify._start(obs, p, g, n0, 1e-6)[:2]
             gaps.append(np.hypot(A0 - res.candidate.A0, I0 - res.candidate.I0))
         assert gaps[0] >= 8 * gaps[1]
+
+    def test_no_exact_pass_up_to_coarse_m(self, monkeypatch):
+        # a grid of COARSE_M steps, as identify_synthetic's: no pass, and the
+        # bits of the solve with COARSE_M ten times larger
+        p, g, obs, ref = planted(M=identify.COARSE_M)
+        passes = []
+        exact_pass = identify._exact_pass
+        monkeypatch.setattr(identify, "_exact_pass", lambda *a: passes.append(a) or exact_pass(*a))
+        res = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7))
+        assert passes == [] and res.iterations == 1 and res.forward_solves == 6
+        monkeypatch.setattr(identify, "COARSE_M", 10 * g.M)
+        same = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7))
+        assert same.candidate.beta_I.values.tobytes() == res.candidate.beta_I.values.tobytes()
+        assert (same.candidate.A0, same.candidate.I0, same.optimality_residual) == (
+            res.candidate.A0, res.candidate.I0, res.optimality_residual)
+
+    def test_no_exact_pass_from_the_fallback(self, monkeypatch):
+        # a wide-box draw (T = 5.79, beta_I = 0.49, I0/A0 = 0.59) whose
+        # beta_I = 0 fit lands outside K0: the start is (N0/4, N0/4), and a
+        # Gauss-Newton step from there would land outside K0 as well after 3
+        # sweeps.  The solve takes no pass, and the sweeps and the bits of
+        # the solve without one: 22 sweeps
+        p, g, obs, ref = planted(**WIDE_DRAW_37)
+        n0 = n0_of(obs)
+        assert identify._start(obs, p, g, n0, 1e-6) == (n0 / 4, n0 / 4, 0, False)
+        res = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=40))
+        monkeypatch.setattr(identify, "COARSE_M", g.M)
+        direct = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=40))
+        assert res.converged and res.forward_solves == direct.forward_solves == 22
+        assert (res.candidate.A0, res.candidate.I0) == (direct.candidate.A0, direct.candidate.I0)
+
+    def test_first_step_after_exact_pass_frees_beta(self, monkeypatch):
+        # a wide-box draw whose answer has beta_I > 0 (0.0089 at most): the
+        # exact pass has taken the Gauss-Newton step with beta_I held at 0,
+        # so the first fine step frees the knots whose gradient is negative;
+        # one that kept them on their bound would find no decrease and
+        # stall at 9.0e-3.  It converges in the 16 sweeps of the solve
+        # without the pass
+        p, g, obs, ref = planted(**WIDE_DRAW_51)
+        starts = []
+        forward = identify._forward
+
+        def spy(c, *args):
+            starts.append(c)
+            return forward(c, *args)
+
+        monkeypatch.setattr(identify, "_forward", spy)
+        res = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=40))
+        assert identify._start(obs, p, g, n0_of(obs), 1e-6)[2:] == (3, True)
+        assert res.converged and res.forward_solves == 16
+        assert res.candidate.beta_I.values.max() > 0
+        # the pass's coarse solve, the start, then the first fine step's trial
+        assert not np.any(starts[1].beta_I.values) and np.any(starts[2].beta_I.values)
+
+    def test_exact_pass_blowup_keeps_fit(self, monkeypatch):
+        # h mu_L = 3.0 on COARSE_M steps, outside RK4's stability interval,
+        # and 1.5 on the 2000 of the grid: the pass's forward solve blows up
+        # after 1 sweep, and the solve goes on from the quasilinearized fit
+        p, g, obs, ref = planted(M=2000, params=base_params(mu_L=1500.0))
+        n0 = n0_of(obs)
+        A0, I0, sweeps, exact = identify._start(obs, p, g, n0, 1e-6)
+        assert (sweeps, exact) == (1, False)
+        res = solve_p0(obs, p, g, 1e-6, 1e-6)
+        monkeypatch.setattr(identify, "COARSE_M", g.M)
+        assert identify._start(obs, p, g, n0, 1e-6) == (A0, I0, 0, False)
+        direct = solve_p0(obs, p, g, 1e-6, 1e-6)
+        assert res.converged and res.forward_solves == direct.forward_solves + 1
+        assert (res.candidate.A0, res.candidate.I0) == (direct.candidate.A0, direct.candidate.I0)
 
     def test_singular_fit_falls_back(self):
         # no recovery and no immunity loss: R(T) = R0 whatever (A0, I0), and
@@ -98,7 +186,7 @@ class TestStart:
                         beta_I=0.0, beta_A=0.0, xi=0.0)
         obs = Observations(L0=0.02, R0=0.01, LT=0.02, RT=0.01, T=2.0)
         n0 = n0_of(obs)
-        assert identify._start(obs, p, Grid(0.0, 2.0, 300), n0, 1e-6) == (n0 / 4, n0 / 4)
+        assert identify._start(obs, p, Grid(0.0, 2.0, 300), n0, 1e-6) == (n0 / 4, n0 / 4, 0, False)
 
     def test_fit_outside_k0_falls_back(self):
         # the first pass (linearized about S = N0, A = 0) lands inside K0,
@@ -108,7 +196,7 @@ class TestStart:
         p, g, obs, ref = planted(T=5.2027, M=1000, beta=0.5263, A0=0.1798, I0=0.2181,
                                  L0=0.0093, R0=0.0184, params=params)
         n0 = n0_of(obs)
-        assert identify._start(obs, p, g, n0, 1e-6) == (n0 / 4, n0 / 4)
+        assert identify._start(obs, p, g, n0, 1e-6) == (n0 / 4, n0 / 4, 0, False)
 
     def test_first_step_moves_only_initial_data(self, monkeypatch):
         # every beta_I knot starts on its bound, 0, and stays there in the

@@ -159,6 +159,22 @@ class TestCoefficientTable:
         with pytest.raises(ValidationError, match="negative coefficient"):
             CoefficientTable([0.0, 1.0], [np.nan, 0.3])
 
+    def test_with_values_shares_knots(self, rng):
+        # the new table holds no copy of the knots, but its own of the
+        # values, and evaluates as a table built from both does
+        knots, values = np.linspace(0.0, 2.0, 101), rng.uniform(0.0, 1.0, 101)
+        table = CoefficientTable(knots, np.zeros(101)).with_values(values)
+        other = table.with_values(2.0 * values)
+        assert np.shares_memory(table.knots, other.knots)
+        assert not np.shares_memory(table.values, values)
+        assert not table.knots.flags.writeable and not table.values.flags.writeable
+        t = rng.uniform(0.0, 2.0, 50)
+        assert np.array_equal(table(t), CoefficientTable(knots, values)(t))
+        with pytest.raises(ValidationError, match="negative coefficient"):
+            table.with_values(-values)
+        with pytest.raises(ValidationError, match="len"):
+            table.with_values(values[:-1])
+
 
 class TestValidateParams:
     def test_k1_zero_rejected(self):
