@@ -14,16 +14,14 @@ projection for beta_I and the Gamma-resolvent for (A0, I0), both read from
 the exact gradient) certify convergence.
 
 It starts from the data (`_start`): beta_I = 0 on its bound, and (A0, I0)
-the regularized fit of (LT, RT) by the model quasilinearized on
+the regularized fit over K0 of (LT, RT) by the model quasilinearized on
 START_SEGMENTS segments, whose terminal (L, R) is affine in (A0, I0).  That
 takes no model sweep, and where the answer keeps beta_I = 0 (as
-identify_synthetic's does) it lands within about 3e-7 of it at M = 10^4.  On
-a grid of more than COARSE_M steps the start then takes one exact
-Gauss-Newton step in (A0, I0) at beta_I = 0 on a grid of COARSE_M steps (3
-sweeps there), which lands within about 1e-13 of such an answer: at
-M = 10^4 the first fine iterate meets tol, after 3 fine sweeps.  Without
-that pass the first step keeps beta_I on its bound; after it, whose step
-held beta_I there, the first step may free it.
+identify_synthetic's does) it lands within about 3e-7 of it at M = 10^4.
+The start then takes one exact Gauss-Newton step in (A0, I0) at beta_I = 0
+on min(M, COARSE_M) steps (3 sweeps there), which lands within about 1e-13
+of such an answer: at M = 10^4 the first fine iterate meets tol, after 3
+fine sweeps.
 
 Where a full step fails the Armijo test with its predicted decrease and
 cost change both below the rounding of the cost, which can judge neither
@@ -62,7 +60,8 @@ MAX_BACKTRACKS = 60  # arc search: backtracks per step
 ROUNDING = 64 * np.finfo(float).eps
 START_SEGMENTS = 16  # segments of the start's quasilinearized model
 START_PASSES = 3     # passes of the start's fit, each about the last one's averages
-COARSE_M = 1000      # steps of the start's exact pass, taken on grids of more steps
+COARSE_M = 1000      # steps of the start's exact pass, at most
+START_PULL = 1e-3    # share of the way to K0's centroid that a fit on K0's boundary moves
 
 #: reverse blocks whose step maps solve_p0's helper builds ahead of a sweep,
 #: at most: every block up to M = 20 SWEEP_BLOCK (M = 10^4 has 20), about
@@ -171,11 +170,10 @@ def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
 
 
 def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: float):
-    """(A0, I0) of the first iterate, the model sweeps taken for it and
-    whether its last pass was exact: the regularized fit of (LT, RT) by the
-    model at beta_I = 0, quasilinearized on START_SEGMENTS segments, or
-    (N0/4, N0/4) if a pass of that fit is not finite or not strictly inside
-    K0; then, on a grid of more than COARSE_M steps, one exact pass.
+    """(A0, I0) of the first iterate and the model sweeps taken for it: the
+    fit of (LT, RT) by the model at beta_I = 0, quasilinearized on
+    START_SEGMENTS segments, or (N0/4, N0/4) if a pass of it is not finite;
+    then one exact pass.
 
     On segment j, with beta_A and xi at their averages there, beta_A S A is
     replaced by its linearization beta_A (s_j A + a_j S - s_j a_j) about the
@@ -183,15 +181,12 @@ def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: flo
     So y = (S, A, I, L, R, 1) follows a constant 6x6 linear system there,
     the segment's RK4 solve is its step map to the segment's step count, and
     the terminal (L, R) = c + J (A0, I0) is affine.  Each of START_PASSES
-    passes solves the normal equations of cost_p0's data and alpha0 terms
-    (`_fit`), and takes the next averages by Simpson's rule from each
-    segment's ends and the state after the half power of its step map.
+    passes fits that model on K0 (`_fit`), and takes the next averages by
+    Simpson's rule from each segment's ends and the state after the half
+    power of its step map.
 
     The exact pass (`_exact_pass`) is the Gauss-Newton step in (A0, I0), at
-    beta_I = 0, of the exact discrete cost on COARSE_M steps, in 3 sweeps.
-    Its fit replaces the last one only if it is finite and strictly inside
-    K0.  The fallback takes no pass: its answers have beta_I > 0, which the
-    pass holds at 0.
+    beta_I = 0, of the exact discrete cost on min(M, COARSE_M) steps.
     """
     h, M = grid.h, grid.M
     segments = min(START_SEGMENTS, M)
@@ -216,9 +211,9 @@ def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: flo
             hB[1, 1] -= h * p.k1
             hB[0, 4], hB[4, 4] = h * xi, -h * xi
             step = eye
-            for k in (4.0, 3.0, 2.0, 1.0):  # I + hB + (hB)^2/2 + (hB)^3/6 + (hB)^4/24
-                step = eye + hB @ step / k
             with np.errstate(over="ignore", invalid="ignore"):  # not finite: the fallback
+                for k in (4.0, 3.0, 2.0, 1.0):  # I + hB + (hB)^2/2 + (hB)^3/6 + (hB)^4/24
+                    step = eye + hB @ step / k
                 power = np.linalg.matrix_power(step, (hi - lo) // 2)
                 mid = power @ y
                 end = power @ (mid if (hi - lo) % 2 == 0 else step @ mid)
@@ -226,41 +221,42 @@ def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: flo
             y = end
         fit = _fit(y[3:5, 1:], y[3:5, 0], obs, alpha0, n0)
         if fit is None:
-            return n0 / 4.0, n0 / 4.0, 0, False
+            break
         means = [tuple(m[:2] @ (1.0, *fit)) for m in simpson]
-    if M <= COARSE_M:
-        return *fit, 0, False
-    new, sweeps = _exact_pass(fit, obs, p, Grid(grid.t0, grid.T, COARSE_M), n0, alpha0)
-    return *(new or fit), sweeps, new is not None
+    coarse = Grid(grid.t0, grid.T, min(M, COARSE_M))
+    return _exact_pass(fit or (n0 / 4.0, n0 / 4.0), obs, p, coarse, n0, alpha0)
 
 
 def _fit(jac, c, obs: Observations, alpha0: float, n0: float):
     """(A0, I0) of the regularized fit of (LT, RT) by the affine model
-    c + jac (A0, I0): the normal equations of cost_p0's data and alpha0
-    terms, (J'J + alpha0 Gamma) z = J'(d - c) + alpha0 N0 (1, 1).  None if
-    it is not finite or not strictly inside K0."""
-    with np.errstate(all="ignore"):  # a singular or overflowed fit: None
-        (a, b), (_, d) = jac.T @ jac + alpha0 * GAMMA
-        e, f = jac.T @ (np.array([obs.LT, obs.RT]) - c) + alpha0 * n0
-        det = a * d - b * b
-        A0, I0 = float((e * d - b * f) / det), float((a * f - b * e) / det)
-    return (A0, I0) if A0 > 0.0 and I0 > 0.0 and A0 + I0 < n0 else None  # a NaN fails it
+    c + jac (A0, I0): the minimizer over K0 of cost_p0's data and alpha0
+    terms, pulled START_PULL of the way to K0's centroid from its boundary,
+    so that S0, A0 and I0 are > 0.  None if the model is not finite."""
+    with np.errstate(all="ignore"):  # an overflowed model: None
+        Q = jac.T @ jac + alpha0 * GAMMA
+        b = jac.T @ (np.array([obs.LT, obs.RT]) - c) + alpha0 * n0
+    if not (np.isfinite(Q).all() and np.isfinite(b).all()):
+        return None
+    A0, I0 = _min_quadratic_triangle(Q, b, n0)
+    if A0 > 0.0 and I0 > 0.0 and A0 + I0 < n0:
+        return A0, I0
+    return A0 + START_PULL * (n0 / 3.0 - A0), I0 + START_PULL * (n0 / 3.0 - I0)
 
 
 def _exact_pass(z, obs: Observations, p: ModelParams, coarse: Grid, n0: float, alpha0: float):
     """(A0, I0) after the Gauss-Newton step from z = (A0, I0), with beta_I
     = 0, of the exact discrete cost on the coarse grid (`_fit` of the
-    model's linearization there, or None), and the sweeps it took: one
-    forward solve and one reverse sweep with the two cotangents e_L, e_R,
-    counted as 3.  A forward solve that blows up there gives None after 1."""
+    model's linearization there, or z), and the sweeps it took: one forward
+    solve and one reverse sweep with the two cotangents e_L, e_R, counted
+    as 3.  A forward solve that blows up there gives z after 1."""
     c = IdentCandidate(CoefficientTable.constant(0.0), *z)
     try:
         traj = _forward(c, obs, p, coarse)
     except BlowupError:  # a step too long for RK4 on the coarse grid
-        return None, 1
+        return *z, 1
     v = _rk4_model_vjp(p.replace(beta_I=c.beta_I), traj, _ENDS)[0]
     jac = (v[0, 1:3] - v[0, 0]).T  # d(L, R)(T)/d(A0, I0), as _reduce's blocks
-    return _fit(jac, traj.final[3:5] - jac @ z, obs, alpha0, n0), 3
+    return *(_fit(jac, traj.final[3:5] - jac @ z, obs, alpha0, n0) or z), 3
 
 
 def _checked_forward(c: IdentCandidate, obs: Observations, params: ModelParams, grid: Grid):
@@ -326,9 +322,10 @@ def _min_quadratic_triangle(Q, b, n0: float):
     b1, b2 = float(b[0]), float(b[1])
     cands = [(0.0, 0.0), (n0, 0.0), (0.0, n0)]
     det = q11 * q22 - q12 * q12
-    zu = ((q22 * b1 - q12 * b2) / det, (q11 * b2 - q12 * b1) / det)
-    if zu[0] >= 0 and zu[1] >= 0 and zu[0] + zu[1] <= n0:
-        cands.append(zu)
+    if det > 0:  # 0 or less only where rounding has made a nearly singular Q singular
+        zu = ((q22 * b1 - q12 * b2) / det, (q11 * b2 - q12 * b1) / det)
+        if zu[0] >= 0 and zu[1] >= 0 and zu[0] + zu[1] <= n0:
+            cands.append(zu)
     cands.append((min(max(b1 / q11, 0.0), n0), 0.0))
     cands.append((0.0, min(max(b2 / q22, 0.0), n0)))
     denom = q11 - 2.0 * q12 + q22
@@ -601,13 +598,9 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     is linear in (S, A, I, L, R, 1) on each, so its terminal (L, R) is
     affine in (A0, I0), and three passes fit it to (LT, RT) with the alpha0
     terms of the cost through powers of its RK4 step maps: no model sweep.
-    It falls back to A0 = I0 = N0/4 when a pass is not finite or not
-    strictly inside K0.  On a grid of more than COARSE_M steps a fit that
-    is not the fallback takes one exact pass: the Gauss-Newton step in
-    (A0, I0) at beta_I = 0 of the discrete cost on COARSE_M steps, whose 3
-    sweeps forward_solves counts, kept if it lands strictly inside K0.
-    The first step keeps every beta_I knot on its bound, so only (A0, I0)
-    move, unless the exact pass has taken that step; later steps free a
+    Each fit is on K0 (`_fit`).  Then one exact pass takes the Gauss-Newton
+    step in (A0, I0) at beta_I = 0 of the discrete cost on min(M, COARSE_M)
+    steps, whose 3 sweeps forward_solves counts.  Every step frees a
     clamped knot whose multiplier has the wrong sign.  iterations counts
     the steps on the requested grid.
 
@@ -650,7 +643,7 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
     def inner(u1, a1, i1, u2, a2, i2):
         return float(np.dot(wq * u1, u2) + a1 * a2 + i1 * i2)
 
-    A0, I0, nsolves, exact = _start(obs, params, grid, n0, alpha0)
+    A0, I0, nsolves = _start(obs, params, grid, n0, alpha0)
 
     def evaluate(beta, a, i):
         # the candidate (beta, a, i), its forward solve and its cost's parts
@@ -707,9 +700,7 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         it += 1
         bg, A0, I0 = cand.beta_I.values, cand.A0, cand.I0
         gbeta, gA0, gI0, rows, blocks, residual = state
-        # the first step keeps every beta_I knot on the bound it starts on,
-        # unless the start's exact pass has taken that step already
-        free = (bg > 0.0) | ((gbeta < 0.0) & (it > 1 or exact))
+        free = (bg > 0.0) | (gbeta < 0.0)
         edge = A0 + I0 >= n0 * (1.0 - 1e-12)
         free_block = np.array([(A0 > 0.0 or gA0 < 0.0) and not (edge and gA0 > gI0),
                                (I0 > 0.0 or gI0 < 0.0) and not (edge and gI0 > gA0)])

@@ -253,6 +253,8 @@ def _apply_override(doc: dict, item: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ValidationError([f"override '{key}': value nested too deeply"])
     node = doc
     parts = key.split(".")
     for part in parts[:-1]:
@@ -273,8 +275,12 @@ def read_scenario_doc(path, task: str | None = None, seed: int | None = None,
         raise ValidationError([f"scenario file not found: {path}"])
     except OSError as err:  # a directory, say, or no permission
         raise ValidationError([f"cannot read scenario file {path}: {err.strerror}"])
+    except UnicodeDecodeError as err:
+        raise ValidationError([f"cannot read scenario file {path}: {err}"])
     except json.JSONDecodeError as err:
         raise ValidationError([f"parse error at line {err.lineno}, column {err.colno}: {err.msg}"])
+    except RecursionError:
+        raise ValidationError(["parse error: arrays or objects nested too deeply"])
     if not isinstance(doc, dict):
         raise ValidationError(["scenario document must be a JSON object"])
     if task is not None:

@@ -15,9 +15,9 @@ forward solve and the reverse sweep reduced to what the solver reads
 `identify._ReverseHelper`, which builds the step maps in a forked child
 meanwhile and sends back the rows and blocks.
 
-`test_start` times identify's start (`identify._start`) without its
-exact pass (COARSE_M raised to M): the fit of (A0, I0) to planted data by
-the model quasilinearized on its segments, which takes no model sweep.
+`test_start` times identify's start (`identify._start`) with its exact
+pass stubbed out: the fit of (A0, I0) to planted data by the model
+quasilinearized on its segments, which takes no model sweep.
 `test_coarse_pass` times that pass (`identify._exact_pass`) as a solve at
 M = 10^4 takes it: a forward solve and a reverse sweep on COARSE_M steps
 and the Gauss-Newton step they give.  The extra_info of both holds `ms`
@@ -105,25 +105,32 @@ def _start_problem():
     return obs, p, g, n0_of(obs)
 
 
+def _no_pass(z, *args):
+    # identify._exact_pass stubbed out: the start is its fit alone
+    return *z, 0
+
+
 def test_start(benchmark, monkeypatch):
     obs, p, g, n0 = _start_problem()
-    monkeypatch.setattr(identify, "COARSE_M", g.M)
+    monkeypatch.setattr(identify, "_exact_pass", _no_pass)
     benchmark.group = "start M=10000"
-    A0, I0, sweeps, _ = benchmark.pedantic(identify._start, (obs, p, g, n0, 1e-6), rounds=20,
-                                           warmup_rounds=1)
+    A0, I0, sweeps = benchmark.pedantic(identify._start, (obs, p, g, n0, 1e-6), rounds=20,
+                                        warmup_rounds=1)
     assert (A0, I0) != (n0 / 4, n0 / 4) and sweeps == 0
     if benchmark.stats is not None:
         benchmark.extra_info["ms"] = benchmark.stats.stats.min * 1e3
 
 
-def test_coarse_pass(benchmark):
+def test_coarse_pass(benchmark, monkeypatch):
     obs, p, g, n0 = _start_problem()
-    fit = identify._start(obs, p, g, n0, 1e-6)[:2]
+    with monkeypatch.context() as m:
+        m.setattr(identify, "_exact_pass", _no_pass)
+        fit = identify._start(obs, p, g, n0, 1e-6)[:2]
     coarse = Grid(0.0, T, identify.COARSE_M)
     benchmark.group = "start M=10000"
-    step, sweeps = benchmark.pedantic(identify._exact_pass, (fit, obs, p, coarse, n0, 1e-6),
-                                      rounds=20, warmup_rounds=1)
-    assert step is not None and sweeps == 3
+    A0, I0, sweeps = benchmark.pedantic(identify._exact_pass, (fit, obs, p, coarse, n0, 1e-6),
+                                        rounds=20, warmup_rounds=1)
+    assert (A0, I0) != fit and sweeps == 3
     if benchmark.stats is not None:
         benchmark.extra_info["ms"] = benchmark.stats.stats.min * 1e3
 

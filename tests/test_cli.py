@@ -113,6 +113,21 @@ class TestSimulate:
         assert capsys.readouterr().err == (f"sailr load: error: cannot read scenario file "
                                            f"{tmp_path}: {os.strerror(errno.EISDIR)}\n")
 
+    @pytest.mark.parametrize("content, error", [
+        (b"\xff\xfe{}", "cannot read scenario file {path}: 'utf-8' codec can't decode byte 0xff "
+                        "in position 0: invalid start byte"),
+        (b"[" * 100_000, "parse error: arrays or objects nested too deeply"),
+    ], ids=["not-utf8", "nested-too-deeply"])
+    def test_undecodable_scenario_is_error(self, tmp_path, capsys, content, error):
+        # a file that is not UTF-8 or nests past the recursion limit: a load error
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", str(path), "--out", str(out), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"sailr load: error: {error.format(path=path)}\n"
+        assert not out.exists()
+
 
 class TestIdentify:
     def _doc(self, tmp_path):
@@ -470,6 +485,8 @@ class TestLoadErrors:
          ["params.sigma must be a finite number"]),
         ("control", "control_binding", ["params.sigma.x=1"],
          ["override path 'params.sigma.x' crosses a non-object field"]),
+        ("simulate", "simulate_baseline", ["name=" + "[" * 5000],
+         ["override 'name': value nested too deeply"]),
         ("control", [1, 2], [], ["scenario document must be a JSON object"]),
         ("control", "control_binding", ['penalty.anchor={"lA": 0.2}'],
          ["penalty.anchor.lI required for task=control"]),
@@ -493,6 +510,7 @@ class TestLoadErrors:
         ("synth", "synth_truth", ["seed=-1", "synth.noise=0.01"], ["synth: seed must be >= 0"]),
     ], ids=["x0-negative", "grid-span", "grid-t0", "no-unobserved-mass",
             "override-no-equals", "override-raw-string", "override-through-number",
+            "override-nested-too-deeply",
             "document-array", "anchor-one-key", "anchor-out-of-range", "synth-L0-negative",
             "synth-no-unobserved-mass",
             "observations-fields", "synth-fields", "grid-M-zero", "grid-T-negative",
@@ -521,7 +539,7 @@ class TestConsoleSummary:
         ("identify_synthetic", ["grid.M=100"], 0, [
             "task       : identify  (identify-synthetic)",
             "cost       : 2.924258e-07",
-            "residual   : optimality = 5.125e-09",
+            "residual   : optimality = 4.898e-09",
             "residual   : terminal_mismatch_sq = 5.334e-11",
             "R0 / S_bar : 0.366667 / 2.72727",
             "candidate  : A0=0.0854473 I0=0.137088 S0=0.747465"]),

@@ -342,9 +342,14 @@ def helper_sweep(rng, M):
 
 @pytest.fixture
 def no_in_process_vjp(monkeypatch):
-    """identify's in-process sweep fails the test."""
-    def refuse(*args):
-        raise AssertionError("the reverse sweep ran in-process")
+    """identify's in-process sweep fails the test, but for the start's exact
+    pass, which sweeps in-process on at most COARSE_M steps."""
+    vjp = identify._rk4_model_vjp
+
+    def refuse(p, traj, cotangents):
+        if traj.grid.M > identify.COARSE_M:
+            raise AssertionError("the reverse sweep ran in-process")
+        return vjp(p, traj, cotangents)
 
     monkeypatch.setattr(identify, "_rk4_model_vjp", refuse)
 
@@ -363,15 +368,28 @@ def result_bytes(res):
             res.converged, res.forward_solves, res.notes)
 
 
+#: steps of the start's exact pass in the solves of TestReverseHelper: on
+#: identify_synthetic's 1000 steps the start then misses tol, and the solve
+#: takes a fine iteration (9 sweeps) that the certificate does not judge
+SMALL_COARSE_M = 20
+
+
+@pytest.fixture
+def small_pass(monkeypatch):
+    monkeypatch.setattr(identify, "COARSE_M", SMALL_COARSE_M)
+
+
 @pytest.fixture(scope="module")
 def identify_reference():
     """solve_p0 on identify_synthetic without os.fork: every sweep in-process."""
     obs, params, grid, weights, solver = identify_problem(1000)
     with pytest.MonkeyPatch.context() as monkeypatch:
         refuse_fork(monkeypatch)
+        monkeypatch.setattr(identify, "COARSE_M", SMALL_COARSE_M)
         return result_bytes(solve_p0(obs, params, grid, *weights, solver))
 
 
+@pytest.mark.usefixtures("small_pass")
 class TestReverseHelper:
     @pytest.mark.parametrize("M", [511, 512, 513, 1000, 10_000])
     def test_same_bits_as_in_process(self, rng, no_in_process_vjp, M):
@@ -427,7 +445,7 @@ class TestReverseHelper:
         else:
             res = solve_p0(obs, params, grid, *weights, solver)
             assert result_bytes(res) == identify_reference
-            assert len(in_process) == res.iterations + 1  # every sweep
+            assert len(in_process) == res.iterations + 2  # every sweep, and the pass's
         assert len(fork_calls) == 1
         assert_no_child()
 
@@ -462,21 +480,20 @@ class TestReverseHelper:
         assert calls[nth - 1] is not None and after[-1] is None  # killed, then reaped
         assert result_bytes(res) == identify_reference  # forward_solves included
         if where == "adjoint":
-            assert len(in_process) == 1
+            assert len(in_process) == 2  # the start's pass, and the sweep redone
         assert_no_child()
 
-    def test_parent_memory(self, monkeypatch, fork_calls):
+    def test_parent_memory(self, fork_calls):
         # the helper sends rows and blocks, not the two-column (v, bbar), the
         # solve reads each candidate's beta_I knot values instead of
         # evaluating beta_I at fresh grid points, and the candidates share
         # one array of knots: the parent's traced peak over one Gauss-Newton
         # iteration at M = 4096 is 5.84 trajectories' bytes, 6.04 with a
         # copy of the knots per candidate, 6.64 when it evaluated them and
-        # 8.57 when it received (v, bbar).  The start's exact pass is off
-        # (COARSE_M = M), so that the first fine iterate misses tol and the
-        # iteration runs; with it on, its in-process sweep on COARSE_M steps
-        # sets the peak here, at 15.4 trajectories (2.5 MB)
-        monkeypatch.setattr(identify, "COARSE_M", 4096)
+        # 8.57 when it received (v, bbar).  The start's exact pass takes
+        # SMALL_COARSE_M steps, so that the first fine iterate misses tol and
+        # the iteration runs; on 1000 steps its in-process sweep sets the
+        # peak here, at 15.4 trajectories (2.5 MB)
         obs, params, grid, weights, solver = identify_problem(4096)
         solver = identify.IdentConfig(solver.tol, max_iters=1)  # the full solve peaks as high
         tracemalloc.start()
