@@ -19,9 +19,9 @@ alpha1 + 1), which are reported as the convergence certificate.
 
 solve_p and solve_p_eps fork an evaluator (`_Evaluator`) that evaluates the
 second point of each of Newton's pairs while the solver evaluates the
-first.  Each reply carries the point's whole result (update, trajectory
-and adjoint), so the results and sweep count are the same bits as without
-os.fork.
+first, and replies with its update alone.  Each stage then evaluates its
+answer once more, here, for its trajectory and adjoint, so the results and
+sweep count are the same bits as without os.fork.
 """
 
 from __future__ import annotations
@@ -206,48 +206,43 @@ class _Evaluator:
     """The stage maps of one solve_p: F(l) evaluates one here, and ahead(l)
     queues a point for a forked child (`child.Child`) to evaluate meanwhile.
 
-    stage(eps, anchor) picks the map.  F(l) gives (update, gap update - l,
-    trajectory, adjoint), and take() the same of the queued point.  A point
-    never taken is dropped: its reply is read and thrown away at the next
-    ahead(), so that the child can go on.  A request is five float64 (lA,
-    lI, eps, anchor), its reply the update's two float64, then the
-    trajectory's and the adjoint's (M + 1, 5) float64 states, read into a
-    new array each time: take()'s trajectory and adjoint keep it.  Without a
-    child (no os.fork, one CPU, a failed pipe or fork, or an error or
-    warning ended it), take evaluates here, with the same bits.  sweeps
-    counts the stage's sweeps the solver reads.
+    stage(eps, anchor) picks the map.  F(l) gives (update, gap update - l),
+    and take() the same of the queued point.  A point never taken is
+    dropped: its reply is read and thrown away at the next ahead().  A
+    request is five float64 (lA, lI, eps, anchor), its reply the update's
+    two float64.  Without a child (no os.fork, one CPU, a failed pipe or
+    fork, or an error or warning ended it), take evaluates here, with the
+    same bits.  sweeps counts the stage's sweeps the solver reads.
     """
 
     def __init__(self, pcfg, params, x0, grid):
         self.problem = (pcfg, params, x0, grid)
         self.child = Child(self._serve, pipes=2)
-        self._reply = 2 + 10 * (grid.M + 1)  # float64 in a reply
         self._unread = False  # a dropped point's reply is still in the pipe
 
     def stage(self, eps: float, anchor: ControlPair):
         self._eps, self._anchor, self.sweeps = eps, anchor, 0
 
     def F(self, l: ControlPair):
-        raw, traj, adj = _stage_map(*self.problem, self._eps, self._anchor, l)
+        return self._read(_stage_map(*self.problem, self._eps, self._anchor, l)[0], l)
+
+    def _read(self, raw: ControlPair, l: ControlPair):
+        # the solver reads l's update raw: its two sweeps count
         self.sweeps += 2
-        return raw, np.array([raw.lA - l.lA, raw.lI - l.lI]), traj, adj
+        return raw, np.array([raw.lA - l.lA, raw.lI - l.lI])
 
     def ahead(self, l: ControlPair):
         if self._unread:
-            self.child.receive(np.empty(self._reply))
+            self.child.receive(np.empty(2))
         self._queued = l
         self._unread = self.child.send(np.array([l.lA, l.lI, self._eps, self._anchor.lA,
                                                  self._anchor.lI]).tobytes())
 
     def take(self):
-        got, self._unread = self.child.receive(np.empty(self._reply)), False
+        got, self._unread = self.child.receive(np.empty(2)), False
         if got is None:
             return self.F(self._queued)
-        self.sweeps += 2
-        grid, l = self.problem[3], self._queued
-        raw, states = ControlPair(*got[:2].tolist()), got[2:].reshape(2, grid.M + 1, 5)
-        return (raw, np.array([raw.lA - l.lA, raw.lI - l.lI]),
-                Trajectory(grid, states[0]), AdjointTrajectory(grid, states[1]))
+        return self._read(ControlPair(*got.tolist()), self._queued)
 
     def _serve(self, requests, replies) -> int:
         # The child: evaluate points until the parent closes the pipe.  A
@@ -255,10 +250,8 @@ class _Evaluator:
         warnings.simplefilter("error")
         while req := requests.read(40):
             lA, lI, eps, aA, aI = np.frombuffer(req).tolist()
-            raw, traj, adj = _stage_map(*self.problem, eps, ControlPair(aA, aI),
-                                        ControlPair(lA, lI))
-            replies.write(np.array([raw.lA, raw.lI]).tobytes() + traj.states.tobytes()
-                          + adj.states.tobytes())
+            raw = _stage_map(*self.problem, eps, ControlPair(aA, aI), ControlPair(lA, lI))[0]
+            replies.write(np.array([raw.lA, raw.lI]).tobytes())
             replies.flush()
         return 0
 
@@ -274,7 +267,9 @@ def solve_p_eps(pcfg: PenaltyConfig, eps: float, params: ModelParams, x0, grid: 
     the gap then starts from the best sweep's evaluation (and returns at
     once if it already meets TOL_FP).  If Newton does not reach TOL_FP, its
     iterate with the smallest fixed-point residual is returned with
-    converged=False.  Newton's pairs go to a forked `_Evaluator`, as in solve_p.
+    converged=False.  The stage's trajectory and adjoint come from one more,
+    uncounted, evaluation at its answer.  Newton's pairs go to a forked
+    `_Evaluator`, as in solve_p.
     """
     ev = _Evaluator(pcfg, params, x0, grid)
     with ev.child:  # closed on return, killed on an error
@@ -287,10 +282,10 @@ def _solve_stage(ev: _Evaluator, eps, anchor, init, tol_fp) -> StageResult:
     ctrl = init
     best = None
     for _ in range(MAX_SWEEPS):
-        raw, Fv, traj, adj = ev.F(ctrl)
+        raw, Fv = ev.F(ctrl)
         fp_res = raw.dist(ctrl)
-        if best is None or fp_res <= best[4]:
-            best = (ctrl, Fv, traj, adj, fp_res)
+        if best is None or fp_res <= best[2]:
+            best = (ctrl, Fv, fp_res)
         if fp_res <= tol_fp:
             break
         ctrl = ControlPair(THETA * raw.lA + (1 - THETA) * ctrl.lA,
@@ -300,8 +295,10 @@ def _solve_stage(ev: _Evaluator, eps, anchor, init, tol_fp) -> StageResult:
     # expansive (stiff penalty); quadratic convergence from the sweep's iterate.
     # It only accepts steps that shrink the residual, so it ends at or below
     # the best sweep.
-    used_newton = best[4] > tol_fp
-    ctrl, traj, adj, fp_res = _stage_newton(ev, *best[:4], tol_fp)
+    used_newton = best[2] > tol_fp
+    ctrl, fp_res = _stage_newton(ev, *best[:2], tol_fp)
+    # not counted: the solver counted this point when it read its update
+    _, traj, adj = _stage_map(*ev.problem, eps, anchor, ctrl)
     return StageResult(ctrl, _cost_p_eps_from(traj, ctrl, pcfg, eps, anchor),
                        fp_res, used_newton, traj, adj,
                        _penalty_integral(traj, pcfg.Lhat), ev.sweeps, fp_res <= tol_fp,
@@ -309,25 +306,24 @@ def _solve_stage(ev: _Evaluator, eps, anchor, init, tol_fp) -> StageResult:
 
 
 def _in_pairs(ev: _Evaluator, points):
-    # (point, gap, trajectory, adjoint) of each point in order, in pairs
+    # (point, gap) of each point in order, in pairs
     for k in range(0, len(points), 2):
         if k + 1 < len(points):
             ev.ahead(points[k + 1])
-        yield points[k], *ev.F(points[k])[1:]
+        yield points[k], ev.F(points[k])[1]
         if k + 1 < len(points):
-            yield points[k + 1], *ev.take()[1:]
+            yield points[k + 1], ev.take()[1]
 
 
-def _stage_newton(ev: _Evaluator, ctrl, Fv, traj, adj, tol):
+def _stage_newton(ev: _Evaluator, ctrl, Fv, tol):
     """Damped finite-difference Newton on the gap F(l)[1] = update(l) - l.
 
-    Starts from ctrl with its gap Fv, trajectory and adjoint already
-    evaluated.  Steps are accepted only if they shrink |gap|, so the phase
-    cannot wander.  The two FD probes are a pair, and so are the backtracking
-    candidates t and t/2 for t = 1, 1/4, 1/16, ...: ev's child evaluates the
-    second while F evaluates the first, and the first candidate that shrinks
-    |gap| is taken, as one at a time would.  Returns the accepted (ctrl,
-    traj, adj, residual).
+    Starts from ctrl with its gap Fv already evaluated.  Steps are accepted
+    only if they shrink |gap|, so the phase cannot wander.  The two FD probes
+    are a pair, and so are the backtracking candidates t and t/2 for t = 1,
+    1/4, 1/16, ...: ev's child evaluates the second while F evaluates the
+    first, and the first candidate that shrinks |gap| is taken, as one at a
+    time would.  Returns the accepted (ctrl, residual).
     """
     fp = float(np.max(np.abs(Fv)))
     for _ in range(30):
@@ -340,7 +336,7 @@ def _stage_newton(ev: _Evaluator, ctrl, Fv, traj, adj, tol):
             if lp.dist(ctrl) == 0.0:  # pinned at the boundary; probe inward
                 lp = ControlPair(_clamp01(ctrl.lA - e[0]), _clamp01(ctrl.lI - e[1]))
             probes.append(lp)
-        (pA, FA, *_), (pI, FI, *_) = _in_pairs(ev, probes)
+        (pA, FA), (pI, FI) = _in_pairs(ev, probes)
         Jm = np.column_stack([(FA - Fv) / (pA.lA - ctrl.lA), (FI - Fv) / (pI.lI - ctrl.lI)])
         try:
             step = np.linalg.solve(Jm, -Fv)
@@ -353,14 +349,14 @@ def _stage_newton(ev: _Evaluator, ctrl, Fv, traj, adj, tol):
             if cand.dist(ctrl) == 0.0:
                 break
             cands.append(cand)
-        for cand, Fc, c_traj, c_adj in _in_pairs(ev, cands):
+        for cand, Fc in _in_pairs(ev, cands):
             fc = float(np.max(np.abs(Fc)))
             if fc < fp:
-                ctrl, Fv, fp, traj, adj = cand, Fc, fc, c_traj, c_adj
+                ctrl, Fv, fp = cand, Fc, fc
                 break
         else:
             break
-    return ctrl, traj, adj, fp
+    return ctrl, fp
 
 
 def _limit_residual(traj, adj, ctrl, alpha1) -> float:

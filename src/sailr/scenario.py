@@ -17,6 +17,7 @@ import json
 import numbers
 import os
 import re
+import sys
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields
 
@@ -100,7 +101,7 @@ def _num(value, locus: str, errs: list, integer: bool = False):
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if integer and isinstance(value, numbers.Integral):
             return int(value)
-        if abs(value) <= np.finfo(float).max and (not integer or float(value).is_integer()):
+        if abs(value) <= sys.float_info.max and (not integer or float(value).is_integer()):
             return int(value) if integer else float(value)
     errs.append(f"{locus} must be {'an integer' if integer else 'a finite number'}")
     return None
@@ -245,12 +246,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     solver=solver, synth=synth, stability=stability, seed=seed)
 
 
+def _json_int(locus: str):
+    """json's parse_int: int, but an integer longer than Python converts
+    (sys.get_int_max_str_digits) is a ValidationError naming locus."""
+    def parse(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:
+            raise ValidationError([f"{locus}: an integer has more than "
+                                   f"{sys.get_int_max_str_digits()} digits"]) from None
+    return parse
+
+
 def _apply_override(doc: dict, item: str):
     if "=" not in item:
         raise ValidationError([f"override '{item}' is not KEY=VALUE"])
     key, raw = item.split("=", 1)
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, parse_int=_json_int(f"override '{key}'"))
     except json.JSONDecodeError:
         value = raw
     except RecursionError:
@@ -270,7 +283,7 @@ def read_scenario_doc(path, task: str | None = None, seed: int | None = None,
     given and apply KEY=VALUE overrides (dotted path, JSON value) in order."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int("parse error"))
     except FileNotFoundError:
         raise ValidationError([f"scenario file not found: {path}"])
     except OSError as err:  # a directory, say, or no permission

@@ -117,9 +117,12 @@ class TestSimulate:
         (b"\xff\xfe{}", "cannot read scenario file {path}: 'utf-8' codec can't decode byte 0xff "
                         "in position 0: invalid start byte"),
         (b"[" * 100_000, "parse error: arrays or objects nested too deeply"),
-    ], ids=["not-utf8", "nested-too-deeply"])
+        (b'{"grid": {"M": ' + b"1" * 5000 + b"}}",
+         "parse error: an integer has more than 4300 digits"),
+    ], ids=["not-utf8", "nested-too-deeply", "integer-too-long"])
     def test_undecodable_scenario_is_error(self, tmp_path, capsys, content, error):
-        # a file that is not UTF-8 or nests past the recursion limit: a load error
+        # a file that is not UTF-8, nests past the recursion limit or holds
+        # an integer longer than Python converts: a load error
         path = tmp_path / "scenario.json"
         path.write_bytes(content)
         out = tmp_path / "out"
@@ -487,6 +490,11 @@ class TestLoadErrors:
          ["override path 'params.sigma.x' crosses a non-object field"]),
         ("simulate", "simulate_baseline", ["name=" + "[" * 5000],
          ["override 'name': value nested too deeply"]),
+        ("simulate", "simulate_baseline", ["grid.M=" + "1" * 5000],
+         ["override 'grid.M': an integer has more than 4300 digits"]),
+        # an integer past the largest float, but short enough to convert
+        ("control", "control_binding", ["penalty.Lhat=" + "1" * 4000],
+         ["penalty.Lhat must be a finite number"]),
         ("control", [1, 2], [], ["scenario document must be a JSON object"]),
         ("control", "control_binding", ['penalty.anchor={"lA": 0.2}'],
          ["penalty.anchor.lI required for task=control"]),
@@ -510,7 +518,7 @@ class TestLoadErrors:
         ("synth", "synth_truth", ["seed=-1", "synth.noise=0.01"], ["synth: seed must be >= 0"]),
     ], ids=["x0-negative", "grid-span", "grid-t0", "no-unobserved-mass",
             "override-no-equals", "override-raw-string", "override-through-number",
-            "override-nested-too-deeply",
+            "override-nested-too-deeply", "override-integer-too-long", "integer-past-float",
             "document-array", "anchor-one-key", "anchor-out-of-range", "synth-L0-negative",
             "synth-no-unobserved-mass",
             "observations-fields", "synth-fields", "grid-M-zero", "grid-T-negative",

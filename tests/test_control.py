@@ -161,7 +161,8 @@ class TestSolvePEps:
         # the stiff binding stage stays above TOL_FP for all its sweeps, so
         # the sweep phase must spend the whole budget before Newton starts;
         # each stage evaluation runs one forward simulate, all of them in
-        # this process, where the spy counts them
+        # this process, where the spy counts them.  The last is the stage's
+        # uncounted evaluation of its answer
         refuse_fork(monkeypatch)
         monkeypatch.setattr(control, "MAX_SWEEPS", 40)
         calls = []
@@ -184,7 +185,7 @@ class TestSolvePEps:
         st = solve_p_eps(pcfg, 1e-4, p, X0, g, pcfg.anchor)
         assert calls.count("newton") == 1
         assert calls.index("newton") == 40
-        newton_solves = 2 * calls[calls.index("newton"):].count("F")
+        newton_solves = 2 * (calls[calls.index("newton"):].count("F") - 1)
         assert st.forward_solves - newton_solves == 2 * 40
         assert st.used_fallback is True
 
@@ -448,19 +449,14 @@ class TestEvaluator:
         assert set(points) < in_process[1]
         assert_no_child()
 
-    @pytest.mark.parametrize("forked, M", [(True, 100), (False, 100), (True, 1000), (False, 1000)],
-                             ids=["True", "False", "True-M1000", "False-M1000"])
-    def test_pairs_give_each_points_map(self, monkeypatch, fork_calls, forked, M):
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_pairs_give_each_points_map(self, monkeypatch, fork_calls, forked):
         # each point _in_pairs gives, read in order, has _stage_map's gap,
-        # trajectory and adjoint, also once later replies have come in; a
-        # pair left after its first point drops the second, whose sweeps do
-        # not count.  At M = 1000 a reply (80,096 B) does not fit a 64 KiB
-        # pipe, so the dropped reply must be read before the child can take
-        # the next request
+        # also once later replies have come in; a pair left after its first
+        # point drops the second, whose sweeps do not count
         if not forked:
             refuse_fork(monkeypatch)
-        pcfg, p, x0, _ = binding_problem()
-        g = Grid(0.0, 8.0, M)
+        pcfg, p, x0, g = binding_problem()
         points = [ControlPair(0.1 * i, 0.3 + 0.05 * i) for i in range(1, 5)]
         ev = control._Evaluator(pcfg, p, x0, g)
         with ev.child:
@@ -468,12 +464,39 @@ class TestEvaluator:
             next(control._in_pairs(ev, points[1:]))  # queues points[2], then drops it
             got = list(control._in_pairs(ev, points))
         assert ev.sweeps == 2 + 4 * 2
-        assert [l for l, *_ in got] == points
-        for (l, gap, traj, adj) in got:
-            raw, want_traj, want_adj = control._stage_map(pcfg, p, x0, g, 1e-3, pcfg.anchor, l)
+        assert [l for l, _ in got] == points
+        for l, gap in got:
+            raw = control._stage_map(pcfg, p, x0, g, 1e-3, pcfg.anchor, l)[0]
             assert gap.tolist() == [raw.lA - l.lA, raw.lI - l.lI]
-            assert traj.states.tobytes() == want_traj.states.tobytes()
-            assert adj.states.tobytes() == want_adj.states.tobytes()
+        assert len(fork_calls) == forked
+        assert_no_child()
+
+    @pytest.mark.parametrize("forked", [True, False])
+    def test_stage_states_are_the_map_at_its_answer(self, monkeypatch, fork_calls,
+                                                     in_process, forked):
+        # each stage evaluates its answer once more, in this process, for its
+        # trajectory and adjoint; forward_solves leaves that evaluation out,
+        # as the in-process count shows, and is the same forked
+        if not forked:
+            refuse_fork(monkeypatch)
+        stages, solve_stage = [], control._solve_stage
+
+        def spy(ev, eps, anchor, init, tol_fp):
+            stages.append((eps, anchor, solve_stage(ev, eps, anchor, init, tol_fp)))
+            return stages[-1][2]
+
+        monkeypatch.setattr(control, "_solve_stage", spy)
+        points = spy_stage_map(monkeypatch)
+        pcfg, p, x0, g = binding_problem()
+        res = solve_p(pcfg, p, x0, g)
+        assert result_bits(res) == in_process[0]
+        if not forked:  # every evaluation is this process's: one per two sweeps read, one per stage
+            assert len(points) == res.forward_solves // 2 + len(stages)
+        assert [id(st) for *_, st in stages] == [id(st) for st in res.per_eps_history]
+        for eps, anchor, st in stages:
+            _, traj, adj = control._stage_map(pcfg, p, x0, g, eps, anchor, st.controls)
+            assert st.trajectory.states.tobytes() == traj.states.tobytes()
+            assert st.adjoint.states.tobytes() == adj.states.tobytes()
         assert len(fork_calls) == forked
         assert_no_child()
 
