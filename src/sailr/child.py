@@ -1,8 +1,7 @@
 """A forked child process that serves its parent over pipes.
 
-`scenario.GridCsvWriter` renders CSV rows in one, `identify.solve_p0`
-builds its reverse sweeps' step maps in another, and `control.solve_p`
-evaluates stage maps ahead of need in a third.  Each does the same work
+`scenario.GridCsvWriter` renders CSV rows in one, and `control.solve_p`
+evaluates stage maps ahead of need in another.  Each does the same work
 in-process when there is no child: without os.fork, when the process may
 use one CPU only, or when the pipe or the fork fails.
 """

@@ -8,7 +8,7 @@ it opened.
 
 The summary's "runtime" field is a deterministic work measure: the number
 of five-component ODE sweeps whose results the solver reads; discarded
-speculative work (control's evaluator, identify's helper) is not counted.
+speculative work (control's evaluator) is not counted.
 So identical invocations with the same seed produce byte-identical output
 files; wall-clock time is printed to the console only.
 """

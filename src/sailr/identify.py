@@ -26,17 +26,8 @@ fine sweeps.
 Where a full step fails the Armijo test with its predicted decrease and
 cost change both below the rounding of the cost, which can judge neither
 it nor a shorter step, the certificate judges it at once; a step it
-refuses ends the solve with the current iterate's adjoint that the helper
-kept: no sweep more.
-
-solve_p0 forks one helper per call, which builds each reverse sweep's step
-maps while the forward solve streams its states to it (`_ReverseHelper`,
-at most PREFETCH_BLOCKS blocks of maps ahead, about 5 MB).  It sends back
-only what the solver reads of a sweep (`_reduce`: the Jacobian rows and
-blocks, and the last sweep's adjoint if asked).  The results are the
-same bits as with every sweep in-process, the one fallback: without
-os.fork, on one CPU, when the fork or its pipes fail, or when the helper
-dies (an error in its sweep ends it).  No child outlives the call.
+refuses ends the solve with the current iterate's adjoint, which that
+iterate's own reverse sweep gave: no sweep more.
 """
 
 from __future__ import annotations
@@ -45,12 +36,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .child import Child, frame, frame_heads
 from .errors import BlowupError, FeasibilityError, ValidationError
-from .integrate import SWEEP_BLOCK, Grid, Trajectory, trapezoid
+from .integrate import Grid, Trajectory, trapezoid
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, param_errors, simulate,
-                    stage_to_knot_gradient, vjp_step_maps, vjp_sweep)
+                    stage_to_knot_gradient)
 
 #: resolvent matrix coupling (A0, I0) in the initial-data optimality condition
 GAMMA = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -62,11 +52,6 @@ START_SEGMENTS = 16  # segments of the start's quasilinearized model
 START_PASSES = 3     # passes of the start's fit, each about the last one's averages
 COARSE_M = 1000      # steps of the start's exact pass, at most
 START_PULL = 1e-3    # share of the way to K0's centroid that a fit on K0's boundary moves
-
-#: reverse blocks whose step maps solve_p0's helper builds ahead of a sweep,
-#: at most: every block up to M = 20 SWEEP_BLOCK (M = 10^4 has 20), about
-#: 5.2 MB of maps; the sweep builds the others when it reaches them
-PREFETCH_BLOCKS = 20
 
 _ENDS = np.eye(5)[:, 3:]  # cotangent columns e_L, e_R of the reverse sweep
 
@@ -160,13 +145,9 @@ def grid_errors(grid: Grid, obs: Observations) -> list[str]:
 
 
 def _forward(c: IdentCandidate, obs: Observations, params: ModelParams,
-             grid: Grid, helper=None) -> Trajectory:
-    # with a _ReverseHelper, the solve streams to it for the reverse sweep
+             grid: Grid) -> Trajectory:
     x0 = (c.s0(n0_of(obs)), c.A0, c.I0, obs.L0, obs.R0)
-    if helper is not None:
-        helper.candidate(c.beta_I.values)
-    return simulate(params.replace(beta_I=c.beta_I), x0, grid,
-                    block_done=None if helper is None else helper.send)
+    return simulate(params.replace(beta_I=c.beta_I), x0, grid)
 
 
 def _start(obs: Observations, p: ModelParams, grid: Grid, n0: float, alpha0: float):
@@ -413,23 +394,18 @@ def _reduce(v, bbar, r, wq):
 
 
 def _exact_gradient(c: IdentCandidate, r, alpha0: float, alpha1: float,
-                    params: ModelParams, traj: Trajectory, bg, wq, n0: float, helper=None):
+                    params: ModelParams, traj: Trajectory, bg, wq, n0: float):
     """Exact gradient (gbeta, gA0, gI0) of the discrete cost at c, whose
     beta_I takes the values bg on the grid and whose terminal residuals are
-    r, and the Jacobian rows and blocks (`_reduce`) it is assembled from.
-
-    One reverse sweep of the discrete RK4 map.  A _ReverseHelper that was
-    streamed traj's solve does the sweep, with the same bits, and keeps its
-    adjoint for `_ReverseHelper.adjoint`.
+    r, the Jacobian rows and blocks it is assembled from, and the adjoint
+    (all three as `_reduce` gives them): one reverse sweep of the discrete
+    RK4 map.
     """
     p = params.replace(beta_I=c.beta_I)
-    if helper is None:
-        rows, blocks, _ = _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, wq)
-    else:
-        rows, blocks = helper.vjp(p, traj, r)
+    rows, blocks, adjoint = _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, wq)
     gb = alpha1 * bg + r @ rows
     gA, gI = r @ blocks + alpha0 * (np.array([2 * c.A0 + c.I0, 2 * c.I0 + c.A0]) - n0)
-    return gb, gA, gI, rows, blocks
+    return gb, gA, gI, rows, blocks, adjoint
 
 
 def _gn_direction(gbeta, gblock, rows, blocks, alpha0, alpha1, wq, free, free_block):
@@ -460,122 +436,6 @@ def _gn_direction(gbeta, gblock, rows, blocks, alpha0, alpha1, wq, free, free_bl
     dbeta = -(g_f - c[0] * rows_f[0] - c[1] * rows_f[1]) / alpha1
     dblock = -(binv @ (gb_f - c[0] * blocks_f[0] - c[1] * blocks_f[1]))
     return dbeta, dblock
-
-
-class _ReverseHelper:
-    """The reverse sweeps of one solve_p0, their step maps built in a forked
-    child (`child.Child`) while the forward solves run.
-
-    Per candidate, `_forward` sends a frame of its beta_I knot values, then
-    the solve's states block by block (send is simulate's block_done).  Each
-    `child.frame` is a header (lo, hi) and a float64 payload written from
-    the array's own buffer; lo < 0 marks a candidate (hi values), a sweep
-    request (the hi = 2 residuals r) or an adjoint request (no payload).
-    The child builds each reverse block's step maps (`model.vjp_step_maps`)
-    as soon as the block's states are there, PREFETCH_BLOCKS of them at
-    most, and a new candidate drops them.  vjp(p, traj, r) asks for the
-    candidate's sweep: the child builds the blocks left, runs
-    `model.vjp_sweep`, reduces it (`_reduce`) and sends back the rows and
-    blocks only (0.16 MB at M = 10^4), keeping the adjoint until the next
-    sweep; adjoint() fetches the last one.  These are the
-    bits that `_reduce` of `_rk4_model_vjp` gives, which runs in-process
-    instead when there is no child (no os.fork, one CPU, or the pipe or the
-    fork failed) or when the child has died.  A helper that cannot answer is a
-    dead one: an error in its sweep (a BlowupError, say) ends it, and the
-    in-process sweep then raises the error again or gives the bits.  When
-    it dies after the last sweep, adjoint() sweeps again in-process.  The
-    child multiplies matrices with NumPy after the fork; OpenBLAS rebuilds
-    its thread pool in a forked child.
-
-    Leaving the with-block closes the child and waits for it; an error
-    inside the block kills it.  Either way no child is left.
-    """
-
-    _CANDIDATE, _SWEEP, _ADJOINT = -1, -2, -3  # the lo of the frames that carry no states
-
-    def __init__(self, params: ModelParams, grid: Grid):
-        self._params, self._grid = params, grid
-        # the last sweep's (p, traj, r), and its adjoint unless the child keeps it
-        self._last, self._adjoint = None, None
-        self._child = Child(self._serve, pipes=2)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._child.__exit__(*exc)  # an error kills it: its maps are not worth finishing
-
-    def candidate(self, values):
-        self._child.send(frame(self._CANDIDATE, len(values)), values)
-
-    def send(self, lo: int, hi: int, rows):
-        self._child.send(frame(lo, hi), rows)
-
-    def vjp(self, p: ModelParams, traj: Trajectory, r):
-        """The rows and blocks of `_reduce` for the candidate last streamed,
-        whose solve is traj, and the residuals r."""
-        self._last = p, traj, r
-        self._child.send(frame(self._SWEEP, r.size), r)
-        rows = self._child.receive(np.empty((self._grid.M + 1, r.size)))
-        blocks = self._child.receive(np.empty((2, r.size)))
-        if blocks is None:  # no child, or it has died
-            rows, blocks, self._adjoint = self._in_process()
-            return rows, blocks
-        self._adjoint = None  # the child keeps it
-        return rows.T, blocks.T
-
-    def adjoint(self) -> np.ndarray:
-        """The adjoint of `_reduce` for the last vjp; if the child that
-        kept it has died, that sweep runs again in-process."""
-        if self._adjoint is None:
-            self._child.send(frame(self._ADJOINT, 0))
-            self._adjoint = self._child.receive(np.empty((self._grid.M + 1, 5)))
-        if self._adjoint is None:
-            self._adjoint = self._in_process()[2]
-        return self._adjoint
-
-    def _in_process(self):
-        # _reduce of the last vjp's sweep, run in this process
-        p, traj, r = self._last
-        return _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, _trapezoid_weights(self._grid))
-
-    def _serve(self, frames, replies) -> int:
-        # The child: serve frames until the parent closes the pipe.
-        g, M = self._grid, self._grid.M
-        states, wq = np.empty((M + 1, 5)), _trapezoid_weights(g)
-        for lo, hi in frame_heads(frames):
-            if lo == self._CANDIDATE:
-                values = np.frombuffer(frames.read(8 * hi))
-                maps = vjp_step_maps(self._params.replace(beta_I=_beta_table(g, values)),
-                                     g, states)
-                built, todo = {}, list(range(0, M, SWEEP_BLOCK))
-            elif lo == self._SWEEP:
-                residuals = np.frombuffer(frames.read(8 * hi))
-                adjoint = None  # the last one is not kept through the sweep
-                adjoint = self._reply(replies, maps, built, residuals, wq)
-            elif lo == self._ADJOINT:
-                replies.write(adjoint)
-                replies.flush()
-            else:
-                frames.readinto(states[lo:hi])
-                # reverse steps r.. are the forward steps ..M-r-1, from states ..M-r-1
-                while todo and len(built) < PREFETCH_BLOCKS and M - todo[-1] <= hi:
-                    r = todo.pop()
-                    built[r] = maps(r, min(r + SWEEP_BLOCK, M))
-        return 0
-
-    def _reply(self, replies, maps, built, r, wq):
-        # sends the sweep's rows and blocks, and returns its adjoint
-        def prefetched(lo, hi):
-            D = built.pop(lo, None)
-            return maps(lo, hi) if D is None else D
-
-        # an error ends the child; the parent's in-process sweep raises it again
-        rows, blocks, adjoint = _reduce(*vjp_sweep(prefetched, self._grid.M, _ENDS), r, wq)
-        replies.write(rows.T)  # the C-contiguous arrays they are views of
-        replies.write(blocks.T)
-        replies.flush()
-        return adjoint
 
 
 def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
@@ -614,30 +474,17 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     optimality residual is below the current one, and its reverse sweep
     serves the next iteration.  Otherwise, or when the arc search finds no
     decrease, the current iterate is returned with converged=False and the
-    note "line search stalled before reaching tolerance", with its own
-    adjoint, fetched from the helper before the refused step's sweep (no
-    sweep more).  So cost_history is nonincreasing except at a
-    step the certificate took, which may raise it by at most ROUNDING
-    relative (about 1.4e-14); up to such rises the returned iterate is the
-    best seen.
-
-    Each reverse sweep's step maps are built in a forked helper while the
-    forward solve runs (`_ReverseHelper`, one fork per call where a second
-    CPU is usable), which sends back only the rows and blocks the iteration
-    reads, and the last sweep's adjoint if asked: the results are the same bits
-    as without os.fork, and no child is left on return or on an error.
+    note "line search stalled before reaching tolerance", with the adjoint
+    of its own reverse sweep (no sweep more).  So cost_history is
+    nonincreasing except at a step the certificate took, which may raise it
+    by at most ROUNDING relative (about 1.4e-14); up to such rises the
+    returned iterate is the best seen.
     """
     cfg = config or IdentConfig()
     # the start reads beta_A and xi, which the first forward solve would check
     ValidationError.check(grid_errors(grid, obs) + weight_errors(alpha0, alpha1)
                           + param_errors(params.replace(beta_I=0.0), grid.T))
-    with _ReverseHelper(params, grid) as helper:
-        return _solve(obs, params, grid, alpha0, alpha1, cfg, n0_of(obs), helper)
-
-
-def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
-           alpha1: float, cfg: IdentConfig, n0: float, helper) -> IdentResult:
-    # solve_p0's iteration, on checked arguments
+    n0 = n0_of(obs)
     wq = _trapezoid_weights(grid)
 
     def inner(u1, a1, i1, u2, a2, i2):
@@ -649,20 +496,20 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         # the candidate (beta, a, i), its forward solve and its cost's parts
         nonlocal nsolves
         c = IdentCandidate(beta, a, i)
-        traj = _forward(c, obs, params, grid, helper)
+        traj = _forward(c, obs, params, grid)
         nsolves += 1
         return (c, traj, *_cost_terms(c, obs, alpha0, alpha1, grid, traj, c.beta_I.values))
 
     def exact_state(move):
-        # Exact discrete gradient and Gauss-Newton rows of an evaluated move from one
-        # reverse sweep, counted as one sweep per cotangent; the helper keeps its adjoint.
+        # Exact discrete gradient, Gauss-Newton rows and adjoint of an evaluated move
+        # from one reverse sweep, counted as one sweep per cotangent, and its residual
         nonlocal nsolves
         c, traj, _, (r, _, _) = move
-        gb, gA, gI, rows, blocks = _exact_gradient(c, r, alpha0, alpha1, params, traj,
-                                                   c.beta_I.values, wq, n0, helper)
+        *grad, rows, blocks, adjoint = _exact_gradient(c, r, alpha0, alpha1, params, traj,
+                                                       c.beta_I.values, wq, n0)
         nsolves += 2
-        residual = _certificate(c, c.beta_I.values, (gb, gA, gI), alpha0, alpha1, n0)
-        return gb, gA, gI, rows, blocks, residual
+        residual = _certificate(c, c.beta_I.values, grad, alpha0, alpha1, n0)
+        return (*grad, rows, blocks, residual, adjoint)
 
     # every candidate's beta_I shares the knots of the start's
     cand, traj, J, parts = evaluate(_beta_table(grid, np.zeros(grid.M + 1)), A0, I0)
@@ -670,7 +517,6 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
     history = [J]
     converged = state[5] <= cfg.tol
     notes = []
-    adjoint = None  # cand's, if fetched before a refused step's sweep
 
     def arc_search(db, dA, dI):
         # Armijo along the projected arc x + t*(direction) from t = 1: the
@@ -699,7 +545,7 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
     while not converged and it < cfg.max_iters:
         it += 1
         bg, A0, I0 = cand.beta_I.values, cand.A0, cand.I0
-        gbeta, gA0, gI0, rows, blocks, residual = state
+        gbeta, gA0, gI0, rows, blocks, residual, _ = state
         free = (bg > 0.0) | (gbeta < 0.0)
         edge = A0 + I0 >= n0 * (1.0 - 1e-12)
         free_block = np.array([(A0 > 0.0 or gA0 < 0.0) and not (edge and gA0 > gI0),
@@ -707,12 +553,10 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         db, dblock = _gn_direction(gbeta, np.array([gA0, gI0]), rows, blocks,
                                    alpha0, alpha1, wq, free, free_block)
         move, judged = arc_search(db, dblock[0], dblock[1])
-        if judged:  # cand's adjoint, before the judged step's sweep replaces it
-            kept = helper.adjoint()
         if move is not None:
             trial_state = exact_state(move)
             if judged and trial_state[5] >= residual:
-                move, adjoint = None, kept
+                move = None
         if move is None:
             notes.append("line search stalled before reaching tolerance")
             break
@@ -722,10 +566,5 @@ def _solve(obs: Observations, params: ModelParams, grid: Grid, alpha0: float,
         history.append(J)
         converged = state[5] <= cfg.tol
 
-    # the reported adjoint is cand's: the last sweep's, which the helper
-    # keeps (a sweep it redoes is not counted), or after a refused step the
-    # one fetched before that step's sweep
-    if adjoint is None:
-        adjoint = helper.adjoint()
     return IdentResult(cand, J, np.asarray(history), state[5], traj,
-                       AdjointTrajectory(grid, adjoint), it, converged, nsolves, notes)
+                       AdjointTrajectory(grid, state[6]), it, converged, nsolves, notes)

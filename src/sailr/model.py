@@ -8,9 +8,8 @@ flow conserves S + A + I + L + R exactly.
 
 The forward RK4 solve is `simulate`.  The discrete reverse-mode sweep of
 its map is `vjp_sweep` over the step maps of `vjp_step_maps`, which read
-only forward states, block by block: `_rk4_model_vjp` runs the two in one
-process, and `identify.solve_p0` builds the maps in a forked helper while
-the forward solve runs, with the same bits.
+only forward states, block by block: `_rk4_model_vjp` runs the two, and
+`identify.solve_p0` takes every reverse sweep from it.
 """
 
 from __future__ import annotations
@@ -434,8 +433,7 @@ def vjp_sweep(maps, M: int, cotangent):
 
 def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
     # Exact reverse-mode sweep of the discrete RK4 map (see vjp_sweep), with
-    # each block's step maps built in the scan.  identify builds the same
-    # maps ahead in a forked helper while the forward solve runs.
+    # each block's step maps built in the scan.
     return vjp_sweep(vjp_step_maps(p, traj.grid, traj.states), traj.grid.M, cotangent)
 
 

@@ -282,7 +282,11 @@ def read_scenario_doc(path, task: str | None = None, seed: int | None = None,
     """Parse a scenario file into its document, then set task and seed when
     given and apply KEY=VALUE overrides (dotted path, JSON value) in order."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "r", encoding="utf-8")
+        except ValueError as err:  # a NUL byte in the path; json.load's are parse errors
+            raise ValidationError([f"cannot read scenario file {os.fspath(path)!r}: {err}"])
+        with fh:
             doc = json.load(fh, parse_int=_json_int("parse error"))
     except FileNotFoundError:
         raise ValidationError([f"scenario file not found: {path}"])

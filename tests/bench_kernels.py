@@ -11,9 +11,7 @@ for the reverse sweep.
 
 `test_forward_and_reverse` times what one identify gradient costs: a
 forward solve and the reverse sweep reduced to what the solver reads
-(`identify._reduce`), either in-process or with the solve streamed to
-`identify._ReverseHelper`, which builds the step maps in a forked child
-meanwhile and sends back the rows and blocks.
+(`identify._reduce`), as `identify.solve_p0` runs them.
 
 `test_start` times identify's start (`identify._start`) with its exact
 pass stubbed out: the fit of (A0, I0) to planted data by the model
@@ -29,15 +27,13 @@ the second point of each pair; its extra_info holds the sweeps the phase
 reads, the same either way.
 """
 
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 
 from sailr import (CoefficientTable, ControlPair, Grid, IdentCandidate, Observations,
                    adjoint_p0, adjoint_p_eps, control, n0_of, simulate, tangent_p)
 from sailr import identify
-from sailr.identify import _ENDS, _ReverseHelper, _forward, _reduce, _trapezoid_weights
+from sailr.identify import _ENDS, _forward, _reduce, _trapezoid_weights
 from sailr.model import _rk4_model_vjp
 from conftest import control_binding_problem, random_params, random_state, refuse_fork
 
@@ -77,20 +73,16 @@ def test_kernel(benchmark, kernel, M):
 
 
 @pytest.mark.parametrize("M", SIZES[1:])
-@pytest.mark.parametrize("streamed", [False, True], ids=["in_process", "helper"])
-def test_forward_and_reverse(benchmark, streamed, M):
+def test_forward_and_reverse(benchmark, M):
     p, x0, g, traj, obs = _problem(M)
     cand = IdentCandidate(p.beta_I, x0[1], x0[2])
     r, wq = np.array([traj.L[-1] - obs.LT, traj.R[-1] - obs.RT]), _trapezoid_weights(g)
     benchmark.group = f"forward+reverse M={M}"
-    with _ReverseHelper(p, g) if streamed else nullcontext() as helper:
-        def gradient_sweeps():
-            traj = _forward(cand, obs, p, g, helper)
-            if streamed:
-                return helper.vjp(p, traj, r)
-            return _reduce(*_rk4_model_vjp(p, traj, _ENDS), r, wq)[:2]
 
-        benchmark.pedantic(gradient_sweeps, rounds=max(5, 400_000 // M), warmup_rounds=1)
+    def gradient_sweeps():
+        return _reduce(*_rk4_model_vjp(p, _forward(cand, obs, p, g), _ENDS), r, wq)
+
+    benchmark.pedantic(gradient_sweeps, rounds=max(5, 400_000 // M), warmup_rounds=1)
     if benchmark.stats is not None:
         benchmark.extra_info["us_per_step"] = benchmark.stats.stats.min * 1e6 / M
 

@@ -15,8 +15,9 @@ import pytest
 import sailr
 from sailr import stability
 from sailr.cli import main
-from sailr import (CoefficientTable, Grid, SynthSpec, read_csv_columns, scenario_from_dict,
-                   synth_observations)
+from sailr import (CoefficientTable, Grid, SynthSpec, ValidationError, read_csv_columns,
+                   scenario_from_dict, synth_observations)
+from sailr.scenario import read_scenario_doc
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -87,8 +88,8 @@ class TestSimulate:
         ("control", "control_binding", 50),
     ])
     def test_forked_children_write_no_stderr(self, tmp_path, task, scenario, M):
-        # the writer, the reverse helper and the stage-map evaluator end
-        # without a word on stderr (a child's unclosed file warned there)
+        # the writer and the stage-map evaluator end without a word on
+        # stderr (a child's unclosed file warned there)
         src = str(Path(sailr.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -533,6 +534,18 @@ class TestLoadErrors:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"sailr load: error: {m}" for m in errors]
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_nul_byte_in_path(self, tmp_path, capsys):
+        # open raises ValueError for such a path, which argv cannot hold but
+        # a library caller can pass: one error line that names the path
+        with pytest.raises(ValidationError) as err:
+            read_scenario_doc("a\0b")
+        assert err.value.errors == ["cannot read scenario file 'a\\x00b': embedded null byte"]
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", "a\0b", "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "sailr load: error: cannot read scenario file 'a\\x00b': embedded null byte\n")
         assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from sailr import (CoefficientTable, FeasibilityError, Grid, IdentCandidate,
                    optimality_residual_p0, project_k0, resolve_k0, simulate, solve_p0,
                    synth_observations, trapezoid)
 from sailr import identify
-from conftest import random_params, random_state, refuse_fork
 
 
 def base_params(**kw):
@@ -46,11 +45,11 @@ WIDE_DRAW_51 = dict(
 def taken_steps(monkeypatch):
     """After a converged solve_p0: for each step it took, the number of
     forward solves its iteration made and whether the certificate judged it
-    (a full step below the rounding of J: its iteration is the only one that
-    fetches the helper's adjoint before its reverse sweep)."""
-    streamed, swept, fetched = [], [], []
-    forward, gradient = identify._forward, identify._exact_gradient
-    adjoint = identify._ReverseHelper.adjoint
+    (a step swept although its cost change failed the Armijo test against
+    the decrease predicted by the last sweep's gradient, as the arc search
+    predicts it)."""
+    streamed, swept, failed, grad = [], [], [], []
+    forward, gradient, change = identify._forward, identify._exact_gradient, identify._cost_change
 
     def spy_forward(c, *args):
         streamed.append(c)
@@ -58,17 +57,25 @@ def taken_steps(monkeypatch):
 
     def spy_gradient(c, *args):
         swept.append(len(streamed))
-        return gradient(c, *args)
+        out = gradient(c, *args)
+        grad[:] = out[:3]
+        return out
 
-    def spy_adjoint(helper):
-        fetched.append(len(swept))
-        return adjoint(helper)
+    def spy_change(parts, new_parts, alpha0, alpha1, h):
+        (_, bg, z), (_, nb, nz), (gb, gA, gI) = parts, new_parts, grad
+        wq = np.full(bg.size, h)
+        wq[[0, -1]] = 0.5 * h
+        dpred = float(np.dot(wq * gb, nb - bg) + gA * (nz[0] - z[0]) + gI * (nz[1] - z[1]))
+        out = change(parts, new_parts, alpha0, alpha1, h)
+        if out > identify.ARMIJO_C * dpred:
+            failed.append(len(streamed))
+        return out
 
     monkeypatch.setattr(identify, "_forward", spy_forward)
     monkeypatch.setattr(identify, "_exact_gradient", spy_gradient)
-    monkeypatch.setattr(identify._ReverseHelper, "adjoint", spy_adjoint)
+    monkeypatch.setattr(identify, "_cost_change", spy_change)
     # step k runs between the k-th sweep and the (k + 1)-th
-    return lambda: [(hi - lo, k in fetched) for k, (lo, hi) in enumerate(zip(swept, swept[1:]), 1)]
+    return lambda: [(hi - lo, hi in failed) for lo, hi in zip(swept, swept[1:])]
 
 
 def no_pass(z, *args):
@@ -571,14 +578,10 @@ class TestSolveP0:
         assert res.notes == ["line search stalled before reaching tolerance"]
         assert np.all(np.diff(res.cost_history) < 0)
 
-    @pytest.mark.parametrize("forked", [True, False], ids=["helper", "in_process"])
-    def test_refused_step_keeps_iterate_and_its_adjoint(self, monkeypatch, forked):
+    def test_refused_step_keeps_iterate_and_its_adjoint(self, monkeypatch):
         # survey draw 28 with the certificate made to refuse the step it
         # judges: the solve stalls at the 2nd iteration and reports the 1st
-        # iterate's own adjoint, fetched before the refused step's sweep
-        # (no sweep more), from the forked helper or kept in-process
-        if not forked:
-            refuse_fork(monkeypatch)
+        # iterate's own adjoint, kept from its own sweep (no sweep more)
         p, g, obs, ref = planted(T=2.0, M=1000, beta=0.4602943217475757,
                                  A0=0.13148923476852326, I0=0.09829891712162711)
         cfg = IdentConfig(tol=1e-7, max_iters=40)

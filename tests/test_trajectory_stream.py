@@ -1,10 +1,9 @@
 """`sailr simulate` streams trajectory.csv out while it solves, and `sailr
 identify` and `sailr control` hand adjoint.csv to the same writer while they
 write their other files: same bytes as write_trajectory_csv and
-write_adjoint_csv.  identify's solve streams each forward solve to a forked
-helper that builds the reverse sweep's step maps: same bits as the sweep
-in-process.  A failed run leaves no output file and no child process; the
-CLI runners are fuzzed for tracebacks."""
+write_adjoint_csv.  identify's solve runs its reverse sweeps in-process
+and forks nothing.  A failed run leaves no output file and no child
+process; the CLI runners are fuzzed for tracebacks."""
 
 import copy
 import errno
@@ -173,10 +172,9 @@ class TestFailures:
 
 _SERIES = {"identify": "beta_I.csv", "control": "multiplier.csv"}
 
-#: forks per run: identify forks its reverse-sweep helper inside solve_p0,
-#: and control its stage-map evaluator inside solve_p, then the writer, so
-#: the writer's fork is the last one of each task
-FORKS = {"simulate": 1, "identify": 2, "control": 2}
+#: forks per run: control forks its stage-map evaluator inside solve_p, then
+#: each task the writer, so the writer's fork is the last one of each task
+FORKS = {"simulate": 1, "identify": 1, "control": 2}
 
 
 def solution_doc(task):
@@ -256,7 +254,7 @@ class TestAdjointExport:
         assert capsys.readouterr().err == (f"sailr export: error: {out / 'trajectory.csv'}: "
                                            f"{os.strerror(errno.EISDIR)}\n")
         assert len(fork_calls) == FORKS[solution[0]]
-        # the writer's, not identify's helper's or control's evaluator's
+        # the writer's, not control's evaluator's
         assert kills == [(fork_calls[-1], signal.SIGKILL)]
         assert (out / "trajectory.csv").is_dir()
         assert_no_outputs(out)
@@ -275,9 +273,9 @@ def task_doc(task):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 @pytest.mark.parametrize("task", ["simulate", "identify", "control"])
 def test_one_cpu_run_does_not_fork(tmp_path, fork_calls, task):
-    # the writer, identify's reverse-sweep helper and control's evaluator
-    # fork only where the process may use a second CPU; on one they run
-    # in-process, and the outputs are the same bytes
+    # the writer and control's evaluator fork only where the process may
+    # use a second CPU; on one they run in-process, and the outputs are the
+    # same bytes
     (tmp_path / "forked").mkdir()
     (tmp_path / "one_cpu").mkdir()
     code, forked = run_task(tmp_path / "forked", task_doc(task))
@@ -311,7 +309,7 @@ def test_summary_cannot_write(tmp_path, capsys, task):
     assert_no_child()
 
 
-# ------------------------------------- identify's reverse-sweep helper
+# ------------------------------------- identify's in-process reverse sweeps
 
 def identify_problem(M):
     """identify_synthetic's problem on a grid of M steps."""
@@ -319,45 +317,6 @@ def identify_problem(M):
     doc["grid"]["M"] = M
     s = scenario_from_dict(doc)
     return s.observations, s.params, s.grid, s.weights, s.solver
-
-
-def helper_sweep(rng, M):
-    """(rows, blocks, adjoint) of one candidate's reverse sweep from the
-    helper, and `_reduce` of the in-process sweep of the same solve; the
-    helper must not fall back."""
-    obs, params, grid, _, _ = identify_problem(M)
-    cand = identify.IdentCandidate(identify._beta_table(grid, rng.uniform(0.2, 0.5, M + 1)),
-                                   0.1, 0.07)
-    p = params.replace(beta_I=cand.beta_I)
-    r = rng.normal(size=2)
-    with identify._ReverseHelper(params, grid) as helper:
-        # a candidate whose maps are dropped, then the one swept
-        identify._forward(identify.IdentCandidate(cand.beta_I, 0.12, 0.05), obs, params,
-                          grid, helper)
-        traj = identify._forward(cand, obs, params, grid, helper)
-        streamed = (*helper.vjp(p, traj, r), helper.adjoint())
-    wq = identify._trapezoid_weights(grid)
-    return streamed, identify._reduce(*model._rk4_model_vjp(p, traj, identify._ENDS), r, wq)
-
-
-@pytest.fixture
-def no_in_process_vjp(monkeypatch):
-    """identify's in-process sweep fails the test, but for the start's exact
-    pass, which sweeps in-process on at most COARSE_M steps."""
-    vjp = identify._rk4_model_vjp
-
-    def refuse(p, traj, cotangents):
-        if traj.grid.M > identify.COARSE_M:
-            raise AssertionError("the reverse sweep ran in-process")
-        return vjp(p, traj, cotangents)
-
-    monkeypatch.setattr(identify, "_rk4_model_vjp", refuse)
-
-
-def same_sweep(a, b):
-    """Two (rows, blocks, adjoint) hold the same bits in the same layout."""
-    return all(x.shape == y.shape and x.strides == y.strides and x.tobytes() == y.tobytes()
-               for x, y in zip(a, b))
 
 
 def result_bytes(res):
@@ -381,119 +340,73 @@ def small_pass(monkeypatch):
 
 @pytest.fixture(scope="module")
 def identify_reference():
-    """solve_p0 on identify_synthetic without os.fork: every sweep in-process."""
+    """solve_p0 on identify_synthetic, where os.fork exists."""
     obs, params, grid, weights, solver = identify_problem(1000)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        refuse_fork(monkeypatch)
         monkeypatch.setattr(identify, "COARSE_M", SMALL_COARSE_M)
         return result_bytes(solve_p0(obs, params, grid, *weights, solver))
 
 
 @pytest.mark.usefixtures("small_pass")
 class TestReverseHelper:
-    @pytest.mark.parametrize("M", [511, 512, 513, 1000, 10_000])
-    def test_same_bits_as_in_process(self, rng, no_in_process_vjp, M):
-        streamed, in_process = helper_sweep(rng, M)
-        assert same_sweep(streamed, in_process)
-        assert_no_child()
+    """solve_p0 forks no reverse-sweep helper: every sweep runs in-process."""
 
-    def test_blocks_past_the_prefetch_bound(self, rng, monkeypatch, no_in_process_vjp):
-        # 20 blocks, 3 built ahead: the sweep builds the other 17
-        monkeypatch.setattr(identify, "PREFETCH_BLOCKS", 3)
-        streamed, in_process = helper_sweep(rng, 10_000)
-        assert same_sweep(streamed, in_process)
-        assert_no_child()
+    def test_no_fork(self, identify_reference, monkeypatch, fork_calls):
+        # every fine reverse sweep, one per iterate, goes through identify's
+        # _rk4_model_vjp, which perfbench's model.vjp span wraps
+        fine = []
+        vjp = identify._rk4_model_vjp
 
-    def test_one_fork_per_solve(self, identify_reference, fork_calls, no_in_process_vjp):
+        def counting_vjp(p, traj, cotangents):
+            if traj.grid.M > identify.COARSE_M:
+                fine.append(1)
+            return vjp(p, traj, cotangents)
+
+        monkeypatch.setattr(identify, "_rk4_model_vjp", counting_vjp)
         obs, params, grid, weights, solver = identify_problem(1000)
         res = solve_p0(obs, params, grid, *weights, solver)
-        assert len(fork_calls) == 1
+        assert fork_calls == []
         assert result_bytes(res) == identify_reference
+        assert len(fine) == res.iterations + 1
         assert_no_child()
 
     def test_in_process_fallback(self, identify_reference, fork_calls, fork_failure):
+        # without os.fork, or with the fork or a pipe failing, the same bits
         obs, params, grid, weights, solver = identify_problem(1000)
         res = solve_p0(obs, params, grid, *weights, solver)
         assert fork_calls == []
         assert result_bytes(res) == identify_reference
         assert_no_child()
 
-    @pytest.mark.parametrize("in_process_too", [False, True])
-    def test_error_in_helper_sweep(self, identify_reference, monkeypatch, fork_calls,
-                                   in_process_too):
-        # the helper's first sweep raises and ends it: the solve reruns that
-        # sweep, and every later one, in-process, with the same bits; an
-        # error the in-process sweep raises too reaches the caller
-        def blowup(*args):
-            raise BlowupError(7)
-
-        in_process = []
+    def test_error_in_reverse_sweep(self, tmp_path, capsys, monkeypatch, fork_calls):
+        # a BlowupError from the fine reverse sweep reaches the caller, and
+        # `sailr identify` exits 1 with no output file
         vjp = identify._rk4_model_vjp
 
-        def counting_vjp(*args):
-            in_process.append(1)
-            return vjp(*args)
+        def blowup_fine(p, traj, cotangents):
+            if traj.grid.M > identify.COARSE_M:
+                raise BlowupError(7)
+            return vjp(p, traj, cotangents)
 
-        monkeypatch.setattr(identify, "vjp_sweep", blowup)  # the helper's sweep
-        monkeypatch.setattr(identify, "_rk4_model_vjp", counting_vjp)
-        if in_process_too:
-            monkeypatch.setattr(model, "vjp_sweep", blowup)
+        monkeypatch.setattr(identify, "_rk4_model_vjp", blowup_fine)
         obs, params, grid, weights, solver = identify_problem(1000)
-        if in_process_too:
-            with pytest.raises(BlowupError, match="at step 7"):
-                solve_p0(obs, params, grid, *weights, solver)
-        else:
-            res = solve_p0(obs, params, grid, *weights, solver)
-            assert result_bytes(res) == identify_reference
-            assert len(in_process) == res.iterations + 2  # every sweep, and the pass's
-        assert len(fork_calls) == 1
-        assert_no_child()
-
-    @pytest.mark.parametrize("where", ["candidate", "send", "vjp", "adjoint"])
-    def test_helper_killed_mid_solve(self, identify_reference, monkeypatch, where):
-        # SIGKILL the helper at the first call of candidate (a solve makes
-        # two), the third of send, the second of vjp (a solve makes two), or
-        # the one adjoint call, after the last sweep: the solve goes on
-        # in-process with the same results and reaps it.  A helper killed
-        # before adjoint has that sweep redone in-process, uncounted
-        nth = {"candidate": 1, "vjp": 2, "adjoint": 1}.get(where, 3)
-        calls, after, in_process = [], [], []
-        method = getattr(identify._ReverseHelper, where)
-        vjp = identify._rk4_model_vjp
-
-        def kill_then_call(helper, *args):
-            calls.append(helper._child.pid)
-            if len(calls) == nth:
-                os.kill(helper._child.pid, signal.SIGKILL)
-            out = method(helper, *args)
-            after.append(helper._child.pid)
-            return out
-
-        def counting_vjp(*args):
-            in_process.append(1)
-            return vjp(*args)
-
-        monkeypatch.setattr(identify._ReverseHelper, where, kill_then_call)
-        monkeypatch.setattr(identify, "_rk4_model_vjp", counting_vjp)
-        obs, params, grid, weights, solver = identify_problem(1000)
-        res = solve_p0(obs, params, grid, *weights, solver)
-        assert calls[nth - 1] is not None and after[-1] is None  # killed, then reaped
-        assert result_bytes(res) == identify_reference  # forward_solves included
-        if where == "adjoint":
-            assert len(in_process) == 2  # the start's pass, and the sweep redone
+        with pytest.raises(BlowupError, match="at step 7"):
+            solve_p0(obs, params, grid, *weights, solver)
+        code, out = run_task(tmp_path, solution_doc("identify"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "sailr identify: error: integration blow-up at step 7\n")
+        assert fork_calls == []
+        assert_no_outputs(out)
         assert_no_child()
 
     def test_parent_memory(self, fork_calls):
-        # the helper sends rows and blocks, not the two-column (v, bbar), the
-        # solve reads each candidate's beta_I knot values instead of
-        # evaluating beta_I at fresh grid points, and the candidates share
-        # one array of knots: the parent's traced peak over one Gauss-Newton
-        # iteration at M = 4096 is 5.84 trajectories' bytes, 6.04 with a
-        # copy of the knots per candidate, 6.64 when it evaluated them and
-        # 8.57 when it received (v, bbar).  The start's exact pass takes
-        # SMALL_COARSE_M steps, so that the first fine iterate misses tol and
-        # the iteration runs; on 1000 steps its in-process sweep sets the
-        # peak here, at 15.4 trajectories (2.5 MB)
+        # the solve holds each iterate's rows, blocks and adjoint, and the
+        # buffers of its in-process sweep: the traced peak over one
+        # Gauss-Newton iteration at M = 4096 is 21.5 trajectories' bytes
+        # (3.5 MB), bounded with 5 % headroom.  The start's exact pass takes
+        # SMALL_COARSE_M steps, so that the first fine iterate misses tol
+        # and the iteration runs
         obs, params, grid, weights, solver = identify_problem(4096)
         solver = identify.IdentConfig(solver.tol, max_iters=1)  # the full solve peaks as high
         tracemalloc.start()
@@ -504,12 +417,13 @@ class TestReverseHelper:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(fork_calls) == 1 and res.iterations == 1
-        assert peak < 6.0 * res.trajectory.states.nbytes
+        assert fork_calls == [] and res.iterations == 1
+        assert peak < 22.5 * res.trajectory.states.nbytes
         assert_no_child()
 
     def test_parent_error_mid_solve(self, monkeypatch, fork_calls, kills):
-        # the second gradient fails in the parent: the helper is killed
+        # the second gradient fails: the error reaches the caller, and there
+        # is no child to kill
         calls = []
         residual = identify._certificate
 
@@ -523,7 +437,7 @@ class TestReverseHelper:
         obs, params, grid, weights, solver = identify_problem(1000)
         with pytest.raises(RuntimeError, match="error in the parent"):
             solve_p0(obs, params, grid, *weights, solver)
-        assert kills == [(fork_calls[0], signal.SIGKILL)]
+        assert fork_calls == [] and kills == []
         assert_no_child()
 
     def test_unconverged_run(self, tmp_path, fork_calls):
@@ -538,7 +452,7 @@ class TestReverseHelper:
 
     def test_blowup_in_forward_solve(self, tmp_path, capsys, fork_calls):
         # h mu_L = 5.6, far outside RK4's stability interval: the first
-        # forward solve of `sailr identify` blows up with the helper running
+        # forward solve of `sailr identify` blows up, before the writer forks
         doc = solution_doc("identify")
         doc["grid"]["M"] = 100
         doc["params"]["mu_L"] = 280.0
@@ -546,7 +460,7 @@ class TestReverseHelper:
         assert code == 1
         assert capsys.readouterr().err.startswith(
             "sailr identify: error: integration blow-up at step ")
-        assert len(fork_calls) == 1
+        assert fork_calls == []
         assert_no_outputs(out)
         assert_no_child()
 
@@ -692,7 +606,7 @@ def test_fuzz_synth(capsys, mutations):
 
 
 def test_frames_round_trip():
-    # the one wire format of GridCsvWriter's and the reverse helper's frames
+    # the wire format of GridCsvWriter's frames
     rows = np.arange(6.0)
     pipe = io.BytesIO(frame(3, 5) + rows.tobytes() + frame(-2, 0))
     heads = frame_heads(pipe)
