@@ -32,7 +32,7 @@ def frame_heads(pipe):
 class Child:
     """Forks a child that runs serve(*files) and exits with its return value.
 
-    The first pipe carries the parent's frames to the child; with pipes=2 a
+    The first pipe carries the parent's data to the child; with pipes=2 a
     second one carries the child's replies back.  serve gets the child's
     ends, a binary reader then a writer, and files holds the parent's, a
     writer then a reader.  The child runs with garbage collection off, since
@@ -84,14 +84,13 @@ class Child:
         else:
             self.kill()
 
-    def send(self, *data) -> bool:
-        """Write each of data (bytes or a C-contiguous array) down the first
-        pipe, then flush it; False if there is no child or it has died (then
-        it is reaped)."""
+    def send(self, data) -> bool:
+        """Write data (bytes or a C-contiguous array) down the first pipe,
+        then flush it; False if there is no child or it has died (then it
+        is reaped)."""
         if self.pid is not None:
             try:
-                for part in data:
-                    self.files[0].write(part)
+                self.files[0].write(data)
                 self.files[0].flush()
                 return True
             except OSError:  # the child has died

@@ -85,6 +85,8 @@ class PenaltyConfig:
             errs.append("eps_schedule entries must be positive")
         elif any(b >= a for a, b in zip(sched, sched[1:])):
             errs.append("eps_schedule must be strictly decreasing")
+        elif self.alpha2 >= 0 and not np.isfinite(self.alpha2 / sched[-1]):  # the largest weight
+            errs.append("alpha2 / eps_schedule[-1] must be finite")
         ValidationError.check(errs)
         object.__setattr__(self, "eps_schedule", sched)
 

@@ -37,10 +37,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import BlowupError, FeasibilityError, ValidationError
-from .integrate import Grid, Trajectory, trapezoid
+from .integrate import Grid, Trajectory, linear_sweep, trapezoid
 from .linearize import AdjointTrajectory
 from .model import (CoefficientTable, ModelParams, _rk4_model_vjp, param_errors, simulate,
-                    stage_to_knot_gradient)
+                    stage_to_knot_gradient, step_maps)
 
 #: resolvent matrix coupling (A0, I0) in the initial-data optimality condition
 GAMMA = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -54,6 +54,7 @@ COARSE_M = 1000      # steps of the start's exact pass, at most
 START_PULL = 1e-3    # share of the way to K0's centroid that a fit on K0's boundary moves
 
 _ENDS = np.eye(5)[:, 3:]  # cotangent columns e_L, e_R of the reverse sweep
+_STARTS = np.eye(5)[:, 1:3] - np.eye(5)[:, :1]  # tangent columns d x0/d(A0, I0)
 
 
 @dataclass(frozen=True)
@@ -228,15 +229,15 @@ def _exact_pass(z, obs: Observations, p: ModelParams, coarse: Grid, n0: float, a
     """(A0, I0) after the Gauss-Newton step from z = (A0, I0), with beta_I
     = 0, of the exact discrete cost on the coarse grid (`_fit` of the
     model's linearization there, or z), and the sweeps it took: one forward
-    solve and one reverse sweep with the two cotangents e_L, e_R, counted
-    as 3.  A forward solve that blows up there gives z after 1."""
+    solve and one forward sweep of the tangents d x0/d(A0, I0), counted as
+    3.  A forward solve that blows up there gives z after 1."""
     c = IdentCandidate(CoefficientTable.constant(0.0), *z)
     try:
         traj = _forward(c, obs, p, coarse)
     except BlowupError:  # a step too long for RK4 on the coarse grid
         return *z, 1
-    v = _rk4_model_vjp(p.replace(beta_I=c.beta_I), traj, _ENDS)[0]
-    jac = (v[0, 1:3] - v[0, 0]).T  # d(L, R)(T)/d(A0, I0), as _reduce's blocks
+    maps = step_maps(p.replace(beta_I=c.beta_I), coarse, traj.states)
+    jac = linear_sweep(lambda lo, hi: maps(lo, hi)[:, :5, :5], _STARTS, coarse.M)[-1, 3:5]
     return *(_fit(jac, traj.final[3:5] - jac @ z, obs, alpha0, n0) or z), 3
 
 
@@ -483,7 +484,7 @@ def solve_p0(obs: Observations, params: ModelParams, grid: Grid,
     cfg = config or IdentConfig()
     # the start reads beta_A and xi, which the first forward solve would check
     ValidationError.check(grid_errors(grid, obs) + weight_errors(alpha0, alpha1)
-                          + param_errors(params.replace(beta_I=0.0), grid.T))
+                          + param_errors(params.replace(beta_I=0.0), grid))
     n0 = n0_of(obs)
     wq = _trapezoid_weights(grid)
 

@@ -6,10 +6,10 @@ the population, summing to 1.  Transmission rates beta_I and beta_A, and the
 immunity-loss rate xi, may vary in time; all other rates are constants.  The
 flow conserves S + A + I + L + R exactly.
 
-The forward RK4 solve is `simulate`.  The discrete reverse-mode sweep of
-its map is `vjp_sweep` over the step maps of `vjp_step_maps`, which read
-only forward states, block by block: `_rk4_model_vjp` runs the two, and
-`identify.solve_p0` takes every reverse sweep from it.
+The forward RK4 solve is `simulate`.  `step_maps` builds the exact step
+maps of its discrete map from the forward states, block by block: swept
+forward they carry tangents, and `_rk4_model_vjp` sweeps them in reverse,
+giving `identify.solve_p0` every reverse sweep.
 """
 
 from __future__ import annotations
@@ -172,8 +172,9 @@ class ModelParams:
         return replace(self, l_A=float(l_A), l_I=float(l_I))
 
 
-def param_errors(p: ModelParams, t_max: float | None = None) -> list[str]:
-    """Every violated invariant of ModelParams, as named messages."""
+def param_errors(p: ModelParams, grid: Grid | None = None) -> list[str]:
+    """Every violated invariant of ModelParams, as named messages; with a
+    grid, every multi-knot table must cover its span [t0, T]."""
     errs = []
     for name in ("sigma", "mu_A", "mu_I", "mu_L"):
         if not getattr(p, name) >= 0:  # written so that a NaN fails it
@@ -187,14 +188,14 @@ def param_errors(p: ModelParams, t_max: float | None = None) -> list[str]:
     if not p.k2 > 0:
         errs.append("k2 = mu_I + l_I must be > 0")
     for name in ("beta_I", "beta_A", "xi"):
-        if t_max is not None and not getattr(p, name).covers(0.0, t_max):
-            errs.append(f"{name}: table does not cover [0, {t_max}]")
+        if grid is not None and not getattr(p, name).covers(grid.t0, grid.T):
+            errs.append(f"{name}: table does not cover [{grid.t0}, {grid.T}]")
     return errs
 
 
-def validate_params(p: ModelParams, t_max: float | None = None) -> ModelParams:
+def validate_params(p: ModelParams, grid: Grid | None = None) -> ModelParams:
     """Return p unchanged if valid; raise ValidationError listing every violation."""
-    ValidationError.check(param_errors(p, t_max))
+    ValidationError.check(param_errors(p, grid))
     return p
 
 
@@ -331,7 +332,7 @@ def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
     GridCsvWriter.send, which hands each block to its child, or renders it,
     before it returns: trajectory.csv is written while the solve goes on.
     """
-    validate_params(p, t_max=grid.T)
+    validate_params(p, grid)
     M = grid.M
     out = np.empty((M + 1, 5))
     x = tuple(np.asarray(x0, dtype=float).tolist())
@@ -353,20 +354,18 @@ def simulate(p: ModelParams, x0, grid: Grid, block_done=None) -> Trajectory:
     return Trajectory(grid, out)
 
 
-def vjp_step_maps(p: ModelParams, grid: Grid, states: np.ndarray):
-    """Step-map builder of the reverse sweep of the discrete RK4 map:
-    maps(lo, hi) gives, for the reverse steps lo..hi-1, which are the
-    forward steps k = M-hi..M-lo-1, the (hi - lo, 8, 8) increments D = P - I
-    of the augmented forward step maps in forward order.  D[:, :5, :5] is
-    the state Jacobian minus I and D[:, :5, 5:] the sensitivities
-    d x_{k+1}/d beta_I at the stage samples 2k, 2k+1, 2k+2.
+def step_maps(p: ModelParams, grid: Grid, states: np.ndarray):
+    """Step-map builder of the discrete RK4 map: maps(lo, hi) gives the
+    (hi - lo, 8, 8) increments D = P - I of the augmented maps of the steps
+    k = lo..hi-1, read from the state rows lo..hi-1.  D[:, :5, :5] is the
+    state Jacobian minus I, which `integrate.linear_sweep` sweeps forward
+    for tangents, and D[:, :5, 5:] the sensitivities d x_{k+1}/d beta_I at
+    the stage samples 2k, 2k+1, 2k+2.
 
-    maps(lo, hi) reads only the rows M-hi..M-lo-1 of the (M + 1, 5) states,
-    so a caller may build a block as soon as those exist.  Stage states are
-    recomputed from them, and each call evaluates the coefficients on its own
-    stage times.  One stage buffer G, its constant Jacobian entries written
-    once, serves every call: per block only the entries that vary are
-    rewritten, and each D is a fresh array.
+    Stage states are recomputed from the rows, and each call evaluates the
+    coefficients on its own stage times.  One stage buffer G, its constant
+    Jacobian entries written once, serves every call: per block only the
+    entries that vary are rewritten, and each D is a fresh array.
     """
     M, h = grid.M, grid.h
     G = np.zeros((4, min(M, SWEEP_BLOCK), 8, 8))
@@ -374,9 +373,9 @@ def vjp_step_maps(p: ModelParams, grid: Grid, states: np.ndarray):
     dbuf = np.empty((min(M, SWEEP_BLOCK), 5))  # stage derivative, reused per stage
 
     def maps(lo, hi):
-        # forward step k's stage r reads the samples 2k + c, c = 0, 1, 1, 2
-        x = states[M - hi:M - lo]
-        th = grid.half_points(M - hi, M - lo)
+        # step k's stage r reads the samples 2k + c, c = 0, 1, 1, 2
+        x = states[lo:hi]
+        th = grid.half_points(lo, hi)
         coeffs = [c(th) for c in (p.beta_I, p.beta_A, p.xi)]
         Gb = G[:, :hi - lo]
         d = 0.0
@@ -395,22 +394,22 @@ def vjp_step_maps(p: ModelParams, grid: Grid, states: np.ndarray):
     return maps
 
 
-def vjp_sweep(maps, M: int, cotangent):
-    """Reverse scan and contraction of the discrete RK4 map's VJP, from the
-    step maps maps(lo, hi) of `vjp_step_maps`: for the scalar phi =
-    cotangent . x_M, returns (v[k] = d phi/d x_k on the grid, d phi/d beta_I
-    at the 2M+1 stage samples); a (5, K) cotangent gives K such columns.
-
-    v_k = P_k^T v_{k+1}.  The sweep streams: each block's sensitivities are
-    contracted into bbar as soon as its states exist.  The result depends
-    only on the bits maps returns, not on when or where they were built.
+def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
+    """Exact reverse-mode sweep of the discrete RK4 map: for the scalar phi =
+    cotangent . x_M, (v[k] = d phi/d x_k on the grid, d phi/d beta_I at the
+    2M+1 stage samples); a (5, K) cotangent gives K such columns.  v_k =
+    P_k^T v_{k+1} over the maps of `step_maps`, reverse step j being forward
+    step M-1-j; each block's sensitivities are contracted into bbar as soon
+    as its v exist.
     """
+    M = traj.grid.M
+    maps = step_maps(p, traj.grid, traj.states)
     bbar = np.zeros((2 * M + 1,) + np.shape(cotangent)[1:])
     sens = None  # d x_{k+1}/d beta_I at the samples of the block last built
 
-    def step_maps(lo, hi):
+    def reverse_maps(lo, hi):
         nonlocal sens
-        D = maps(lo, hi)
+        D = maps(M - hi, M - lo)
         sens = D[:, :5, 5:]
         return D[::-1, :5, :5].transpose(0, 2, 1)
 
@@ -427,14 +426,8 @@ def vjp_sweep(maps, M: int, cotangent):
         for c in range(3):  # samples 2k + c
             bbar[2 * (M - hi) + c:2 * (M - lo) + c:2] += per[:, c]
 
-    v = linear_sweep(step_maps, cotangent, M, contract)[::-1]
+    v = linear_sweep(reverse_maps, cotangent, M, contract)[::-1]
     return v, bbar
-
-
-def _rk4_model_vjp(p: ModelParams, traj: Trajectory, cotangent):
-    # Exact reverse-mode sweep of the discrete RK4 map (see vjp_sweep), with
-    # each block's step maps built in the scan.
-    return vjp_sweep(vjp_step_maps(p, traj.grid, traj.states), traj.grid.M, cotangent)
 
 
 def stage_to_knot_gradient(bbar: np.ndarray) -> np.ndarray:

@@ -73,6 +73,8 @@ class SynthSpec:
             errs.append("noise must be in [0, 1]")
         if self.seed < 0:  # np.random.default_rng takes none
             errs.append("seed must be >= 0")
+        if not self.beta_I_true.covers(self.grid.t0, self.grid.T):
+            errs.append(f"beta_I_true: table does not cover [{self.grid.t0}, {self.grid.T}]")
         ValidationError.check(errs)
 
 
@@ -237,8 +239,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     stability = _read(StabilityConfig, doc.get("stability", {}), "stability", errs, task)
 
     if params is not None:
-        t_max = grid.T if grid is not None else None
-        errs.extend(f"params: {m}" for m in param_errors(params, t_max=t_max))
+        errs.extend(f"params: {m}" for m in param_errors(params, grid))
 
     ValidationError.check(errs)
     return Scenario(name=str(doc.get("name", "")), task=task, params=params, x0=x0,

@@ -17,8 +17,9 @@ forward solve and the reverse sweep reduced to what the solver reads
 pass stubbed out: the fit of (A0, I0) to planted data by the model
 quasilinearized on its segments, which takes no model sweep.
 `test_coarse_pass` times that pass (`identify._exact_pass`) as a solve at
-M = 10^4 takes it: a forward solve and a reverse sweep on COARSE_M steps
-and the Gauss-Newton step they give.  The extra_info of both holds `ms`
+M = 10^4 takes it: a forward solve on COARSE_M steps, a forward sweep of
+its step maps with the two start directions d x0/d(A0, I0), and the
+Gauss-Newton step they give.  The extra_info of both holds `ms`
 per call.
 
 `test_stage_newton` times the FD-Newton phase of one control_binding stage

@@ -517,13 +517,24 @@ class TestLoadErrors:
         ("simulate", "simulate_baseline", ["grid.T=-1"], ["grid.T must exceed t0"]),
         # the seed comes from the document, not the synth block
         ("synth", "synth_truth", ["seed=-1", "synth.noise=0.01"], ["synth: seed must be >= 0"]),
+        # every table must cover the grid it runs on, from t0 to T
+        ("simulate", "simulate_baseline", ["grid.t0=-1"],
+         ["params: beta_I: table does not cover [-1.0, 20.0]"]),
+        ("synth", "synth_truth", ['synth.beta_I_true={"knots": [0, 1], "values": [0.3, 0.4]}'],
+         ["synth.beta_I_true: table does not cover [0.0, 2.0]"]),
+        # the last stage's penalty weight alpha2 / eps must not overflow
+        ("control", "control_binding", ["penalty.alpha2=1e308"],
+         ["penalty.alpha2 / penalty.eps_schedule[-1] must be finite"]),
+        ("control", "control_binding", ["penalty.eps_schedule=[1e-320]"],
+         ["penalty.alpha2 / penalty.eps_schedule[-1] must be finite"]),
     ], ids=["x0-negative", "grid-span", "grid-t0", "no-unobserved-mass",
             "override-no-equals", "override-raw-string", "override-through-number",
             "override-nested-too-deeply", "override-integer-too-long", "integer-past-float",
             "document-array", "anchor-one-key", "anchor-out-of-range", "synth-L0-negative",
             "synth-no-unobserved-mass",
             "observations-fields", "synth-fields", "grid-M-zero", "grid-T-negative",
-            "synth-seed-negative"])
+            "synth-seed-negative", "params-before-t0", "synth-beta-uncovered",
+            "penalty-alpha2-overflow", "penalty-eps-overflow"])
     def test_rejected(self, tmp_path, capsys, task, scenario, overrides, errors):
         path = (str(SCENARIOS / f"{scenario}.json") if isinstance(scenario, str)
                 else write_doc(tmp_path, scenario))

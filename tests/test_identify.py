@@ -545,12 +545,12 @@ class TestSolveP0:
         assert res.converged
 
     def test_full_step_below_rounding_is_taken(self, taken_steps):
-        # survey draw 465: its 2nd Gauss-Newton step passes the Armijo test
+        # survey draw 4078: its 2nd Gauss-Newton step passes the Armijo test
         # on the terms' changes but does not lower J in floating point.  It
         # is the full step, the iteration's one forward solve, and not one
         # the certificate judged
-        p, g, obs, ref = planted(T=2.0, M=1000, beta=0.41253743428660306,
-                                 A0=0.1347827595697693, I0=0.10909773256041376)
+        p, g, obs, ref = planted(T=2.0, M=1000, beta=0.38510554843744454,
+                                 A0=0.10428369840635594, I0=0.10143593768308068)
         res = solve_p0(obs, p, g, 1e-6, 1e-6, IdentConfig(tol=1e-7, max_iters=40))
         assert res.converged
         assert res.iterations == 2

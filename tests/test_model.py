@@ -212,8 +212,9 @@ class TestValidateParams:
         p = ModelParams(sigma=0.1, mu_A=0.1, mu_I=0.1, mu_L=0.1, l_A=0.1, l_I=0.1,
                         beta_I=CoefficientTable([0.0, 1.0], [0.2, 0.3]),
                         beta_A=0.2, xi=0.0)
-        assert param_errors(p, t_max=1.0) == []
-        assert any("cover" in e for e in param_errors(p, t_max=2.0))
+        assert param_errors(p, Grid(0.0, 1.0, 10)) == []
+        for g in (Grid(0.0, 2.0, 10), Grid(-1.0, 1.0, 10)):
+            assert param_errors(p, g) == [f"beta_I: table does not cover [{g.t0}, {g.T}]"]
 
 
 class TestSimulate:
@@ -270,3 +271,49 @@ class TestReverseSweep:
             for x0bar, bb in ((v[0], bbar), (vs[0, :, j], bbars[:, j])):
                 an = float(x0bar @ w + stage_to_knot_gradient(bb) @ u)
                 assert abs(an - fd) <= 1e-6 * abs(fd)
+
+
+class TestSweepsBothWays:
+    """The step maps of `model.step_maps` swept in reverse (`_rk4_model_vjp`)
+    and forward (`integrate.linear_sweep`, as identify's exact pass sweeps
+    them) are the two modes of one discrete RK4 map."""
+
+    @pytest.mark.parametrize("M", [511, 512, 513, 1500])
+    def test_discrete_duality(self, M):
+        # <v_k, dx_k> is the same at every k, so <v_0, dx_0> = <cot, dx_M>:
+        # 3 cotangents against 2 tangents, across the block boundaries
+        from sailr.integrate import linear_sweep
+        from sailr.model import _rk4_model_vjp, step_maps
+        rng = np.random.default_rng(M)
+        g = Grid(0.0, 2.0, M)
+
+        def knotted(lo, hi):
+            knots = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 2.0, 3)), [2.0]))
+            return CoefficientTable(knots, rng.uniform(lo, hi, 5))
+
+        p = random_params(rng, t_max=2.0).replace(
+            beta_I=knotted(0.05, 0.6), beta_A=knotted(0.05, 0.6), xi=knotted(0.0, 0.2))
+        traj = simulate(p, random_state(rng), g)
+        cot, dx0 = rng.uniform(-1.0, 1.0, (5, 3)), rng.uniform(-1.0, 1.0, (5, 2))
+        v = _rk4_model_vjp(p, traj, cot)[0]
+        maps = step_maps(p, g, traj.states)
+        dx = linear_sweep(lambda lo, hi: maps(lo, hi)[:, :5, :5], dx0, M)
+        pairs = np.einsum("kic,kij->kcj", v, dx)  # <v_k[:, c], dx_k[:, j]>
+        assert np.max(np.abs(pairs - cot.T @ dx[-1])) <= 1e-14 * np.max(np.abs(pairs))
+
+    def test_exact_pass_jacobian(self, monkeypatch):
+        # the Jacobian d(L, R)(T)/d(A0, I0) that identify's exact pass fits
+        # with, against central differences of simulate on the coarse grid
+        from sailr import identify
+        p = ModelParams(sigma=0.25, mu_A=0.1, mu_I=0.12, mu_L=0.15, l_A=0.25, l_I=0.35,
+                        beta_I=0.0, beta_A=0.22, xi=0.03)
+        obs = identify.Observations(L0=0.02, R0=0.01, LT=0.1, RT=0.06, T=2.0)
+        coarse, n0, z = Grid(0.0, 2.0, identify.COARSE_M), 0.97, (0.09, 0.13)
+        seen = []
+        monkeypatch.setattr(identify, "_fit", lambda jac, *args: seen.append(jac.copy()))
+        assert identify._exact_pass(z, obs, p, coarse, n0, 1e-6) == (*z, 3)
+        lam, x0 = 1e-6, np.array([n0 - z[0] - z[1], *z, obs.L0, obs.R0])
+        for j, w in enumerate(([-1.0, 1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 0.0, 0.0])):
+            up, dn = (simulate(p, x0 + s * np.array(w), coarse).final[3:5] for s in (lam, -lam))
+            fd = (up - dn) / (2.0 * lam)
+            assert np.max(np.abs(seen[0][:, j] - fd)) <= 1e-8 * np.max(np.abs(fd))
